@@ -17,7 +17,6 @@ use crate::classify::{classify, PartnerClass};
 use magellan_graph::{subgraph, DiGraph};
 use magellan_netsim::{Isp, IspDatabase, PeerAddr};
 use magellan_trace::PeerReport;
-use std::collections::HashSet;
 
 /// Which peers become graph nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +36,21 @@ pub enum NodeScope {
 /// accumulate reported segment counts (a link reported from both ends
 /// sums both observations; metrics in this crate use structure, not
 /// weight).
+///
+/// Reporters are interned first, in address order, in either scope. So
+/// the first `r` nodes of the [`NodeScope::AllKnown`] graph (`r`
+/// distinct reporters) are the nodes of the [`NodeScope::StableOnly`]
+/// graph under the same ids, and the subgraph they induce *is* that
+/// graph, weights included: one `AllKnown` build serves both (the
+/// study takes the prefix with [`magellan_graph::Csr::induced`]).
 pub fn active_link_graph<'a, I>(reports: I, scope: NodeScope) -> DiGraph<PeerAddr>
 where
     I: IntoIterator<Item = &'a PeerReport>,
 {
+    // One report per reporter: keep the freshest, with a content-based
+    // tie-break so the choice never depends on input order (snapshots
+    // provide one report per peer; raw streams may not).
     let mut sorted: Vec<&PeerReport> = reports.into_iter().collect(); // lint:allow(H2): materializes the report window once per figure sample, bounded by the stable set
-                                                                      // One report per reporter: keep the freshest, with a
-                                                                      // content-based tie-break so the choice never depends on input
-                                                                      // order (snapshots provide one report per peer; raw streams may
-                                                                      // not).
     sorted.sort_by_key(|r| (r.addr, r.time, r.partners.len()));
     let mut deduped: Vec<&PeerReport> = Vec::with_capacity(sorted.len());
     for r in sorted {
@@ -57,32 +62,37 @@ where
         }
     }
     let sorted = deduped;
-    let stable: HashSet<PeerAddr> = sorted.iter().map(|r| r.addr).collect(); // lint:allow(H2): one address-set build per figure sample
     let mut g: DiGraph<PeerAddr> = DiGraph::new();
-    // Intern stable peers first so even isolated reporters are nodes.
+    // Intern stable peers first so even isolated reporters are nodes;
+    // reporter `i` of the sorted list is node `i`.
     for r in &sorted {
         g.intern(r.addr);
     }
-    for r in &sorted {
+    for (me, r) in g.node_ids().zip(&sorted) {
         for rec in &r.partners {
             if rec.addr == r.addr {
                 continue;
             }
-            if scope == NodeScope::StableOnly && !stable.contains(&rec.addr) {
-                continue;
+            let (supplies, receives) = match classify(rec) {
+                PartnerClass::ActiveSupplier => (true, false),
+                PartnerClass::ActiveReceiver => (false, true),
+                PartnerClass::ActiveBoth => (true, true),
+                PartnerClass::NonActive => continue,
+            };
+            // In the stable scope only reporters ever become nodes, so
+            // "is a node" is "is stable".
+            let partner = match scope {
+                NodeScope::AllKnown => g.intern(rec.addr),
+                NodeScope::StableOnly => match g.node_id(&rec.addr) {
+                    Some(id) => id,
+                    None => continue,
+                },
+            };
+            if supplies {
+                g.add_edge(partner, me, rec.segments_received);
             }
-            match classify(rec) {
-                PartnerClass::ActiveSupplier => {
-                    g.add_edge_by_key(rec.addr, r.addr, rec.segments_received);
-                }
-                PartnerClass::ActiveReceiver => {
-                    g.add_edge_by_key(r.addr, rec.addr, rec.segments_sent);
-                }
-                PartnerClass::ActiveBoth => {
-                    g.add_edge_by_key(rec.addr, r.addr, rec.segments_received);
-                    g.add_edge_by_key(r.addr, rec.addr, rec.segments_sent);
-                }
-                PartnerClass::NonActive => {}
+            if receives {
+                g.add_edge(me, partner, rec.segments_sent);
             }
         }
     }
@@ -91,7 +101,7 @@ where
 
 /// ISO of every node, indexed by [`NodeId::index`].
 pub fn node_isps(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> Vec<Isp> {
-    g.node_ids().map(|id| db.lookup(*g.key(id))).collect()
+    g.node_ids().map(|id| db.lookup(*g.key(id))).collect() // lint:allow(H2): one label vector per boundary, shared by the Fig. 7B and Fig. 8B panels
 }
 
 /// The subgraph induced by the peers of one ISP (Fig. 7B).

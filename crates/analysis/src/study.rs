@@ -5,30 +5,31 @@
 //! maintaining just enough state to reconstruct snapshots at sampling
 //! boundaries: the last two reports of each recently-seen peer (the
 //! paper's trace server kept 120 GB; we keep a rolling window). At
-//! every sample instant it materializes the stable-peer set, builds
-//! the active-link topology, and appends one point to each figure's
-//! series.
+//! every sample instant it selects the stable-peer set, builds the
+//! active-link topology once, and appends one point to each figure's
+//! series — every boundary is measured from scratch, at a cost
+//! proportional to its own snapshot (DESIGN.md §10).
 
 use crate::figures::{DegreeSnapshot, PartialSample, StudyReport};
 use crate::graphs::{
-    active_link_graph, inter_isp_link_graph, intra_isp_degree_fractions, intra_isp_link_graph,
-    intra_isp_pool_fraction, isp_share_baseline, isp_subgraph, NodeScope,
+    active_link_graph, intra_isp_degree_fractions, intra_isp_pool_fraction, isp_share_baseline,
+    node_isps, NodeScope,
 };
 use crate::timeseries::Series;
 use magellan_graph::paths::PathSampling;
 use magellan_graph::powerlaw;
-use magellan_graph::reciprocity::garlaschelli_reciprocity;
-use magellan_graph::smallworld::{
-    assess, assess_csr, assess_csr_with_clustering, SmallWorldConfig, SmallWorldReport,
+use magellan_graph::reciprocity::{
+    garlaschelli_reciprocity_csr, label_split_link_counts_csr, weighted_reciprocity_csr,
 };
-use magellan_graph::{Csr, DegreeHistogram, DiGraph, IncrementalTopology};
+use magellan_graph::smallworld::{assess_csr, SmallWorldConfig, SmallWorldReport};
+use magellan_graph::{Csr, DegreeHistogram};
 use magellan_netsim::{
     uncovered_fraction, Isp, IspDatabase, PeerAddr, SimDuration, SimTime, StudyCalendar,
 };
 use magellan_overlay::{OverlaySim, SimConfig};
 use magellan_trace::PeerReport;
 use magellan_workload::{FaultPlan, Scenario};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Configuration of one study run.
 #[derive(Debug, Clone)]
@@ -217,8 +218,6 @@ struct Boundary {
 }
 
 pub(crate) struct Accumulator {
-    cfg: StudyConfig,
-    db: IspDatabase,
     staleness: SimDuration,
     // BTreeMaps: both maps are iterated/retained on the metric path,
     // where hash order would leak into figure bytes (rule D4).
@@ -227,34 +226,25 @@ pub(crate) struct Accumulator {
     next_boundary: usize,
     day_total_ips: Vec<HashSet<u32>>,
     day_stable_ips: Vec<HashSet<u32>>,
-    isp_share_sums: [f64; 7],
-    isp_share_samples: u64,
     /// Per-peer open report run: (run start, previous report, count).
     session_runs: BTreeMap<PeerAddr, (SimTime, SimTime, u32)>,
     /// Observed lengths (minutes) of completed report runs.
     finished_sessions_mins: Vec<f64>,
-    /// Incremental snapshot engines carried across report boundaries:
-    /// one tracking the stable-peer topology (Fig. 7 clustering), one
-    /// the all-known topology (Fig. 8 reciprocity). Their state is a
-    /// pure function of the snapshots synced so far, so live, replay,
-    /// and resumed runs all arrive at identical metric bytes.
-    inc_stable: IncrementalTopology,
-    inc_full: IncrementalTopology,
-    report: StudyReport,
+    sampler: Sampler,
 }
 
-/// Extracts the engine-facing snapshot of one topology: sorted node
-/// keys and `(from, to, weight)` edges in ascending `(from, to)`
-/// order, as [`IncrementalTopology::sync_snapshot`] requires.
-fn graph_snapshot(g: &DiGraph<PeerAddr>) -> (Vec<u32>, Vec<(u32, u32, u64)>) {
-    let mut nodes: Vec<u32> = g.nodes().map(|(_, k)| k.as_u32()).collect(); // lint:allow(H2): one snapshot extraction per report boundary, reused by the diff
-    nodes.sort_unstable();
-    let mut edges: Vec<(u32, u32, u64)> = g
-        .edges()
-        .map(|e| (g.key(e.from).as_u32(), g.key(e.to).as_u32(), e.weight))
-        .collect(); // lint:allow(H2): same per-boundary snapshot extraction
-    edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-    (nodes, edges)
+/// What a boundary's samples write to, held apart from the rolling
+/// window they read so the stable set can stay borrowed from `recent`
+/// while the figures grow.
+struct Sampler {
+    cfg: StudyConfig,
+    db: IspDatabase,
+    isp_share_sums: [f64; 7],
+    isp_share_samples: u64,
+    /// Scratch for the known-population count, reused across
+    /// boundaries.
+    known: Vec<PeerAddr>,
+    report: StudyReport,
 }
 
 impl Accumulator {
@@ -317,21 +307,22 @@ impl Accumulator {
         report.fig8.inter = Series::new("rho inter-ISP");
         report.fig8.weighted = Series::new("weighted r_w");
         Accumulator {
-            cfg: cfg.clone(),
-            db,
             staleness: SimDuration::from_mins(15),
             recent: BTreeMap::new(),
             boundaries,
             next_boundary: 0,
             day_total_ips: vec![HashSet::new(); days],
             day_stable_ips: vec![HashSet::new(); days],
-            isp_share_sums: [0.0; 7],
-            isp_share_samples: 0,
             session_runs: BTreeMap::new(),
             finished_sessions_mins: Vec::new(),
-            inc_stable: IncrementalTopology::new(),
-            inc_full: IncrementalTopology::new(),
-            report,
+            sampler: Sampler {
+                cfg: cfg.clone(),
+                db,
+                isp_share_sums: [0.0; 7],
+                isp_share_samples: 0,
+                known: Vec::new(),
+                report,
+            },
         }
     }
 
@@ -347,7 +338,7 @@ impl Accumulator {
         // emission lags report timestamps by less than one tick, so
         // once a report with time >= B + tick arrives, no report with
         // time <= B can follow.
-        let safe_margin = self.cfg.sim.tick;
+        let safe_margin = self.sampler.cfg.sim.tick;
         while self.next_boundary < self.boundaries.len()
             && r.time >= self.boundaries[self.next_boundary].time + safe_margin
         {
@@ -408,14 +399,15 @@ impl Accumulator {
             self.finalize_boundary(&b);
             self.next_boundary += 1;
         }
+        let mut report = self.sampler.report;
         // Fig. 1B.
-        self.report.fig1b.total = self
+        report.fig1b.total = self
             .day_total_ips
             .iter()
             .enumerate()
             .map(|(d, s)| (d as u64, s.len() as u64))
             .collect();
-        self.report.fig1b.stable = self
+        report.fig1b.stable = self
             .day_stable_ips
             .iter()
             .enumerate()
@@ -432,7 +424,7 @@ impl Accumulator {
         if !mins.is_empty() {
             mins.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             let n = mins.len();
-            self.report.sessions = Some(crate::sessions::SessionSummary {
+            report.sessions = Some(crate::sessions::SessionSummary {
                 sessions: n,
                 mean_mins: mins.iter().sum::<f64>() / n as f64,
                 median_mins: mins[n / 2],
@@ -440,18 +432,14 @@ impl Accumulator {
             });
         }
         // Fig. 2.
-        if self.isp_share_samples > 0 {
-            self.report.fig2.shares = Isp::ALL
+        let (sums, samples) = (self.sampler.isp_share_sums, self.sampler.isp_share_samples);
+        if samples > 0 {
+            report.fig2.shares = Isp::ALL
                 .iter()
-                .map(|&isp| {
-                    (
-                        isp,
-                        self.isp_share_sums[isp.index()] / self.isp_share_samples as f64,
-                    )
-                })
+                .map(|&isp| (isp, sums[isp.index()] / samples as f64))
                 .collect();
         }
-        self.report
+        report
     }
 
     fn finalize_boundary(&mut self, b: &Boundary) {
@@ -461,23 +449,21 @@ impl Accumulator {
         let floor = at - self.staleness;
         self.recent.retain(|_, pair| pair.newer.time > floor); // lint:allow(H3): horizon pruning walks the rolling window once per boundary, not per tick
 
-        // The stable set at `at`, sorted for determinism. Cloned out
-        // of the rolling window so the figure builders can borrow
-        // `self` mutably; the set is a few hundred reports.
-        let mut stable: Vec<PeerReport> = self
+        // The stable set at `at`, borrowed from the rolling window: one
+        // report per peer, in address order (the map's).
+        let stable: Vec<&PeerReport> = self
             .recent
             .values()
             .filter_map(|pair| pair.select(at, self.staleness))
-            .cloned()
-            .collect(); // lint:allow(H2): clones the stable set out of the window once per boundary
-        stable.sort_by_key(|r| r.addr);
+            .collect(); // lint:allow(H2): one Vec of references to the stable set per boundary
 
         // Fraction of this boundary's horizon with the collection
         // server up. Derived from the configured outage schedule — not
         // from the report stream — so the live and replay paths mark
         // the same boundaries partial and stay byte-identical.
+        let sampler = &mut self.sampler;
         let coverage = uncovered_fraction(
-            &self.cfg.faults.server_outages,
+            &sampler.cfg.faults.server_outages,
             floor + SimDuration::from_millis(1),
             at + SimDuration::from_millis(1),
         );
@@ -486,37 +472,41 @@ impl Accumulator {
                 // A server outage ate into this horizon: the stable
                 // set is a known undercount. Record the hole instead
                 // of averaging over it.
-                self.report
+                sampler
+                    .report
                     .partial_samples
                     .push(PartialSample { time: at, coverage });
             } else {
-                self.sample_population(at, &stable);
-                self.sample_quality(at, &stable);
-                self.sample_degrees(at, &stable);
-                self.sample_graph_metrics(at, &stable);
+                sampler.sample_population(at, &stable);
+                sampler.sample_quality(at, &stable);
+                sampler.sample_degrees(at, &stable);
+                sampler.sample_graph_metrics(at, &stable);
             }
         }
         if let Some(ci) = b.capture {
-            self.capture_degree_distribution(ci, at, coverage, &stable);
+            sampler.capture_degree_distribution(ci, at, coverage, &stable);
         }
     }
+}
 
-    fn sample_population(&mut self, at: SimTime, stable: &[PeerReport]) {
-        // BTreeSet: iterated below for the ISP share counts.
-        let mut known: BTreeSet<PeerAddr> = BTreeSet::new();
+impl Sampler {
+    fn sample_population(&mut self, at: SimTime, stable: &[&PeerReport]) {
+        // Every address visible at this instant: reporters and all of
+        // their partners, active or not.
+        let known = &mut self.known;
+        known.clear();
         for r in stable {
-            known.insert(r.addr);
-            for p in &r.partners {
-                known.insert(p.addr);
-            }
+            known.push(r.addr);
+            known.extend(r.partners.iter().map(|p| p.addr));
         }
+        known.sort_unstable();
+        known.dedup();
         self.report.fig1a.stable.push(at, stable.len() as f64);
         self.report.fig1a.total.push(at, known.len() as f64);
         // Fig. 2 accumulation over the known population.
         if !known.is_empty() {
             let mut counts = [0u64; 7];
-            // lint:allow(H3): Fig. 2 ISP shares are defined over the whole known population, per boundary
-            for addr in &known {
+            for addr in known.iter() {
                 counts[self.db.lookup(*addr).index()] += 1;
             }
             for isp in Isp::ALL {
@@ -526,7 +516,7 @@ impl Accumulator {
         }
     }
 
-    fn sample_quality(&mut self, at: SimTime, stable: &[PeerReport]) {
+    fn sample_quality(&mut self, at: SimTime, stable: &[&PeerReport]) {
         use magellan_workload::ChannelId;
         for (channel, series, viewer_series) in [
             (
@@ -540,21 +530,19 @@ impl Accumulator {
                 &mut self.report.fig3.cctv4_viewers,
             ),
         ] {
-            let viewers: Vec<&PeerReport> =
-                stable.iter().filter(|r| r.channel == channel).collect(); // lint:allow(H2): per-channel viewer slice, rebuilt once per boundary
-            viewer_series.push(at, viewers.len() as f64);
-            if viewers.is_empty() {
-                continue;
+            let (mut viewers, mut good) = (0usize, 0usize);
+            for r in stable.iter().filter(|r| r.channel == channel) {
+                viewers += 1;
+                good += usize::from(r.achieves_rate(400.0, self.cfg.quality_fraction));
             }
-            let good = viewers
-                .iter()
-                .filter(|r| r.achieves_rate(400.0, self.cfg.quality_fraction))
-                .count();
-            series.push(at, good as f64 / viewers.len() as f64);
+            viewer_series.push(at, viewers as f64);
+            if viewers > 0 {
+                series.push(at, good as f64 / viewers as f64);
+            }
         }
     }
 
-    fn sample_degrees(&mut self, at: SimTime, stable: &[PeerReport]) {
+    fn sample_degrees(&mut self, at: SimTime, stable: &[&PeerReport]) {
         if stable.is_empty() {
             return;
         }
@@ -572,16 +560,16 @@ impl Accumulator {
         self.report.fig5.indegree.push(at, si as f64 / n);
         self.report.fig5.outdegree.push(at, so as f64 / n);
         // Fig. 6.
-        let (fin, fout) = intra_isp_degree_fractions(stable.iter(), &self.db);
+        let (fin, fout) = intra_isp_degree_fractions(stable.iter().copied(), &self.db);
         self.report.fig6.indegree.push(at, fin);
         self.report.fig6.outdegree.push(at, fout);
-        self.report
-            .fig6
-            .pool
-            .push(at, intra_isp_pool_fraction(stable.iter(), &self.db));
+        self.report.fig6.pool.push(
+            at,
+            intra_isp_pool_fraction(stable.iter().copied(), &self.db),
+        );
     }
 
-    fn sample_graph_metrics(&mut self, at: SimTime, stable: &[PeerReport]) {
+    fn sample_graph_metrics(&mut self, at: SimTime, stable: &[&PeerReport]) {
         if stable.len() < self.cfg.min_graph_nodes {
             return;
         }
@@ -599,70 +587,49 @@ impl Accumulator {
             ..SmallWorldConfig::default()
         };
 
-        // Build both topologies up front (construction allocates and
-        // stays sequential); the metric kernels below run over shared
-        // Csr snapshots and fan out.
-        let stable_graph = active_link_graph(stable.iter(), NodeScope::StableOnly);
-        let full = active_link_graph(stable.iter(), NodeScope::AllKnown);
+        // One build of the all-known topology serves both figures: the
+        // stable-peer graph of Fig. 7 is its prefix (reporters are
+        // interned first, one per stable report), and the ISP panels
+        // of Figs. 7B and 8B read one per-node ISP vector. Construction
+        // allocates and stays sequential; the metric kernels below run
+        // over the shared flat views and fan out.
+        let full = active_link_graph(stable.iter().copied(), NodeScope::AllKnown);
+        let isps = node_isps(&full, &self.db);
+        let full = Csr::from_digraph(&full);
+        let stable_graph = full.induced(|id| id.index() < stable.len());
 
-        // Advance the incremental engines to this boundary's snapshots
-        // (sequentially — they mutate accumulator state). Successive
-        // boundaries share most of their links, so each sync costs
-        // O(delta) instead of a full triangle/reciprocity recount; the
-        // engines then answer Fig. 7's exact clustering and Fig. 8's
-        // whole-graph reciprocity from maintained counters.
-        let (snodes, sedges) = graph_snapshot(&stable_graph);
-        self.inc_stable.sync_snapshot(&snodes, &sedges);
-        let (fnodes, fedges) = graph_snapshot(&full);
-        self.inc_full.sync_snapshot(&fnodes, &fedges);
-
-        // Exact clustering comes straight from the stable engine when
-        // the config would compute it exactly anyway; larger graphs
-        // keep the sampled estimator inside `assess_csr`.
-        let stable_cfg = sw_cfg(stable_graph.node_count());
-        let c_exact = stable_cfg
-            .clustering_samples
-            .is_none()
-            .then(|| self.inc_stable.clustering_coefficient());
-        // Fig. 8's whole-graph reciprocity reads the full engine's
-        // counters directly — no `Csr` build of the all-known topology
-        // at all.
-        let all = self.inc_full.garlaschelli_reciprocity().ok();
-        let weighted = self.inc_full.weighted_reciprocity().ok();
-
-        let db = &self.db;
         let isp_panel = self.cfg.isp_panel;
         let min_graph_nodes = self.cfg.min_graph_nodes;
 
-        // Fig. 7 (small-world) and Fig. 8 (per-ISP reciprocity) read
-        // disjoint graphs, so the two metric sets compute concurrently
-        // via `magellan_par::join`. Both closures are pure functions
-        // of their graphs; the results come back as an ordered pair
-        // and the series pushes below happen in the same fixed order
-        // as the sequential schedule, so the report is byte-identical
-        // for every thread count.
+        // Fig. 7 (small-world) and Fig. 8 (reciprocity) read disjoint
+        // graphs, so the two metric sets compute concurrently via
+        // `magellan_par::join`. Both closures are pure functions of
+        // their graphs; the results come back as an ordered pair and
+        // the series pushes below happen in the same fixed order as
+        // the sequential schedule, so the report is byte-identical for
+        // every thread count.
         type Fig7 = (SmallWorldReport, Option<SmallWorldReport>);
-        type Fig8 = (Option<f64>, Option<f64>);
+        type Fig8 = [Option<f64>; 4];
         let (fig7, fig8): (Fig7, Fig8) = magellan_par::join(
             || {
                 // Fig. 7A: stable-peer graph; 7B: one ISP's subgraph.
-                let csr = Csr::from_digraph(&stable_graph);
-                let global = match c_exact {
-                    Some(c) => assess_csr_with_clustering(&csr, c, &stable_cfg),
-                    None => assess_csr(&csr, &stable_cfg),
-                };
-                let sub = isp_subgraph(&stable_graph, db, isp_panel);
+                let global = assess_csr(&stable_graph, &sw_cfg(stable_graph.node_count()));
+                let sub = stable_graph.induced(|id| isps[id.index()] == isp_panel);
                 let isp = (sub.node_count() >= min_graph_nodes)
-                    .then(|| assess(&sub, &sw_cfg(sub.node_count())));
+                    .then(|| assess_csr(&sub, &sw_cfg(sub.node_count())));
                 (global, isp)
             },
             || {
-                // Fig. 8: per-ISP reciprocity over the all-known
-                // topology (the whole-graph values came from the
-                // incremental engine above).
-                let intra = garlaschelli_reciprocity(&intra_isp_link_graph(&full, db)).ok();
-                let inter = garlaschelli_reciprocity(&inter_isp_link_graph(&full, db)).ok();
-                (intra, inter)
+                // Fig. 8A over the whole all-known topology; Fig. 8B
+                // over its intra- and inter-ISP links with their
+                // incident peers, counted in one sweep.
+                let (intra, inter) = label_split_link_counts_csr(&full, &isps);
+                [
+                    garlaschelli_reciprocity_csr(&full).ok(),
+                    weighted_reciprocity_csr(&full).ok(),
+                    intra.garlaschelli().ok(),
+                    inter.garlaschelli().ok(),
+                ]
             },
         );
 
@@ -681,18 +648,17 @@ impl Accumulator {
                 self.report.fig7.isp.l_rand.push(at, lr);
             }
         }
-        let (intra, inter) = fig8;
-        if let Some(rho) = all {
-            self.report.fig8.all.push(at, rho);
-        }
-        if let Some(rw) = weighted {
-            self.report.fig8.weighted.push(at, rw);
-        }
-        if let Some(rho) = intra {
-            self.report.fig8.intra.push(at, rho);
-        }
-        if let Some(rho) = inter {
-            self.report.fig8.inter.push(at, rho);
+        // Same order as the Fig. 8 closure returned its values.
+        let fig8_series = [
+            &mut self.report.fig8.all,
+            &mut self.report.fig8.weighted,
+            &mut self.report.fig8.intra,
+            &mut self.report.fig8.inter,
+        ];
+        for (series, value) in fig8_series.into_iter().zip(fig8) {
+            if let Some(v) = value {
+                series.push(at, v);
+            }
         }
     }
 
@@ -701,7 +667,7 @@ impl Accumulator {
         ci: usize,
         at: SimTime,
         coverage: f64,
-        stable: &[PeerReport],
+        stable: &[&PeerReport],
     ) {
         let label = self.cfg.degree_captures[ci].0.clone(); // lint:allow(H2): one label clone per configured degree capture (a handful per run)
         let mut partners = DegreeHistogram::new();

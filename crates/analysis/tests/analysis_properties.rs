@@ -6,7 +6,8 @@ use magellan_analysis::graphs::{
     active_link_graph, inter_isp_link_graph, intra_isp_link_graph, NodeScope,
 };
 use magellan_analysis::timeseries::{to_csv, Series};
-use magellan_netsim::{IspDatabase, PeerAddr, SimTime};
+use magellan_graph::Csr;
+use magellan_netsim::{IspDatabase, PeerAddr, SimDuration, SimTime};
 use magellan_trace::{BufferMap, PartnerRecord, PeerReport};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
@@ -40,21 +41,64 @@ fn arb_report() -> impl Strategy<Value = PeerReport> {
         })
 }
 
+/// The contract the study's single topology build rests on: the
+/// stable-peer graph is the all-known graph's reporter prefix — same
+/// node ids and keys, same edges, same weights. `Err` names the first
+/// difference.
+fn stable_graph_is_the_reporter_prefix(reports: &[PeerReport]) -> Result<(), String> {
+    let stable = active_link_graph(reports, NodeScope::StableOnly);
+    let all = active_link_graph(reports, NodeScope::AllKnown);
+    let reporters = stable.node_count();
+    for (id, key) in stable.nodes() {
+        if all.node_id(key) != Some(id) {
+            return Err(format!(
+                "reporter {key:?} is not node {id} of the all-known graph"
+            ));
+        }
+    }
+    let prefix = Csr::from_digraph(&all).induced(|id| id.index() < reporters);
+    if prefix != Csr::from_digraph(&stable) {
+        return Err(format!(
+            "prefix of {reporters} reporters differs from the stable-only build"
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn stable_prefix_holds_on_a_simulated_window_with_duplicate_and_late_reports() {
+    // A 25-minute window of a real run holds up to three reports per
+    // stable peer (one every 10 minutes), in emission order: the
+    // builder must pick the freshest of each and still put reporters
+    // first.
+    let scenario = magellan_workload::Scenario::builder(2006, 0.001)
+        .calendar(magellan_netsim::StudyCalendar { window_days: 1 })
+        .build();
+    let mut sim = magellan_overlay::OverlaySim::new(scenario, Default::default());
+    let (store, _) = sim.run_collecting().expect("run succeeds");
+    let at = SimTime::at(0, 21, 0);
+    let window: Vec<PeerReport> = store
+        .reports()
+        .iter()
+        .filter(|r| r.time <= at && r.time > at - SimDuration::from_mins(25))
+        .cloned()
+        .collect();
+    let reporters = active_link_graph(&window, NodeScope::StableOnly).node_count();
+    assert!(reporters >= 20, "window too thin: {reporters} reporters");
+    assert!(
+        window.len() > reporters + reporters / 2,
+        "{} reports from {reporters} reporters: no duplicates to dedup",
+        window.len()
+    );
+    stable_graph_is_the_reporter_prefix(&window).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn stable_graph_is_subgraph_of_all_known(reports in proptest::collection::vec(arb_report(), 0..25)) {
-        let stable = active_link_graph(&reports, NodeScope::StableOnly);
-        let all = active_link_graph(&reports, NodeScope::AllKnown);
-        prop_assert!(stable.node_count() <= all.node_count());
-        prop_assert!(stable.edge_count() <= all.edge_count());
-        // Every stable edge exists in the all-known graph.
-        for e in stable.edges() {
-            let f = all.node_id(stable.key(e.from)).expect("node present");
-            let t = all.node_id(stable.key(e.to)).expect("node present");
-            prop_assert!(all.has_edge(f, t));
-        }
+    fn stable_graph_is_reporter_prefix_of_all_known(reports in proptest::collection::vec(arb_report(), 0..25)) {
+        prop_assert_eq!(stable_graph_is_the_reporter_prefix(&reports), Ok(()));
     }
 
     #[test]

@@ -44,6 +44,15 @@ fn row(off: &[usize], i: usize) -> std::ops::Range<usize> {
     off[i]..off[i + 1]
 }
 
+/// Directed edge density of `m` edges over `n` nodes (0.0 below two
+/// nodes).
+pub(crate) fn density(n: usize, m: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    m as f64 / (n as f64 * (n as f64 - 1.0))
+}
+
 impl Csr {
     /// Builds the flat view of `g` in one `O(n + m)` pass.
     pub fn from_digraph<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Csr {
@@ -103,6 +112,59 @@ impl Csr {
             und_off,
             und_tgt,
         }
+    }
+
+    /// The subgraph induced by the nodes `keep` accepts, as a flat
+    /// view of its own: kept nodes are renumbered densely in ascending
+    /// id order and every edge with both endpoints kept survives with
+    /// its weight — what [`crate::subgraph::induced_by_nodes`]
+    /// followed by [`Csr::from_digraph`] yields, without the keyed
+    /// intermediate graph. `O(n + m)`; renumbering is monotone, so
+    /// rows stay sorted.
+    pub fn induced(&self, mut keep: impl FnMut(NodeId) -> bool) -> Csr {
+        let mut new_id: Vec<Option<NodeId>> = Vec::with_capacity(self.n);
+        let mut kept = 0usize;
+        for u in self.node_ids() {
+            new_id.push(keep(u).then(|| {
+                kept += 1;
+                NodeId::from_index(kept - 1)
+            }));
+        }
+        let renumber = |row: &[NodeId], into: &mut Vec<NodeId>| {
+            into.extend(row.iter().filter_map(|v| new_id[v.index()]));
+        };
+        let mut sub = Csr {
+            n: kept,
+            edge_count: 0,
+            out_off: Vec::with_capacity(kept + 1),
+            out_tgt: Vec::new(),
+            out_w: Vec::new(),
+            in_off: Vec::with_capacity(kept + 1),
+            in_tgt: Vec::new(),
+            und_off: Vec::with_capacity(kept + 1),
+            und_tgt: Vec::new(),
+        };
+        sub.out_off.push(0);
+        sub.in_off.push(0);
+        sub.und_off.push(0);
+        for u in self.node_ids() {
+            if new_id[u.index()].is_none() {
+                continue;
+            }
+            for (&v, &w) in self.out(u).iter().zip(self.out_weights(u)) {
+                if let Some(v) = new_id[v.index()] {
+                    sub.out_tgt.push(v);
+                    sub.out_w.push(w);
+                }
+            }
+            renumber(self.inn(u), &mut sub.in_tgt);
+            renumber(self.und(u), &mut sub.und_tgt);
+            sub.out_off.push(sub.out_tgt.len());
+            sub.in_off.push(sub.in_tgt.len());
+            sub.und_off.push(sub.und_tgt.len());
+        }
+        sub.edge_count = sub.out_tgt.len();
+        sub
     }
 
     /// Number of nodes.
@@ -166,10 +228,7 @@ impl Csr {
     /// Directed edge density `ā = M / (N (N − 1))`; 0.0 below two
     /// nodes.
     pub fn density(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        self.edge_count as f64 / (self.n as f64 * (self.n as f64 - 1.0))
+        density(self.n, self.edge_count)
     }
 
     /// Whether the directed edge `from -> to` exists (`O(log d)`).
@@ -260,6 +319,21 @@ mod tests {
         assert_eq!(c.edge_count(), 0);
         assert_eq!(c.und_edge_count(), 0);
         assert_eq!(c.density(), 0.0);
+    }
+
+    #[test]
+    fn induced_view_matches_the_keyed_subgraph_route() {
+        let g = sample();
+        let c = Csr::from_digraph(&g);
+        for mask in 0u32..16 {
+            let keep = |id: NodeId| mask & (1 << id.index()) != 0;
+            let keyed = crate::subgraph::induced_by_nodes(&g, |id, _| keep(id));
+            assert_eq!(
+                c.induced(keep),
+                Csr::from_digraph(&keyed),
+                "mask {mask:04b}"
+            );
+        }
     }
 
     #[test]

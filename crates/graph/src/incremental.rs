@@ -35,6 +35,16 @@
 //! [`crate::reciprocity`] / [`crate::clustering`] kernels operation by
 //! operation, so on equal integer state they produce bit-equal floats.
 //!
+//! # Where it is used
+//!
+//! Nowhere in the study loop any more. On real report-boundary
+//! snapshots every persisting link is reweighted (weights are
+//! cumulative counters) and the all-known topology churns past the
+//! rebuild threshold, so a `Csr` build plus the from-scratch kernels
+//! beat the engine severalfold (DESIGN.md §10, "Sampling a boundary").
+//! The module remains for low-churn callers, with its property tests
+//! and its rows in the benchmarks.
+//!
 //! [`sync_snapshot`]: IncrementalTopology::sync_snapshot
 //! [`from_snapshot`]: IncrementalTopology::from_snapshot
 

@@ -107,15 +107,99 @@ pub fn garlaschelli_reciprocity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<
 ///
 /// Same contract as [`garlaschelli_reciprocity`].
 pub fn garlaschelli_reciprocity_csr(csr: &Csr) -> Result<f64, GraphError> {
-    if csr.edge_count() == 0 {
-        return Err(GraphError::EmptyGraph);
+    LinkCounts {
+        nodes: csr.node_count(),
+        edges: csr.edge_count(),
+        bilateral: bilateral_edge_count_csr(csr),
     }
-    let a_bar = csr.density();
-    if (a_bar - 1.0).abs() < f64::EPSILON || a_bar > 1.0 {
-        return Err(GraphError::CompleteGraph);
+    .garlaschelli()
+}
+
+/// The three counts `ρ` is a function of, for a whole graph or for an
+/// edge-filtered sub-topology of one (a set of edges plus the nodes
+/// they touch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkCounts {
+    /// Nodes of the (sub-)topology.
+    pub nodes: usize,
+    /// Directed edges.
+    pub edges: usize,
+    /// Directed edges whose reverse also exists.
+    pub bilateral: usize,
+}
+
+impl LinkCounts {
+    /// Garlaschelli–Loffredo `ρ` (Eq. 2) of a topology with these
+    /// counts.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`garlaschelli_reciprocity`].
+    pub fn garlaschelli(self) -> Result<f64, GraphError> {
+        if self.edges == 0 {
+            return Err(GraphError::EmptyGraph);
+        }
+        let a_bar = crate::csr::density(self.nodes, self.edges);
+        if (a_bar - 1.0).abs() < f64::EPSILON || a_bar > 1.0 {
+            return Err(GraphError::CompleteGraph);
+        }
+        let r = self.bilateral as f64 / self.edges as f64;
+        Ok((r - a_bar) / (1.0 - a_bar))
     }
-    let r = bilateral_edge_count_csr(csr) as f64 / csr.edge_count() as f64;
-    Ok((r - a_bar) / (1.0 - a_bar))
+}
+
+/// Splits the edges of `csr` by whether their two endpoints carry the
+/// same label and counts both sub-topologies in one sweep: returns
+/// `(same, cross)`, the [`LinkCounts`] of the same-label edges with
+/// their incident nodes and of the cross-label edges with theirs —
+/// what two [`crate::subgraph::filtered_by_edges`] graphs would
+/// measure, without building either (the paper's intra-/inter-ISP
+/// link topologies of Fig. 8B, with ISPs as labels).
+///
+/// A node's class memberships depend only on its own rows, and an
+/// edge's reverse always falls in the same class, so one merge of each
+/// node's out- and in-row yields every count (`O(n + m)`).
+///
+/// # Panics
+///
+/// Panics unless `labels` has one entry per node.
+pub fn label_split_link_counts_csr<L: PartialEq>(
+    csr: &Csr,
+    labels: &[L],
+) -> (LinkCounts, LinkCounts) {
+    assert_eq!(labels.len(), csr.node_count(), "one label per node");
+    let mut same = LinkCounts::default();
+    let mut cross = LinkCounts::default();
+    for u in csr.node_ids() {
+        let mine = &labels[u.index()];
+        let (mut touches_same, mut touches_cross) = (false, false);
+        for &v in csr.und(u) {
+            if labels[v.index()] == *mine {
+                touches_same = true;
+            } else {
+                touches_cross = true;
+            }
+        }
+        same.nodes += usize::from(touches_same);
+        cross.nodes += usize::from(touches_cross);
+        let inn = csr.inn(u);
+        let mut b = 0;
+        for &v in csr.out(u) {
+            let class = if labels[v.index()] == *mine {
+                &mut same
+            } else {
+                &mut cross
+            };
+            class.edges += 1;
+            while b < inn.len() && inn[b] < v {
+                b += 1;
+            }
+            if inn.get(b) == Some(&v) {
+                class.bilateral += 1;
+            }
+        }
+    }
+    (same, cross)
 }
 
 /// Weighted reciprocity: the fraction of edge *weight* that is
@@ -256,6 +340,39 @@ mod tests {
         assert_eq!(garlaschelli_reciprocity(&g), Err(GraphError::CompleteGraph));
         // r is still fine.
         assert!((simple_reciprocity(&g) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn label_split_counts_each_class_with_its_incident_nodes() {
+        // Labels: {0, 1} = 'a', {2, 3} = 'b', 4 = 'c' (isolated).
+        // Same-label: 0<->1, 2->3. Cross-label: 1->2, 3->0, 0->3.
+        let g = graph(5, &[(0, 1), (1, 0), (2, 3), (1, 2), (3, 0), (0, 3)]);
+        let labels = ['a', 'a', 'b', 'b', 'c'];
+        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &labels);
+        let counts = |nodes, edges, bilateral| LinkCounts {
+            nodes,
+            edges,
+            bilateral,
+        };
+        assert_eq!(same, counts(4, 3, 2));
+        assert_eq!(cross, counts(4, 3, 2));
+        // The whole-graph ρ is the same arithmetic over whole-graph counts.
+        assert_eq!(counts(5, 6, 4).garlaschelli(), garlaschelli_reciprocity(&g));
+    }
+
+    #[test]
+    fn label_split_degenerate_classes_are_undefined_like_their_subgraphs() {
+        // One bilateral same-label pair and one cross-label edge: the
+        // same-label sub-topology is a complete 2-node graph.
+        let g = graph(3, &[(0, 1), (1, 0), (1, 2)]);
+        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &[0, 0, 1]);
+        assert_eq!(same.garlaschelli(), Err(GraphError::CompleteGraph));
+        assert!(cross.garlaschelli().is_ok());
+        // A single label leaves no cross-label link at all.
+        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &[7, 7, 7]);
+        assert_eq!(same.garlaschelli(), garlaschelli_reciprocity(&g));
+        assert_eq!(cross, LinkCounts::default());
+        assert_eq!(cross.garlaschelli(), Err(GraphError::EmptyGraph));
     }
 
     #[test]

@@ -78,16 +78,6 @@ pub fn assess_csr(csr: &Csr, cfg: &SmallWorldConfig) -> SmallWorldReport {
         Some(k) => clustering::sampled_clustering_csr(csr, k, cfg.seed),
         None => clustering::clustering_coefficient_csr(csr),
     };
-    assess_csr_with_clustering(csr, c, cfg)
-}
-
-/// [`assess_csr`] with the clustering coefficient `c` supplied by the
-/// caller instead of recomputed from the snapshot — the hook that lets
-/// the study hand in the exact `C_g` maintained by
-/// [`crate::IncrementalTopology`] and skip the `O(Σ k²)` triangle
-/// recount. `c` must be the Watts–Strogatz graph clustering
-/// coefficient of the same topology `csr` views.
-pub fn assess_csr_with_clustering(csr: &Csr, c: f64, cfg: &SmallWorldConfig) -> SmallWorldReport {
     let n = csr.node_count();
     let m_und = csr.und_edge_count();
     let baseline = RandomBaseline::analytic(n, m_und);
@@ -163,17 +153,6 @@ mod tests {
         assert!(!report.is_small_world);
         assert_eq!(report.c_ratio, 0.0);
         assert_eq!(report.l, None);
-    }
-
-    #[test]
-    fn precomputed_clustering_matches_inline_computation() {
-        let g = watts_strogatz(200, 6, 0.15, 11);
-        let csr = Csr::from_digraph(&g);
-        let cfg = SmallWorldConfig::default();
-        let inline = assess_csr(&csr, &cfg);
-        let handed =
-            assess_csr_with_clustering(&csr, clustering::clustering_coefficient_csr(&csr), &cfg);
-        assert_eq!(inline, handed);
     }
 
     #[test]

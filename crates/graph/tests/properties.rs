@@ -5,8 +5,10 @@
 use magellan_graph::clustering::{clustering_coefficient, local_clustering_csr};
 use magellan_graph::degree::{degree_sequence, DegreeKind};
 use magellan_graph::paths::{bfs_distances, bfs_distances_csr, PathTreatment, UNREACHABLE};
-use magellan_graph::reciprocity::{garlaschelli_reciprocity, simple_reciprocity};
-use magellan_graph::subgraph::induced_by_nodes;
+use magellan_graph::reciprocity::{
+    garlaschelli_reciprocity, label_split_link_counts_csr, simple_reciprocity,
+};
+use magellan_graph::subgraph::{filtered_by_edges, induced_by_nodes};
 use magellan_graph::{Csr, DegreeHistogram, DiGraph};
 use proptest::prelude::*;
 
@@ -106,6 +108,39 @@ proptest! {
             let gf = g.node_id(from_key).expect("node exists in parent");
             let gt = g.node_id(to_key).expect("node exists in parent");
             prop_assert_eq!(g.edge_weight(gf, gt), Some(e.weight));
+        }
+        // The flat route to the same subgraph skips the keyed graph.
+        let flat = Csr::from_digraph(&g).induced(|id| keep_mask[*g.key(id) as usize]);
+        prop_assert_eq!(flat, Csr::from_digraph(&sub));
+    }
+
+    #[test]
+    fn label_split_sweep_matches_edge_filtered_subgraphs(
+        edges in proptest::collection::vec((0u8..6, 0u8..6), 0..16),
+        label_of in proptest::collection::vec(0u8..3, 6),
+    ) {
+        // Small, few-labelled graphs on purpose: edgeless classes
+        // (`EmptyGraph`) and two-node bilateral classes
+        // (`CompleteGraph`) turn up in a large share of the cases.
+        let mut g: DiGraph<u8> = DiGraph::new();
+        for (a, b) in edges {
+            if a != b {
+                g.add_edge_by_key(a, b, 1);
+            }
+        }
+        let labels: Vec<u8> = g.nodes().map(|(_, key)| label_of[*key as usize]).collect();
+        let same_label =
+            |e: magellan_graph::EdgeRef| labels[e.from.index()] == labels[e.to.index()];
+        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &labels);
+        let same_ref = filtered_by_edges(&g, |_, e| same_label(e));
+        let cross_ref = filtered_by_edges(&g, |_, e| !same_label(e));
+        for (counts, reference) in [(same, &same_ref), (cross, &cross_ref)] {
+            prop_assert_eq!(counts.nodes, reference.node_count());
+            prop_assert_eq!(counts.edges, reference.edge_count());
+            prop_assert_eq!(
+                counts.garlaschelli().map(f64::to_bits),
+                garlaschelli_reciprocity(reference).map(f64::to_bits)
+            );
         }
     }
 

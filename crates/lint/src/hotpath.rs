@@ -59,7 +59,7 @@ const COST_GOVERNED: [&str; 6] = [
 /// Built-in hot entry points (`(crate, fn)`), independent of source
 /// markers: the per-tick driver, the per-sample study surface, and the
 /// Csr kernel surface the study fans out to via `magellan-par`.
-const HOT_REGISTRY: [(&str, &str); 19] = [
+const HOT_REGISTRY: [(&str, &str); 20] = [
     ("magellan-overlay", "tick_once"),
     ("magellan-analysis", "finalize_boundary"),
     ("magellan-graph", "local_clustering_csr"),
@@ -72,6 +72,7 @@ const HOT_REGISTRY: [(&str, &str); 19] = [
     ("magellan-graph", "core_decomposition_csr"),
     ("magellan-graph", "garlaschelli_reciprocity_csr"),
     ("magellan-graph", "weighted_reciprocity_csr"),
+    ("magellan-graph", "label_split_link_counts_csr"),
     ("magellan-graph", "assess_csr"),
     ("magellan-graph", "apply_delta"),
     ("magellan-graph", "sync_snapshot"),

@@ -2,11 +2,11 @@
 # Pre-PR gate for the Magellan workspace: formatting, clippy with
 # warnings denied, the magellan-lint pass (line rules, D4 taint, the
 # H2/H3/P2 hot-path cost analysis, and the L1/S1/U1 concurrency
-# pass), the test suite, a loom smoke over the worker pool, and the
-# end-to-end smokes: fault schedule, crash recovery, the
-# multi-process loopback-ingest drill against magellan-traced, and
-# the chaos-ingest drill through the tracetool nemesis proxy. Run
-# from anywhere inside the repo.
+# pass), the test suite, the pipeline-benchmark smoke, a loom smoke
+# over the worker pool, and the end-to-end smokes: fault schedule,
+# crash recovery, the multi-process loopback-ingest drill against
+# magellan-traced, and the chaos-ingest drill through the tracetool
+# nemesis proxy. Run from anywhere inside the repo.
 #
 # The two advisory clippy lints (unwrap_used, indexing_slicing) are
 # allowed here on purpose: their enforced counterpart is magellan-lint's
@@ -29,14 +29,22 @@ stage() {
     echo "=================================================================="
 }
 
+# `pipeline_bench/` is a package of its own (empty [workspace] table),
+# so the workspace-wide commands below never see it: it gets the same
+# fmt/clippy/test treatment through its manifest.
+BENCH_MANIFEST=pipeline_bench/Cargo.toml
+
 stage "cargo fmt --check"
 cargo fmt --all --check
+cargo fmt --manifest-path "${BENCH_MANIFEST}" --check
 
 stage "cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets -- \
     -D warnings \
     -A clippy::unwrap_used \
     -A clippy::indexing_slicing
+cargo clippy --offline --manifest-path "${BENCH_MANIFEST}" --all-targets -- \
+    -D warnings
 
 stage "magellan-lint"
 # Full pass — line rules plus both call-graph analyses (D4 backward
@@ -50,14 +58,21 @@ stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild)"
 # Fast fail-early pass over the equivalence tests that pin the
 # perf-path kernels to their reference implementations: the 64-wide
 # bit-parallel BFS against per-source scalar BFS, and the incremental
-# snapshot engine against full recomputation. These are the guarantees
-# the study's byte-determinism rests on, so they get their own stage
-# before the full suite.
+# snapshot engine against full recomputation. Byte-determinism rests
+# on guarantees like these, so they get their own stage before the
+# full suite.
 cargo test -q -p magellan-graph --lib multi64
 cargo test -q -p magellan-graph --lib incremental
 
 stage "cargo test"
 cargo test -q --workspace
+
+stage "pipeline-bench smoke"
+# Every workload of BENCHMARK.json at `--smoke` size, untraced and
+# traced, held to the declared metric names/units and output checks.
+# Its ingest workload spawns the tier-1 release `magellan-traced`.
+cargo build -q --release
+cargo test -q --release --offline --manifest-path "${BENCH_MANIFEST}"
 
 stage "loom smoke (pool queue/shutdown protocol)"
 # A bounded-iteration pass over the worker-pool model tests: the

@@ -380,6 +380,9 @@ fn route_report(
 /// (the slowloris defense — a half-open connection cannot pin a
 /// reader thread), or a drain signal.
 fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
+    // Replies are 9-byte records a closed-loop client blocks on: with
+    // Nagle on, each one waits out the client's delayed ACK (~40 ms).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };

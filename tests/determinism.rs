@@ -139,10 +139,10 @@ fn different_seeds_diverge() {
 
 #[test]
 fn incremental_engine_matches_full_recompute_bytes() {
-    // The incremental snapshot engine behind the study's Fig. 7
-    // clustering and Fig. 8 reciprocity must be interchangeable with a
-    // from-scratch rebuild at every boundary — not just approximately,
-    // but in the exact bytes of every metric it answers. (The library
+    // The incremental snapshot engine of `magellan-graph` must be
+    // interchangeable with a from-scratch rebuild at every snapshot it
+    // is synced to — not just approximately, but in the exact bytes of
+    // every metric it answers. (The library
     // asserts this internally in debug builds; this test keeps the
     // guarantee pinned in release runs too.) Drive one engine through
     // an evolving overlay-like snapshot sequence with link churn,
@@ -196,6 +196,95 @@ fn incremental_engine_matches_full_recompute_bytes() {
             live.weighted_reciprocity().map(f64::to_bits),
             rebuilt.weighted_reciprocity().map(f64::to_bits),
             "round {round}: weighted reciprocity bytes diverged"
+        );
+    }
+}
+
+/// FNV-1a over `(time_ms, f64::to_bits)` of every evolution series
+/// the study samples at a boundary (Figs. 1a/3/5/6/7/8) plus the
+/// partial-sample list, paired with the partial-sample count.
+fn study_series_digest(cfg: StudyConfig) -> (u64, usize) {
+    let r = MagellanStudy::new(cfg).run();
+    let mut bytes = Vec::new();
+    for s in [
+        &r.fig1a.total,
+        &r.fig1a.stable,
+        &r.fig3.cctv1,
+        &r.fig3.cctv4,
+        &r.fig3.cctv1_viewers,
+        &r.fig3.cctv4_viewers,
+        &r.fig5.partners,
+        &r.fig5.indegree,
+        &r.fig5.outdegree,
+        &r.fig6.indegree,
+        &r.fig6.outdegree,
+        &r.fig6.pool,
+        &r.fig7.global.c,
+        &r.fig7.global.c_rand,
+        &r.fig7.global.l,
+        &r.fig7.global.l_rand,
+        &r.fig7.isp.c,
+        &r.fig7.isp.c_rand,
+        &r.fig7.isp.l,
+        &r.fig7.isp.l_rand,
+        &r.fig8.all,
+        &r.fig8.intra,
+        &r.fig8.inter,
+        &r.fig8.weighted,
+    ] {
+        assert!(!s.is_empty(), "series {:?} is empty: pins nothing", s.name);
+        for &(t, v) in &s.points {
+            bytes.extend_from_slice(&t.as_millis().to_le_bytes());
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    for p in &r.partial_samples {
+        bytes.extend_from_slice(&p.time.as_millis().to_le_bytes());
+        bytes.extend_from_slice(&p.coverage.to_bits().to_le_bytes());
+    }
+    (fnv1a(&bytes), r.partial_samples.len())
+}
+
+#[test]
+fn study_series_bits_are_pinned() {
+    // The sampling path (`Accumulator::finalize_boundary`) may be
+    // restructured for speed, but never at the cost of a single bit of
+    // any figure series. These constants were recorded before the
+    // snapshot-proportional rewrite of the sampler and must survive any
+    // later one; a legitimate change to the *simulator* (which moves
+    // every series) re-records them, a change to the analysis must not.
+    let day_at_ten_minutes = |seed: u64| StudyConfig {
+        seed,
+        scale: 0.005,
+        window_days: 1,
+        sample_every: SimDuration::from_mins(10),
+        degree_captures: vec![],
+        ..StudyConfig::default()
+    };
+    // The stress plan's outages sit on day 1, so that run covers two
+    // days (at a smaller scale) and must record partial samples.
+    let stressed = StudyConfig {
+        scale: 0.002,
+        window_days: 2,
+        faults: FaultPlan::combined_stress(1),
+        ..day_at_ten_minutes(2006)
+    };
+    for threads in [1, 8] {
+        magellan::par::set_threads(threads);
+        let got = [
+            study_series_digest(day_at_ten_minutes(2006)),
+            study_series_digest(day_at_ten_minutes(42)),
+            study_series_digest(stressed.clone()),
+        ];
+        magellan::par::set_threads(0);
+        assert_eq!(
+            got,
+            [
+                (0xc1ab_b398_3bf3_31ff, 0),
+                (0xd646_6dce_b235_3a30, 0),
+                (0x817a_dba8_c89c_c722, 8),
+            ],
+            "study series moved at {threads} worker(s): {got:#x?}"
         );
     }
 }
