@@ -303,8 +303,9 @@ impl DurableStudy {
 
         // Restore-or-cold-start the four pipeline stages.
         let restored = if resume {
-            latest_valid_checkpoint(&ckpt_dir, fp)?
-                .and_then(|c| decode_body(&c.body).map(|(extras, sim)| (c.tick, extras, sim)))
+            latest_valid_checkpoint(&ckpt_dir, fp, |c| {
+                decode_body(&c.body).map(|(extras, sim)| (c.tick, extras, sim))
+            })?
         } else {
             None
         };
@@ -539,6 +540,46 @@ mod tests {
         assert_eq!(resumed_report.render_text(), clean_report.render_text());
         std::fs::remove_dir_all(&clean_dir).unwrap();
         std::fs::remove_dir_all(&int_dir).unwrap();
+    }
+
+    #[test]
+    fn resume_falls_back_past_a_sealed_but_undecodable_checkpoint() {
+        use magellan_trace::checkpoint::{decode_checkpoint, encode_checkpoint, list_checkpoints};
+        let clean_dir = tempdir("fallback-clean");
+        let cfg = quick_config(47);
+        let clean = DurableStudy::new(&clean_dir, cfg.clone(), durable_config());
+        let clean_report = clean.run().unwrap();
+
+        // Crash after the second checkpoint (ticks 64 and 128).
+        let dir = tempdir("fallback");
+        let study = DurableStudy::new(&dir, cfg, durable_config());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            study
+                .run_observed(|tick| assert!(tick < 140, "simulated crash"))
+                .unwrap()
+        }));
+        assert!(r.is_err(), "run should have been interrupted");
+        let files = list_checkpoints(&study.checkpoint_dir()).unwrap();
+        assert_eq!(files.len(), 2, "{files:?}");
+
+        // Damage the newest *body* and re-seal it, so the envelope CRC
+        // still vouches for it (a state the encoder itself wrote
+        // wrong): only the body decoder can refuse it.
+        let newest = decode_checkpoint(&std::fs::read(&files[1]).unwrap()).unwrap();
+        let cut = &newest.body[..newest.body.len() - 1];
+        assert!(decode_body(cut).is_none());
+        let resealed = encode_checkpoint(newest.fingerprint, newest.tick, cut);
+        std::fs::write(&files[1], resealed).unwrap();
+
+        let resumed = study.resume().unwrap();
+        assert_eq!(format!("{resumed:?}"), format!("{clean_report:?}"));
+        assert_eq!(
+            archive_bytes(&study.archive_dir()),
+            archive_bytes(&clean.archive_dir()),
+            "archive resumed from the older checkpoint diverged"
+        );
+        std::fs::remove_dir_all(&clean_dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

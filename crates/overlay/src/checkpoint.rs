@@ -17,12 +17,11 @@
 //! defensively, returning `None` rather than panicking on any
 //! structural surprise (e.g. a body written by a different build).
 
-use crate::peer::{PartnerLink, PeerId, PeerState};
+use crate::peer::{PartnerLink, PartnerTable, PeerId, PeerSlot, PeerState};
 use crate::sim::{FaultCounters, SimSummary};
 use crate::tracker::{ChannelSnapshot, TrackerSnapshot};
 use magellan_netsim::{AccessClass, Isp, LinkQuality, PeerAddr, PeerCapacity, SimTime};
 use magellan_workload::ChannelId;
-use std::collections::BTreeMap;
 
 /// Version of the checkpoint *body* layout (the envelope carries its
 /// own version; this one tracks the field layout below).
@@ -44,7 +43,7 @@ pub struct SimCheckpoint {
     /// `(expiry tick, channel, slab index)`, FIFO order.
     pub crash_expiry: Vec<(u64, u16, u32)>,
     /// The peer slab, `None` for departed slots.
-    pub peers: Vec<Option<PeerState>>,
+    pub peers: Vec<PeerSlot>,
     /// Peer addresses by slab index (kept past departure).
     pub addrs: Vec<PeerAddr>,
     /// Peer ISPs by slab index.
@@ -160,7 +159,7 @@ fn encode_peer(out: &mut Vec<u8>, p: &PeerState) {
     put_u64(out, p.leaves.as_millis());
     put_u8(out, p.is_server as u8);
     put_u32(out, p.partners.len() as u32);
-    for (id, l) in &p.partners {
+    for (id, l) in p.partners.iter() {
         put_u32(out, id.0);
         put_f64(out, l.quality.rtt_ms);
         put_f64(out, l.quality.bandwidth_kbps);
@@ -202,10 +201,11 @@ fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
     let leaves = SimTime::from_millis(d.u64()?);
     let is_server = d.u8()? != 0;
     let n_partners = d.len(45)?;
-    let mut partners = BTreeMap::new();
+    let mut ids = Vec::with_capacity(n_partners);
+    let mut links = Vec::with_capacity(n_partners);
     for _ in 0..n_partners {
-        let id = PeerId(d.u32()?);
-        let link = PartnerLink {
+        ids.push(PeerId(d.u32()?));
+        links.push(PartnerLink {
             quality: LinkQuality {
                 rtt_ms: d.f64()?,
                 bandwidth_kbps: d.f64()?,
@@ -216,9 +216,12 @@ fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
             recv_interval: d.u64()?,
             since: SimTime::from_millis(d.u64()?),
             stale_ticks: d.u32()?,
-        };
-        partners.insert(id, link);
+        });
     }
+    // The encoder writes ids strictly ascending; anything else is a
+    // damaged body, and a flat table would carry the damage into every
+    // binary search over it.
+    let partners = PartnerTable::from_sorted(ids, links)?;
     let buffer_fill = d.f64()?;
     let recv_kbps = d.f64()?;
     let send_kbps = d.f64()?;
@@ -400,7 +403,7 @@ impl SimCheckpoint {
         for _ in 0..n {
             peers.push(match d.u8()? {
                 0 => None,
-                1 => Some(decode_peer(&mut d)?),
+                1 => Some(Box::new(decode_peer(&mut d)?)),
                 _ => return None,
             });
         }
@@ -510,5 +513,51 @@ mod tests {
         assert!(SimCheckpoint::decode(&long).is_none());
         let garbage: Vec<u8> = (0..997u32).map(|i| (i * 31) as u8).collect();
         assert!(SimCheckpoint::decode(&garbage).is_none());
+    }
+
+    /// Byte offset, within an encoded body, of the first partner id of
+    /// the first peer holding at least two partners.
+    fn first_partner_pair_offset(ckpt: &SimCheckpoint) -> usize {
+        // Fixed prologue: version, next_tick, 5×4 RNG words, join_idx.
+        let mut at = 4 + 8 + 5 * 4 * 8 + 8;
+        at += 4 + 12 * ckpt.departures.len();
+        at += 4 + 14 * ckpt.crash_expiry.len();
+        at += 4;
+        for slot in &ckpt.peers {
+            at += 1;
+            let Some(p) = slot else { continue };
+            if p.partners.len() >= 2 {
+                // addr, isp, 2×capacity, class, channel, joined,
+                // leaves, is_server, then the partner count.
+                return at + (4 + 1 + 8 + 8 + 1 + 2 + 8 + 8 + 1) + 4;
+            }
+            let mut body = Vec::new();
+            encode_peer(&mut body, p);
+            at += body.len();
+        }
+        panic!("no peer with two partners in the capture");
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_partner_ids_are_rejected() {
+        // id, 2×quality, supplier, estimate, 2×interval, since, stale.
+        const PARTNER_ENTRY: usize = 4 + 8 + 8 + 1 + 8 + 8 + 8 + 8 + 4;
+        let ckpt = mid_run_checkpoint();
+        let bytes = ckpt.encode();
+        assert!(SimCheckpoint::decode(&bytes).is_some());
+        let first = first_partner_pair_offset(&ckpt);
+        let second = first + PARTNER_ENTRY;
+
+        // Swapped ids: a BTreeMap silently re-sorted this damage; the
+        // flat table would carry it into every binary search.
+        let mut swapped = bytes.clone();
+        let (a, b) = swapped.split_at_mut(second);
+        a[first..first + 4].swap_with_slice(&mut b[..4]);
+        assert_ne!(swapped, bytes, "offsets missed the id column");
+        assert!(SimCheckpoint::decode(&swapped).is_none());
+
+        let mut duplicated = bytes.clone();
+        duplicated.copy_within(first..first + 4, second);
+        assert!(SimCheckpoint::decode(&duplicated).is_none());
     }
 }

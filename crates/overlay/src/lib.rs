@@ -55,6 +55,6 @@ pub mod transfer;
 pub use checkpoint::SimCheckpoint;
 pub use config::SimConfig;
 pub use error::{SimError, TransferError};
-pub use peer::{PeerId, PeerState};
+pub use peer::{PeerId, PeerSlot, PeerState};
 pub use sim::{OverlaySim, RunState, SimSummary};
 pub use tracker::Tracker;

@@ -16,10 +16,12 @@
 use crate::checkpoint::SimCheckpoint;
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::peer::{PeerId, PeerState};
-use crate::tracker::{BootstrapPolicy, Tracker};
-use crate::transfer;
-use magellan_netsim::{AddrAllocator, Isp, IspDatabase, PeerAddr, RngFactory, SimTime};
+use crate::peer::{PeerId, PeerSlot, PeerState};
+use crate::tracker::{BootstrapPolicy, BootstrapScratch, Tracker};
+use crate::transfer::{self, TransferScratch};
+use magellan_netsim::{
+    AddrAllocator, Isp, IspDatabase, LinkQuality, PeerAddr, RngFactory, SimTime,
+};
 use magellan_trace::{PeerReport, ReportUplink, TraceServer, TraceStore, REPORT_INTERVAL};
 use magellan_workload::{ChannelId, FaultPlan, JoinEvent, Scenario};
 use rand::rngs::StdRng;
@@ -121,12 +123,37 @@ impl RunState {
     }
 }
 
+/// Reusable buffers of the join and maintenance paths. Every user
+/// clears what it needs before use and nothing is read across calls,
+/// so none of this is simulation state (DESIGN.md §10, "Peer state
+/// layout").
+#[derive(Debug, Default)]
+struct MaintScratch {
+    bootstrap: BootstrapScratch,
+    /// `(score, table position)` ranking buffer of supplier selection
+    /// and pruning.
+    ranked: Vec<(f64, u32)>,
+    /// Gossip recommendations: `(candidate, recommender's score,
+    /// same ISP as the requester)`.
+    recs: Vec<(PeerId, f64, bool)>,
+    /// A joiner's accepted bootstrap links, sorted by id so they enter
+    /// its empty table as appends.
+    joined: Vec<(PeerId, LinkQuality)>,
+}
+
+/// Occupied slab indices, ascending.
+fn occupied(peers: &[PeerSlot]) -> impl Iterator<Item = u32> + '_ {
+    (0u32..)
+        .zip(peers)
+        .filter_map(|(i, slot)| slot.is_some().then_some(i))
+}
+
 /// The UUSee overlay simulator.
 #[derive(Debug)]
 pub struct OverlaySim {
     cfg: SimConfig,
     scenario: Scenario,
-    peers: Vec<Option<PeerState>>,
+    peers: Vec<PeerSlot>,
     /// Peer addresses by slab index; survives departure so reports
     /// referencing recently-dead partners still resolve.
     addrs: Vec<PeerAddr>,
@@ -137,6 +164,12 @@ pub struct OverlaySim {
     allocator: AddrAllocator,
     db: IspDatabase,
     live: usize,
+    /// Occupied slab indices (servers included), ascending: the tick's
+    /// passes walk this instead of the append-only slab. Derived from
+    /// `peers`, so a resume rebuilds it.
+    live_slots: Vec<u32>,
+    scratch: MaintScratch,
+    transfer: TransferScratch,
     /// FIFO of crashed peers the tracker has not yet noticed:
     /// `(expiry tick, channel, slab index)`. A crash sends no leave
     /// message, so the tracker keeps handing the peer out until its
@@ -166,6 +199,9 @@ impl OverlaySim {
             allocator,
             db,
             live: 0,
+            live_slots: Vec::new(),
+            scratch: MaintScratch::default(),
+            transfer: TransferScratch::default(),
             crash_expiry: VecDeque::new(),
         }
     }
@@ -312,17 +348,24 @@ impl OverlaySim {
         //     drawn from the dedicated fault stream in slab
         //     order (deterministic per seed).
         for wave in state.faults.crash_waves_in(tick_start, tick_end) {
-            // lint:allow(H3): a crash wave is population-scale by definition; slab order keeps it deterministic
-            for i in 0..self.peers.len() {
-                match &self.peers[i] {
-                    Some(p) if !p.is_server => {}
-                    _ => continue,
-                }
-                if state.fault_rng.random_range(0.0..1.0) < wave.fraction {
-                    self.crash(PeerId(i as u32), k, &mut state.summary.faults);
+            // A crash removes its entry from the live list, so the
+            // cursor only advances past survivors.
+            let mut at = 0;
+            while let Some(&i) = self.live_slots.get(at) {
+                let viewer = matches!(&self.peers[i as usize], Some(p) if !p.is_server);
+                if viewer && state.fault_rng.random_range(0.0..1.0) < wave.fraction {
+                    self.crash(PeerId(i), k, &mut state.summary.faults);
+                } else {
+                    at += 1;
                 }
             }
         }
+
+        // 2c. Membership is now fixed for the tick: snapshot what
+        //     every live slot advertises. Maintenance reads liveness
+        //     from it, the transfer engine everything else.
+        self.transfer
+            .refresh(&self.peers, &self.live_slots, &self.cfg);
 
         // 3. Per-peer maintenance.
         self.maintenance_pass(
@@ -340,6 +383,7 @@ impl OverlaySim {
         let faults_ref = &state.faults;
         let outcome = transfer::run_tick(
             &mut self.peers,
+            &mut self.transfer,
             |ch| rates_ref.get(&ch).copied(),
             |a, b| faults_ref.path_open(a, b, tick_start),
             &self.cfg,
@@ -438,6 +482,9 @@ impl OverlaySim {
             allocator,
             db,
             live: ckpt.live as usize,
+            live_slots: occupied(&ckpt.peers).collect(),
+            scratch: MaintScratch::default(),
+            transfer: TransferScratch::default(),
             crash_expiry: ckpt
                 .crash_expiry
                 .iter()
@@ -531,9 +578,7 @@ impl OverlaySim {
                     SimTime::ORIGIN,
                     horizon,
                 );
-                self.peers.push(Some(server));
-                self.addrs.push(addr);
-                self.isps.push(isp);
+                self.occupy(server);
                 self.tracker.register(ch, id, isp);
                 self.tracker.volunteer(ch, id);
             }
@@ -572,23 +617,24 @@ impl OverlaySim {
             counters.tracker_denied_joins += 1;
             peer.bootstrap_attempts = 1;
             peer.next_bootstrap_tick = tick_idx + self.backoff_ticks(1);
-            self.peers.push(Some(peer));
-            self.addrs.push(addr);
-            self.isps.push(isp);
+            self.occupy(peer);
             self.live += 1;
             return id;
         }
 
         // Tracker bootstrap: up to 50 partners, volunteers first.
+        let policy = self.bootstrap_policy();
         let candidates = self.tracker.bootstrap(
             ev.channel,
             id,
             isp,
             self.cfg.max_bootstrap_partners,
-            self.bootstrap_policy(),
+            policy,
             join_rng,
+            &mut self.scratch.bootstrap,
         );
-        for cand in candidates {
+        self.scratch.joined.clear();
+        for &cand in candidates {
             let Some(other) = self.peers[cand.index()].as_mut() else {
                 continue;
             };
@@ -597,20 +643,46 @@ impl OverlaySim {
                 continue;
             }
             let quality = self.cfg.link_model.sample(link_rng, isp, other.isp);
+            // The joiner's id is the slab maximum: an append.
             other.add_partner(id, quality, ev.time);
+            self.scratch.joined.push((cand, quality));
+        }
+        // Candidates arrive in draw order; sorted, they are appends on
+        // the joiner's side too.
+        self.scratch.joined.sort_unstable_by_key(|&(cand, _)| cand);
+        for &(cand, quality) in &self.scratch.joined {
             peer.add_partner(cand, quality, ev.time);
         }
         peer.select_suppliers(
             self.cfg.target_suppliers,
             self.cfg.random_selection,
             sel_rng,
+            &mut self.scratch.ranked,
         );
-        self.peers.push(Some(peer));
-        self.addrs.push(addr);
-        self.isps.push(isp);
+        self.occupy(peer);
         self.tracker.register(ev.channel, id, isp);
         self.live += 1;
         id
+    }
+
+    /// Appends `peer` to the slab and its side tables; its id is the
+    /// new slab maximum, so the live list stays ascending.
+    fn occupy(&mut self, peer: PeerState) {
+        self.live_slots.push(self.peers.len() as u32);
+        self.addrs.push(peer.addr);
+        self.isps.push(peer.isp);
+        self.peers.push(Some(Box::new(peer))); // lint:allow(H2): one box per join — the peer's own state, so a departed slot costs the slab a pointer
+    }
+
+    /// Empties the slot of viewer `id` (if occupied), keeping the live
+    /// count and the live list in step with the slab.
+    fn vacate(&mut self, id: PeerId) -> PeerSlot {
+        let peer = self.peers[id.index()].take()?;
+        self.live -= 1;
+        if let Ok(at) = self.live_slots.binary_search(&id.0) {
+            self.live_slots.remove(at);
+        }
+        Some(peer)
     }
 
     /// Shared borrow of slot `i`, which the caller has already
@@ -632,13 +704,12 @@ impl OverlaySim {
     /// both connection endpoints. Returns `false` when the slot was
     /// already empty (the peer crashed before its scheduled leave).
     fn depart(&mut self, id: PeerId) -> bool {
-        let Some(peer) = self.peers[id.index()].take() else {
+        let Some(peer) = self.vacate(id) else {
             return false;
         };
-        self.live -= 1;
         self.tracker.deregister(peer.channel, id);
         // Tear down both connection endpoints.
-        for &pid in peer.partners.keys() {
+        for &pid in peer.partners.ids() {
             if let Some(Some(other)) = self.peers.get_mut(pid.index()) {
                 other.remove_partner(id);
             }
@@ -652,10 +723,9 @@ impl OverlaySim {
     /// ([`SimConfig::partner_timeout_ticks`]); the tracker expires
     /// the stale entry on the same horizon via `crash_expiry`.
     fn crash(&mut self, id: PeerId, tick_idx: u64, counters: &mut FaultCounters) {
-        let Some(peer) = self.peers[id.index()].take() else {
+        let Some(peer) = self.vacate(id) else {
             return;
         };
-        self.live -= 1;
         counters.crashes += 1;
         self.crash_expiry.push_back((
             tick_idx + u64::from(self.cfg.partner_timeout_ticks),
@@ -685,8 +755,12 @@ impl OverlaySim {
         sel_rng: &mut StdRng,
         gossip_rng: &mut StdRng,
     ) {
-        let n = self.peers.len();
-        for i in 0..n {
+        // The pass owns the scratch and the live list for its duration
+        // so they can be lent out while `self` is borrowed for slab
+        // access; maintenance never changes membership.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let live_slots = std::mem::take(&mut self.live_slots);
+        for i in live_slots.iter().map(|&i| i as usize) {
             // Copy the per-peer reads out so the slot borrow ends
             // before the mutating phases below.
             let (id, channel, util, starving, retry_due) = {
@@ -723,9 +797,10 @@ impl OverlaySim {
                         self.cfg.max_bootstrap_partners,
                         self.bootstrap_policy(),
                         sel_rng,
+                        &mut scratch.bootstrap,
                     );
                     let mut got = 0usize;
-                    for cand in candidates {
+                    for &cand in candidates {
                         if cand == id {
                             continue;
                         }
@@ -750,7 +825,7 @@ impl OverlaySim {
                     if got > 0 {
                         p.bootstrap_attempts = 0;
                         p.next_bootstrap_tick = 0;
-                        p.select_suppliers(target, random, sel_rng);
+                        p.select_suppliers(target, random, sel_rng, &mut scratch.ranked);
                         counters.bootstrap_recoveries += 1;
                     } else {
                         p.bootstrap_attempts = p.bootstrap_attempts.saturating_add(1);
@@ -799,7 +874,7 @@ impl OverlaySim {
             if starved >= self.cfg.sustain_ticks {
                 if faults.tracker_down(now) {
                     counters.gossip_fallbacks += 1;
-                    self.gossip(i, now, faults, counters, sel_rng);
+                    self.gossip(i, now, faults, counters, sel_rng, &mut scratch.recs);
                     self.live_mut(i).starved_ticks = 0;
                 } else {
                     let my_isp = self.isps[i];
@@ -810,8 +885,9 @@ impl OverlaySim {
                         self.cfg.fallback_partners,
                         self.bootstrap_policy(),
                         sel_rng,
+                        &mut scratch.bootstrap,
                     );
-                    for cand in extra {
+                    for &cand in extra {
                         if cand == id {
                             continue;
                         }
@@ -834,7 +910,7 @@ impl OverlaySim {
 
             // Gossip every third tick (staggered by id).
             if (tick_idx + i as u64) % 3 == 0 {
-                self.gossip(i, now, faults, counters, gossip_rng);
+                self.gossip(i, now, faults, counters, gossip_rng, &mut scratch.recs);
             }
 
             // Transfer-timeout detection: a partner whose slot is
@@ -843,30 +919,22 @@ impl OverlaySim {
             // removed. Graceful departures tear down both ends
             // immediately — this path is how *crashed* peers are
             // discovered, since they send no leave message.
-            {
+            // Liveness comes from this tick's snapshot; nothing in the
+            // pass changes it.
+            if let Some(p) = self.peers[i].as_mut() {
                 let timeout = self.cfg.partner_timeout_ticks;
-                let dead: Vec<PeerId> = {
-                    let p = self.live_ref(i);
-                    p.partners
-                        .keys()
-                        .copied()
-                        .filter(|pid| self.peers[pid.index()].is_none())
-                        .collect() // lint:allow(H2): dead-partner list for one peer, capped by the partner limit
-                };
-                let p = self.live_mut(i);
-                for pid in dead {
-                    let expired = match p.partners.get_mut(&pid) {
-                        Some(link) => {
-                            link.stale_ticks += 1;
-                            link.stale_ticks >= timeout
-                        }
-                        None => false,
-                    };
+                let snapshot = &self.transfer;
+                p.partners.retain_mut(|pid, link| {
+                    if snapshot.is_live(pid) {
+                        return true;
+                    }
+                    link.stale_ticks += 1;
+                    let expired = link.stale_ticks >= timeout;
                     if expired {
-                        p.remove_partner(pid);
                         counters.partner_timeouts += 1;
                     }
-                }
+                    !expired
+                });
             }
 
             // Supplier re-selection every second tick (staggered),
@@ -878,16 +946,18 @@ impl OverlaySim {
                     self.cfg.gossip_target_partners,
                 );
                 let p = self.live_mut(i);
-                p.select_suppliers(target, random, sel_rng);
+                p.select_suppliers(target, random, sel_rng, &mut scratch.ranked);
                 // Prune to the membership *target*, not the hard cap:
                 // passive link accumulation (every newcomer's
                 // bootstrap touches ~50 existing peers) would
                 // otherwise pile the partner-count distribution at
                 // the cap, where the paper observes counts decaying
                 // from the bootstrap 50.
-                p.prune_partners(membership_target);
+                p.prune_partners(membership_target, &mut scratch.ranked);
             }
         }
+        self.scratch = scratch;
+        self.live_slots = live_slots;
     }
 
     /// One gossip exchange for peer `i`: pick a random partner, adopt
@@ -902,10 +972,11 @@ impl OverlaySim {
         faults: &FaultPlan,
         counters: &mut FaultCounters,
         rng: &mut StdRng,
+        recs: &mut Vec<(PeerId, f64, bool)>,
     ) {
-        let (id, my_isp, partner_count) = {
+        let (id, my_isp, my_channel, partner_count) = {
             let Some(p) = &self.peers[i] else { return };
-            (PeerId(i as u32), p.isp, p.partners.len())
+            (PeerId(i as u32), p.isp, p.channel, p.partners.len())
         };
         // Demand-driven: peers solicit recommendations only while
         // below their membership target, so churn keeps partner
@@ -914,17 +985,8 @@ impl OverlaySim {
         if partner_count == 0 || partner_count >= self.cfg.gossip_target_partners {
             return;
         }
-        // Pick a random live partner as the recommender.
-        let recommender = {
-            let p = self.live_ref(i);
-            let k = rng.random_range(0..partner_count);
-            // lint:allow(C1): k < partner_count == p.partners.len() by the range above
-            p.partners
-                .keys()
-                .nth(k)
-                .copied()
-                .expect("k within partner count")
-        };
+        // Pick a random partner (by table position) as the recommender.
+        let recommender = self.live_ref(i).partners.ids()[rng.random_range(0..partner_count)];
         let Some(rec_state) = self.peers[recommender.index()].as_ref() else {
             return;
         };
@@ -933,33 +995,37 @@ impl OverlaySim {
         // prefers candidates in the requester's ISP (it sees the
         // requester's IP, so this needs no extra protocol state).
         let locality = self.cfg.tracker_locality_fraction > 0.0;
-        let mut recs: Vec<(PeerId, f64, bool)> = rec_state
-            .partners
-            .iter()
-            .filter(|(&pid, _)| pid != id)
-            .map(|(&pid, l)| {
-                let same_isp = self.isps.get(pid.index()).copied() == Some(my_isp);
-                (pid, l.score(), same_isp)
-            })
-            .collect(); // lint:allow(H2): gossip candidates from one peer's capped partner table
-        recs.sort_by(|a, b| {
-            ((locality && b.2), b.1)
-                .0
-                .cmp(&(locality && a.2))
-                .then(b.1.total_cmp(&a.1))
-        });
-        recs.truncate(self.cfg.gossip_fanout);
-        // Partner-table keys iterate in ascending order, so the known
-        // list is already sorted for the binary search below.
-        let my_known: Vec<PeerId> = self.live_ref(i).partners.keys().copied().collect(); // lint:allow(H2): known-list of one peer's capped partner table
-        for (cand, _, _) in recs {
-            if my_known.binary_search(&cand).is_ok() || cand.index() >= self.peers.len() {
+        recs.clear();
+        recs.extend(
+            rec_state
+                .partners
+                .iter()
+                .filter(|&(pid, _)| pid != id)
+                .map(|(pid, l)| {
+                    let same_isp = self.isps.get(pid.index()).copied() == Some(my_isp);
+                    (pid, l.score(), locality && same_isp)
+                }),
+        );
+        // Local candidates first, then by score; ascending id breaks
+        // ties (the recommender's table order), making the order total
+        // so only the `gossip_fanout` best need sorting.
+        let best_first = |a: &(PeerId, f64, bool), b: &(PeerId, f64, bool)| {
+            b.2.cmp(&a.2).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
+        };
+        let fanout = self.cfg.gossip_fanout;
+        if recs.len() > fanout {
+            recs.select_nth_unstable_by(fanout, best_first);
+            recs.truncate(fanout);
+        }
+        recs.sort_unstable_by(best_first);
+        for &(cand, _, _) in recs.iter() {
+            if cand.index() >= self.peers.len() || self.live_ref(i).partners.contains(cand) {
                 continue;
             }
             let Some(other) = &self.peers[cand.index()] else {
                 continue;
             };
-            if other.channel != self.live_ref(i).channel {
+            if other.channel != my_channel {
                 continue;
             }
             let other_isp = other.isp;
@@ -988,8 +1054,10 @@ impl OverlaySim {
         let window = self.cfg.window_segments;
         // Split borrows: address table is read-only during the pass.
         let addrs = std::mem::take(&mut self.addrs);
-        for slot in self.peers.iter_mut() {
-            let Some(p) = slot else { continue };
+        for &j in &self.live_slots {
+            let Some(p) = self.peers[j as usize].as_mut() else {
+                continue;
+            };
             let Some(due) = p.next_report else { continue };
             if due >= tick_end {
                 continue;
@@ -1021,8 +1089,9 @@ impl OverlaySim {
 
     /// Verifies structural invariants of the current overlay state;
     /// used by tests and available to callers after (or between)
-    /// runs. Checks that connections are mutual, supplier sets are
-    /// within bounds, and the live count matches the slab.
+    /// runs. Checks that partner tables are strictly id-sorted,
+    /// connections are mutual, supplier sets are within bounds, and
+    /// the live count and live-slot list match the slab.
     ///
     /// # Errors
     ///
@@ -1045,6 +1114,11 @@ impl OverlaySim {
                     self.cfg.max_partners
                 ));
             }
+            if !p.partners.is_well_formed() {
+                return Err(format!(
+                    "peer {i}: partner table is not strictly ascending by id"
+                ));
+            }
             let suppliers = p.suppliers().count();
             if suppliers > self.cfg.target_suppliers {
                 return Err(format!(
@@ -1052,11 +1126,11 @@ impl OverlaySim {
                     self.cfg.target_suppliers
                 ));
             }
-            for &pid in p.partners.keys() {
+            for &pid in p.partners.ids() {
                 // Dead partners are purged lazily within one
                 // selection round; they are tolerated here.
                 if let Some(Some(other)) = self.peers.get(pid.index()) {
-                    if !other.partners.contains_key(&PeerId(i as u32)) {
+                    if !other.partners.contains(PeerId(i as u32)) {
                         return Err(format!("connection {i} -> {} is not mutual", pid.index()));
                     }
                 }
@@ -1067,6 +1141,9 @@ impl OverlaySim {
                 "live count {} disagrees with slab ({live})",
                 self.live
             ));
+        }
+        if !occupied(&self.peers).eq(self.live_slots.iter().copied()) {
+            return Err("live-slot list disagrees with the slab".into());
         }
         Ok(())
     }

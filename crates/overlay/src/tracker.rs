@@ -132,8 +132,10 @@ impl Tracker {
     }
 
     /// Draws up to `want` bootstrap partners for `joiner` under
-    /// `policy`. Never returns `joiner` itself or duplicates.
-    pub fn bootstrap<R: rand::Rng + ?Sized>(
+    /// `policy` into `scratch`, returning them in draw order. Never
+    /// returns `joiner` itself or duplicates.
+    #[allow(clippy::too_many_arguments)]
+    pub fn bootstrap<'s, R: rand::Rng + ?Sized>(
         &self,
         channel: ChannelId,
         joiner: PeerId,
@@ -141,29 +143,38 @@ impl Tracker {
         want: usize,
         policy: BootstrapPolicy,
         rng: &mut R,
-    ) -> Vec<PeerId> {
+        scratch: &'s mut BootstrapScratch,
+    ) -> &'s [PeerId] {
+        scratch.picked.clear();
         let Some(st) = self.channels.get(&channel) else {
-            return Vec::new();
+            return &scratch.picked;
         };
-        // The pool bounds what can possibly be returned; a huge `want`
-        // must not translate into a huge allocation.
-        let mut out: Vec<PeerId> = Vec::with_capacity(want.min(st.members.len()));
-        let mut seen: BTreeSet<PeerId> = BTreeSet::new();
-        seen.insert(joiner);
         if policy.locality_fraction > 0.0 {
             let local_want = ((want as f64) * policy.locality_fraction).round() as usize;
             if let Some(local) = st.members_by_isp.get(&joiner_isp) {
-                sample_into(local, local_want, &mut out, &mut seen, rng);
+                sample_into(local, local_want, joiner, scratch, rng);
             }
         }
         if policy.use_volunteers {
-            sample_into(&st.volunteers, want, &mut out, &mut seen, rng);
+            sample_into(&st.volunteers, want, joiner, scratch, rng);
         }
-        if out.len() < want {
-            sample_into(&st.members, want, &mut out, &mut seen, rng);
+        if scratch.picked.len() < want {
+            sample_into(&st.members, want, joiner, scratch, rng);
         }
-        out
+        &scratch.picked
     }
+}
+
+/// Reusable buffers of [`Tracker::bootstrap`], owned by the caller so
+/// that a warm bootstrap allocates nothing.
+#[derive(Debug, Default)]
+pub struct BootstrapScratch {
+    /// The partners drawn by the latest call, in draw order. Doubles
+    /// as the "already handed out" set: a list of at most `want`
+    /// (≈ 50) ids is cheaper to scan than any set is to maintain.
+    picked: Vec<PeerId>,
+    /// Index permutation of the small-pool shuffle.
+    order: Vec<usize>,
 }
 
 /// Ordered snapshot of one channel's tracking state.
@@ -238,48 +249,51 @@ impl Tracker {
 }
 
 /// Reservoir-free partial sample: randomly probes `pool` (bounded
-/// tries) and fills `out` up to `want` with unseen entries, falling
-/// back to a shuffled scan when the pool is small relative to the
-/// deficit.
+/// tries) and fills `scratch.picked` up to `want` with entries that
+/// are neither `joiner` nor already picked, falling back to a shuffled
+/// scan when the pool is small relative to the deficit.
 fn sample_into<R: rand::Rng + ?Sized>(
     pool: &[PeerId],
     want: usize,
-    out: &mut Vec<PeerId>,
-    seen: &mut BTreeSet<PeerId>,
+    joiner: PeerId,
+    scratch: &mut BootstrapScratch,
     rng: &mut R,
 ) {
-    if pool.is_empty() || out.len() >= want {
+    let BootstrapScratch { picked, order } = scratch;
+    if pool.is_empty() || picked.len() >= want {
         return;
     }
     // Saturating arithmetic throughout: a drained channel or a
     // pathological `want` (e.g. a caller passing `usize::MAX` to mean
     // "everyone") must degrade to a short list, never overflow the
     // deficit/try budget math or spin.
-    if pool.len() <= (want - out.len()).saturating_mul(2) {
-        let mut idx: Vec<usize> = (0..pool.len()).collect(); // lint:allow(H2): full-pool shuffle only when the pool is at most twice the deficit
-                                                             // lint:allow(H3): prefix shuffle over the small pool admitted by the branch above
-        for i in 0..idx.len() {
-            let j = rng.random_range(i..idx.len());
-            idx.swap(i, j);
+    let small_pool = pool.len() <= (want - picked.len()).saturating_mul(2);
+    // Accepts `cand` unless already handed out; reports "list full".
+    let mut offer = |cand: PeerId| {
+        if cand != joiner && !picked.contains(&cand) {
+            picked.push(cand);
         }
-        for i in idx {
-            if out.len() >= want {
+        picked.len() >= want
+    };
+    if small_pool {
+        order.clear();
+        order.extend(0..pool.len());
+        // lint:allow(H3): full shuffle over the small pool admitted by the branch above
+        for i in 0..order.len() {
+            let j = rng.random_range(i..order.len());
+            order.swap(i, j);
+        }
+        for &i in order.iter() {
+            if offer(pool[i]) {
                 break;
-            }
-            let cand = pool[i];
-            if seen.insert(cand) {
-                out.push(cand);
             }
         }
         return;
     }
-    let mut tries = 0usize;
-    while out.len() < want && tries < want.saturating_mul(8) {
-        let cand = pool[rng.random_range(0..pool.len())];
-        if seen.insert(cand) {
-            out.push(cand);
+    for _ in 0..want.saturating_mul(8) {
+        if offer(pool[rng.random_range(0..pool.len())]) {
+            break;
         }
-        tries += 1;
     }
 }
 
@@ -292,6 +306,27 @@ mod tests {
 
     fn plain() -> BootstrapPolicy {
         BootstrapPolicy::default()
+    }
+
+    /// One bootstrap on channel `CH` through a cold scratch.
+    fn boot(
+        t: &Tracker,
+        joiner: PeerId,
+        isp: Isp,
+        want: usize,
+        policy: BootstrapPolicy,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<PeerId> {
+        t.bootstrap(
+            CH,
+            joiner,
+            isp,
+            want,
+            policy,
+            rng,
+            &mut BootstrapScratch::default(),
+        )
+        .to_vec()
     }
 
     #[test]
@@ -338,7 +373,7 @@ mod tests {
             t.register(CH, PeerId(i), Isp::Telecom);
         }
         let mut rng = RngFactory::new(1).fork("boot");
-        let got = t.bootstrap(CH, PeerId(3), Isp::Telecom, 50, plain(), &mut rng);
+        let got = boot(&t, PeerId(3), Isp::Telecom, 50, plain(), &mut rng);
         assert!(got.len() <= 9);
         assert!(!got.contains(&PeerId(3)));
         let set: BTreeSet<_> = got.iter().collect();
@@ -355,7 +390,7 @@ mod tests {
             t.volunteer(CH, PeerId(i));
         }
         let mut rng = RngFactory::new(2).fork("boot");
-        let got = t.bootstrap(CH, PeerId(99), Isp::Telecom, 5, plain(), &mut rng);
+        let got = boot(&t, PeerId(99), Isp::Telecom, 5, plain(), &mut rng);
         assert_eq!(got.len(), 5);
         assert!(got.iter().all(|p| p.0 < 5), "got {got:?}");
     }
@@ -368,7 +403,7 @@ mod tests {
         }
         t.volunteer(CH, PeerId(0));
         let mut rng = RngFactory::new(3).fork("boot");
-        let got = t.bootstrap(CH, PeerId(29), Isp::Telecom, 10, plain(), &mut rng);
+        let got = boot(&t, PeerId(29), Isp::Telecom, 10, plain(), &mut rng);
         assert_eq!(got.len(), 10);
         assert!(got.contains(&PeerId(0)));
     }
@@ -385,7 +420,7 @@ mod tests {
             use_volunteers: false,
             ..plain()
         };
-        let got = t.bootstrap(CH, PeerId(199), Isp::Telecom, 3, policy, &mut rng);
+        let got = boot(&t, PeerId(199), Isp::Telecom, 3, policy, &mut rng);
         assert_eq!(got.len(), 3);
         assert!(!got.contains(&PeerId(199)));
     }
@@ -394,9 +429,7 @@ mod tests {
     fn bootstrap_on_empty_channel_is_empty() {
         let t = Tracker::new();
         let mut rng = RngFactory::new(5).fork("boot");
-        assert!(t
-            .bootstrap(CH, PeerId(0), Isp::Telecom, 50, plain(), &mut rng)
-            .is_empty());
+        assert!(boot(&t, PeerId(0), Isp::Telecom, 50, plain(), &mut rng).is_empty());
     }
 
     #[test]
@@ -413,9 +446,7 @@ mod tests {
             t.deregister(CH, PeerId(i));
         }
         let mut rng = RngFactory::new(9).fork("boot");
-        assert!(t
-            .bootstrap(CH, PeerId(99), Isp::Telecom, 50, plain(), &mut rng)
-            .is_empty());
+        assert!(boot(&t, PeerId(99), Isp::Telecom, 50, plain(), &mut rng).is_empty());
     }
 
     #[test]
@@ -423,7 +454,7 @@ mod tests {
         let mut t = Tracker::new();
         t.register(CH, PeerId(5), Isp::Netcom);
         let mut rng = RngFactory::new(10).fork("boot");
-        let got = t.bootstrap(CH, PeerId(5), Isp::Netcom, 50, plain(), &mut rng);
+        let got = boot(&t, PeerId(5), Isp::Netcom, 50, plain(), &mut rng);
         assert!(got.is_empty(), "joiner handed itself: {got:?}");
     }
 
@@ -438,13 +469,13 @@ mod tests {
             t.register(CH, PeerId(i), Isp::Telecom);
         }
         let mut rng = RngFactory::new(11).fork("boot");
-        let got = t.bootstrap(CH, PeerId(0), Isp::Telecom, usize::MAX, plain(), &mut rng);
+        let got = boot(&t, PeerId(0), Isp::Telecom, usize::MAX, plain(), &mut rng);
         assert_eq!(got.len(), 6);
         let locality = BootstrapPolicy {
             use_volunteers: false,
             locality_fraction: 0.9,
         };
-        let got = t.bootstrap(CH, PeerId(0), Isp::Telecom, usize::MAX, locality, &mut rng);
+        let got = boot(&t, PeerId(0), Isp::Telecom, usize::MAX, locality, &mut rng);
         assert_eq!(got.len(), 6);
     }
 
@@ -454,22 +485,11 @@ mod tests {
         for i in 0..500 {
             t.register(CH, PeerId(i), Isp::Telecom);
         }
-        let a = t.bootstrap(
-            CH,
-            PeerId(0),
-            Isp::Telecom,
-            50,
-            plain(),
-            &mut RngFactory::new(6).fork("b"),
-        );
-        let b = t.bootstrap(
-            CH,
-            PeerId(0),
-            Isp::Telecom,
-            50,
-            plain(),
-            &mut RngFactory::new(6).fork("b"),
-        );
+        let draw = || {
+            let mut rng = RngFactory::new(6).fork("b");
+            boot(&t, PeerId(0), Isp::Telecom, 50, plain(), &mut rng)
+        };
+        let (a, b) = (draw(), draw());
         assert_eq!(a, b);
         assert_eq!(a.len(), 50);
     }
@@ -489,7 +509,7 @@ mod tests {
             use_volunteers: false,
             locality_fraction: 0.7,
         };
-        let got = t.bootstrap(CH, PeerId(0), Isp::Telecom, 40, policy, &mut rng);
+        let got = boot(&t, PeerId(0), Isp::Telecom, 40, policy, &mut rng);
         assert_eq!(got.len(), 40);
         let telecom = got.iter().filter(|p| p.0 < 100).count();
         assert!(
@@ -512,7 +532,7 @@ mod tests {
             use_volunteers: false,
             locality_fraction: 0.9,
         };
-        let got = t.bootstrap(CH, PeerId(0), Isp::Edu, 20, policy, &mut rng);
+        let got = boot(&t, PeerId(0), Isp::Edu, 20, policy, &mut rng);
         assert_eq!(got.len(), 20, "fallback did not fill the request");
         assert!(got.contains(&PeerId(1)));
     }

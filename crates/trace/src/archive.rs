@@ -13,8 +13,8 @@
 use crate::atomicio::{atomic_write, TMP_SUFFIX};
 use crate::report::PeerReport;
 use crate::segment::{
-    self, append_frame, decode_footer, decode_header, scan_frames, SegmentFooter, SegmentHeader,
-    SEGMENT_FOOTER_LEN, SEGMENT_HEADER_LEN,
+    self, append_frame_with, decode_footer, decode_header, scan_frames, SegmentFooter,
+    SegmentHeader, SEGMENT_FOOTER_LEN, SEGMENT_HEADER_LEN,
 };
 use crate::wire;
 use bytes::Buf;
@@ -165,6 +165,8 @@ pub struct ArchiveWriter {
     sealed: Vec<SealedSegment>,
     tail: Option<Tail>,
     records_total: u64,
+    /// The frame being appended; reused so an append allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl ArchiveWriter {
@@ -186,6 +188,7 @@ impl ArchiveWriter {
             sealed: Vec::new(),
             tail: None,
             records_total: 0,
+            frame: Vec::new(),
         };
         atomic_write(
             &writer.dir.join(MANIFEST_NAME),
@@ -273,6 +276,7 @@ impl ArchiveWriter {
             sealed: kept,
             tail: None,
             records_total: kept_records,
+            frame: Vec::new(),
         };
         atomic_write(
             &writer.dir.join(MANIFEST_NAME),
@@ -293,24 +297,30 @@ impl ArchiveWriter {
     /// Propagates I/O failures; the archive is left in a state the
     /// reader and [`ArchiveWriter::resume`] both tolerate.
     pub fn append(&mut self, report: &PeerReport) -> io::Result<()> {
-        let payload = wire::encode(report);
-        self.append_payload(&payload)
+        self.append_with(|out| wire::encode_into(report, out))
     }
 
     fn append_payload(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.append_with(|out| out.extend_from_slice(payload))
+    }
+
+    /// Builds one frame in the writer's buffer — `fill` writes the
+    /// payload in place — then writes it and folds the same bytes into
+    /// the segment CRC.
+    fn append_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if self.tail.is_none() {
             self.open_tail()?;
         }
-        let mut frame = Vec::with_capacity(payload.len() + segment::FRAME_HEADER_LEN);
-        append_frame(&mut frame, payload);
+        self.frame.clear();
+        append_frame_with(&mut self.frame, fill);
         // Borrow is re-established after open_tail above.
         let tail = self
             .tail
             .as_mut()
             .ok_or_else(|| invalid("no tail".into()))?;
-        tail.file.write_all(&frame)?;
-        tail.crc_state = segment::crc32_update(tail.crc_state, &frame);
-        tail.frame_bytes += frame.len() as u64;
+        tail.file.write_all(&self.frame)?;
+        tail.crc_state = segment::crc32_update(tail.crc_state, &self.frame);
+        tail.frame_bytes += self.frame.len() as u64;
         tail.records += 1;
         self.records_total += 1;
         if tail.frame_bytes >= self.cfg.segment_bytes {

@@ -125,21 +125,28 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Walks checkpoints newest-first and returns the first that decodes
-/// and carries the expected fingerprint — tolerating a torn or stale
-/// latest file, exactly the crash case checkpoints exist for.
+/// Walks checkpoints newest-first and returns what `decode_body` makes
+/// of the first one whose envelope verifies, whose fingerprint matches,
+/// and whose body `decode_body` accepts — tolerating a torn or stale
+/// latest file, exactly the crash case checkpoints exist for, and
+/// equally a sealed body the state decoder refuses.
 ///
 /// # Errors
 ///
 /// Propagates directory/file I/O failures. A missing or universally
 /// damaged set of checkpoints is `Ok(None)`.
-pub fn latest_valid_checkpoint(dir: &Path, fingerprint: u64) -> io::Result<Option<CheckpointFile>> {
+pub fn latest_valid_checkpoint<T>(
+    dir: &Path,
+    fingerprint: u64,
+    mut decode_body: impl FnMut(&CheckpointFile) -> Option<T>,
+) -> io::Result<Option<T>> {
     for path in list_checkpoints(dir)?.into_iter().rev() {
         let bytes = fs::read(&path)?;
-        if let Some(ckpt) = decode_checkpoint(&bytes) {
-            if ckpt.fingerprint == fingerprint {
-                return Ok(Some(ckpt));
-            }
+        let restored = decode_checkpoint(&bytes)
+            .filter(|ckpt| ckpt.fingerprint == fingerprint)
+            .and_then(|ckpt| decode_body(&ckpt));
+        if restored.is_some() {
+            return Ok(restored);
         }
     }
     Ok(None)
@@ -199,11 +206,26 @@ mod tests {
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() - 3]).unwrap();
 
-        let got = latest_valid_checkpoint(&dir, 7).unwrap().unwrap();
-        assert_eq!(got.tick, 100);
-        assert_eq!(got.body, b"older");
+        let whole = |c: &CheckpointFile| Some((c.tick, c.body.clone()));
+        let got = latest_valid_checkpoint(&dir, 7, whole).unwrap().unwrap();
+        assert_eq!(got, (100, b"older".to_vec()));
         // A different fingerprint matches nothing.
-        assert!(latest_valid_checkpoint(&dir, 8).unwrap().is_none());
+        assert!(latest_valid_checkpoint(&dir, 8, whole).unwrap().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn latest_valid_falls_back_past_a_body_the_decoder_refuses() {
+        // The envelope vouches for the bytes, not for their meaning: a
+        // sealed body the state decoder rejects must cost one
+        // checkpoint interval, not the whole run.
+        let dir = temp_dir("refused");
+        write_checkpoint(&dir, 7, 100, b"sound").unwrap();
+        write_checkpoint(&dir, 7, 200, b"damaged").unwrap();
+        let picky = |c: &CheckpointFile| (c.body == b"sound").then_some(c.tick);
+        assert_eq!(latest_valid_checkpoint(&dir, 7, picky).unwrap(), Some(100));
+        let refuse = |_: &CheckpointFile| None::<u64>;
+        assert_eq!(latest_valid_checkpoint(&dir, 7, refuse).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -38,10 +38,14 @@ pub const SEGMENT_FOOTER_LEN: usize = 32;
 /// Current segment format version.
 pub const SEGMENT_VERSION: u32 = 1;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC state
+/// contribution of byte `b` followed by `k` zero bytes, so eight input
+/// bytes fold into the state with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -54,19 +58,42 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Extends a running IEEE CRC32 state with more bytes. Start from
 /// [`CRC32_INIT`] and finish with [`crc32_finish`].
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = state;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc
 }
@@ -103,11 +130,27 @@ fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
 /// Panics if `payload` exceeds [`MAX_FRAME_PAYLOAD`] — the writer
 /// never produces such payloads (wire reports are bounded far below).
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_FRAME_PAYLOAD, "oversized frame");
+    append_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `fill` writes straight onto the
+/// end of `out`, so an encoder can produce the payload in place; the
+/// length and CRC fields are patched in afterwards.
+///
+/// # Panics
+///
+/// As [`append_frame`].
+pub fn append_frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN - 4]);
+    let body = out.len();
+    fill(out);
+    let len = out.len() - body;
+    assert!(len <= MAX_FRAME_PAYLOAD, "oversized frame");
+    let crc = crc32(&out[body..]);
+    out[start + 4..start + 8].copy_from_slice(&(len as u32).to_be_bytes());
+    out[start + 8..body].copy_from_slice(&crc.to_be_bytes());
 }
 
 /// A decoded segment header.
@@ -317,6 +360,7 @@ fn starts_truncated_frame(bytes: &[u8], pos: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn frames(payloads: &[&[u8]]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -341,6 +385,49 @@ mod tests {
             st = crc32_update(st, chunk);
         }
         assert_eq!(crc32_finish(st), crc32(data));
+    }
+
+    /// The byte-at-a-time table walk `crc32_update` used before
+    /// slicing-by-8, kept as the reference.
+    fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |crc, &b| {
+            (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc_equals_bytewise_under_any_split(
+            data in proptest::collection::vec(any::<u8>(), 0..400),
+            cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut state = CRC32_INIT;
+            let mut from = 0;
+            for cut in cuts {
+                state = crc32_update(state, &data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(state, crc32_update_bytewise(CRC32_INIT, &data));
+            prop_assert_eq!(crc32(&data), crc32_finish(state));
+        }
+
+        #[test]
+        fn in_place_frame_equals_copied_frame(
+            prefix in proptest::collection::vec(any::<u8>(), 0..20),
+            payload in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let mut copied = prefix.clone();
+            copied.extend_from_slice(&FRAME_MAGIC);
+            copied.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            copied.extend_from_slice(&crc32_finish(crc32_update_bytewise(CRC32_INIT, &payload)).to_be_bytes());
+            copied.extend_from_slice(&payload);
+            let mut in_place = prefix.clone();
+            append_frame_with(&mut in_place, |out| out.extend_from_slice(&payload));
+            prop_assert_eq!(in_place, copied);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::buffer::BufferMap;
 use crate::report::{PartnerRecord, PeerReport};
 use crate::server::SubmitError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use magellan_netsim::{PeerAddr, SimTime};
 use magellan_workload::ChannelId;
 use std::error::Error;
@@ -171,26 +171,33 @@ impl StatusCode {
 
 /// Encodes a report into a datagram.
 pub fn encode(report: &PeerReport) -> Bytes {
-    let mut b = BytesMut::with_capacity(64 + report.partners.len() * 24);
-    b.put_u64(report.time.as_millis());
-    b.put_u32(report.addr.as_u32());
-    b.put_u16(report.channel.0);
-    b.put_u64(report.buffer_map.start());
-    b.put_u16(report.buffer_map.len());
-    b.put_slice(report.buffer_map.raw_bits());
-    b.put_f64(report.download_capacity_kbps);
-    b.put_f64(report.upload_capacity_kbps);
-    b.put_f64(report.recv_throughput_kbps);
-    b.put_f64(report.send_throughput_kbps);
-    b.put_u16(report.partners.len() as u16);
+    let mut b = Vec::with_capacity(64 + report.partners.len() * 24);
+    encode_into(report, &mut b);
+    Bytes::from(b)
+}
+
+/// Appends the datagram encoding of `report` to `out` — [`encode`]
+/// for callers that own a reusable buffer or are assembling a larger
+/// frame around the payload.
+pub fn encode_into(report: &PeerReport, out: &mut Vec<u8>) {
+    out.put_u64(report.time.as_millis());
+    out.put_u32(report.addr.as_u32());
+    out.put_u16(report.channel.0);
+    out.put_u64(report.buffer_map.start());
+    out.put_u16(report.buffer_map.len());
+    out.put_slice(report.buffer_map.raw_bits());
+    out.put_f64(report.download_capacity_kbps);
+    out.put_f64(report.upload_capacity_kbps);
+    out.put_f64(report.recv_throughput_kbps);
+    out.put_f64(report.send_throughput_kbps);
+    out.put_u16(report.partners.len() as u16);
     for p in &report.partners {
-        b.put_u32(p.addr.as_u32());
-        b.put_u16(p.tcp_port);
-        b.put_u16(p.udp_port);
-        b.put_u64(p.segments_sent);
-        b.put_u64(p.segments_received);
+        out.put_u32(p.addr.as_u32());
+        out.put_u16(p.tcp_port);
+        out.put_u16(p.udp_port);
+        out.put_u64(p.segments_sent);
+        out.put_u64(p.segments_received);
     }
-    b.freeze()
 }
 
 fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<(), WireError> {
@@ -268,6 +275,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<PeerReport, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn sample() -> PeerReport {
         let mut bm = BufferMap::new(1000, 32);

@@ -14,15 +14,18 @@ use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
 use magellan::workload::DiurnalProfile;
 
-fn archive_bytes_with(seed: u64, faults: FaultPlan) -> Vec<u8> {
+fn small_day(seed: u64, faults: FaultPlan) -> Scenario {
     let mut b = Scenario::builder(seed, 0.0004)
         .calendar(StudyCalendar { window_days: 1 })
         .diurnal(DiurnalProfile::flat());
     if !faults.is_empty() {
         b = b.faults(faults);
     }
-    let scenario = b.build();
-    let mut sim = OverlaySim::new(scenario, SimConfig::default());
+    b.build()
+}
+
+fn archive_bytes_with(seed: u64, faults: FaultPlan) -> Vec<u8> {
+    let mut sim = OverlaySim::new(small_day(seed, faults), SimConfig::default());
     let (store, summary) = sim.run_collecting().expect("run succeeds");
     assert!(summary.reports > 0, "a run with no reports proves nothing");
     let mut buf = Vec::new();
@@ -123,6 +126,33 @@ fn fault_runs_are_byte_identical_across_repeats_and_thread_counts() {
         fnv1a(&a),
         fnv1a(&archive_bytes(2006)),
         "the combined stress plan had no effect on the trace"
+    );
+}
+
+#[test]
+fn checkpoint_bytes_at_tick_150_are_pinned() {
+    // The complete simulator state — every partner link of every peer,
+    // the tracker's ordered lists, all five RNG streams — mid-run.
+    // Recorded before the partner table became a flat id-sorted vector;
+    // a change to the peer-state *layout* must not move these, only a
+    // change to the protocol may.
+    let fnv_at_150 = |faults: FaultPlan| {
+        let mut sim = OverlaySim::new(small_day(2006, faults), SimConfig::default());
+        let mut state = sim.begin();
+        let mut sink = |_| {};
+        while state.next_tick() < 150 {
+            assert!(sim.tick_once(&mut state, &mut sink).expect("tick"));
+        }
+        fnv1a(&sim.capture(&state).encode())
+    };
+    let got = [
+        fnv_at_150(FaultPlan::default()),
+        fnv_at_150(FaultPlan::combined_stress(0)),
+    ];
+    assert_eq!(
+        got,
+        [0x4474_147c_bcf9_632e, 0xaf2a_3f3a_4aa3_a704],
+        "checkpoint bytes moved: {got:#x?}"
     );
 }
 

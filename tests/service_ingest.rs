@@ -240,7 +240,7 @@ fn slowloris_connection_is_reaped_not_serviced_forever() {
         &port_file,
         &[
             "--clients",
-            "1",
+            "2",
             "--shards",
             "1",
             "--idle-timeout-ms",
@@ -253,8 +253,22 @@ fn slowloris_connection_is_reaped_not_serviced_forever() {
     let mut loris = TcpStream::connect(&addr).expect("connect slowloris");
     loris.write_all(&[0u8, 0u8]).expect("send partial prefix");
 
-    let d = drive(&addr, 0, 1, &["--transport", "tcp"]);
-    wait_success(d, "drive alongside slowloris");
+    // One legitimate client streams alongside the attack. The second
+    // joins only once the server has hung up on the slowloris, so the
+    // study cannot finish (and serve exit) before the idle deadline
+    // has had its chance — however fast the simulator gets.
+    let d0 = drive(&addr, 0, 2, &["--transport", "tcp"]);
+    loris
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set read timeout");
+    match loris.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the slowloris connection was never dropped: {other:?}"),
+    }
+    let d1 = drive(&addr, 1, 2, &["--transport", "tcp"]);
+    wait_success(d0, "drive alongside slowloris");
+    wait_success(d1, "drive after the reap");
     let serve_out = wait_success(server, "serve under slowloris");
     drop(loris);
 
