@@ -59,7 +59,7 @@ const COST_GOVERNED: [&str; 6] = [
 /// Built-in hot entry points (`(crate, fn)`), independent of source
 /// markers: the per-tick driver, the per-sample study surface, and the
 /// Csr kernel surface the study fans out to via `magellan-par`.
-const HOT_REGISTRY: [(&str, &str); 20] = [
+const HOT_REGISTRY: [(&str, &str); 22] = [
     ("magellan-overlay", "tick_once"),
     ("magellan-analysis", "finalize_boundary"),
     ("magellan-graph", "local_clustering_csr"),
@@ -84,6 +84,11 @@ const HOT_REGISTRY: [(&str, &str); 20] = [
     // and the per-chunk chaos-schedule decision.
     ("magellan-trace", "try_admit"),
     ("magellan-netsim", "next_action"),
+    // The archive lane both headline paths end in: an append stages
+    // a frame in the writer's buffer and a commit hands the disk its
+    // work — neither may allocate per report.
+    ("magellan-trace", "append"),
+    ("magellan-trace", "commit"),
 ];
 
 /// Allocation needles that cost on every execution: method/macro

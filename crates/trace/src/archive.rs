@@ -1,14 +1,20 @@
 //! The durable segmented report archive (crash-safe §3.2 storage).
 //!
 //! Reports stream into CRC-framed segments on disk ([`crate::segment`]
-//! has the codec). The **unsealed tail** segment grows in place and is
-//! synced at every checkpoint; once it crosses the configured size it
-//! is **sealed**: the footer is appended, the file is synced and then
-//! atomically renamed to its final `seg-NNNNNN.mseg` name, and the
-//! manifest is rewritten atomically. A crash can therefore tear at
-//! most the unsealed tail, and the reader tolerates exactly that —
-//! plus arbitrary later corruption, which it quarantines while
-//! resynchronising to the next intact frame.
+//! has the codec). The **unsealed tail** segment grows in place; once
+//! it crosses the configured size it is **sealed**: the footer is
+//! appended and the file is renamed to its final `seg-NNNNNN.mseg`
+//! name. Neither step waits for the disk. Durability is an explicit
+//! **commit**: [`ArchiveWriter::commit`] hands out everything written
+//! since the previous commit and [`Commit::make_durable`] syncs it,
+//! then rewrites the manifest atomically. A checkpoint cursor is only
+//! ever published after the commit covering it completed, so a process
+//! kill tears at most bytes no cursor vouches for, and a power loss
+//! tears at most what was written after the last completed commit —
+//! the unsealed tail or a renamed-but-unsynced segment. The reader
+//! tolerates exactly that — plus arbitrary later corruption, which it
+//! quarantines while resynchronising to the next intact frame — and
+//! [`ArchiveWriter::resume`] truncates back to the cursor.
 
 use crate::atomicio::{atomic_write, TMP_SUFFIX};
 use crate::report::PeerReport;
@@ -18,6 +24,7 @@ use crate::segment::{
 };
 use crate::wire;
 use bytes::Buf;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -27,6 +34,15 @@ pub const TAIL_NAME: &str = "tail.mseg";
 
 /// Name of the archive manifest file.
 pub const MANIFEST_NAME: &str = "MANIFEST";
+
+/// Frames are staged in a writer-owned buffer of this size and written
+/// out when it is nearly full, the segment ends, or a commit is taken
+/// — one `write` per ~48 KiB instead of one per report.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Room kept free in the buffer so that staging the next frame never
+/// regrows it: wire-encoded reports top out around 12 KiB.
+const FRAME_ROOM: usize = 16 * 1024;
 
 /// Tuning knobs of an [`ArchiveWriter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +76,9 @@ pub struct SealedSegment {
 
 /// File name of a sealed segment.
 pub fn segment_file_name(index: u64) -> String {
-    format!("seg-{index:06}.mseg")
+    let mut name = String::with_capacity(16);
+    let _ = write!(name, "seg-{index:06}.mseg");
+    name
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -71,12 +89,13 @@ fn invalid(msg: String) -> io::Error {
 
 fn render_manifest(cfg: ArchiveConfig, sealed: &[SealedSegment]) -> String {
     let mut out = String::from("magellan-archive v1\n");
-    out.push_str(&format!("segment_bytes {}\n", cfg.segment_bytes));
+    let _ = writeln!(out, "segment_bytes {}", cfg.segment_bytes);
     for s in sealed {
-        out.push_str(&format!(
-            "seg {} {} {} {} {:08x}\n",
+        let _ = writeln!(
+            out,
+            "seg {} {} {} {} {:08x}",
             s.index, s.first_record, s.records, s.frame_bytes, s.frame_crc
-        ));
+        );
     }
     out
 }
@@ -157,6 +176,66 @@ struct Tail {
     index: u64,
 }
 
+/// Everything one [`ArchiveWriter::commit`] found not yet on stable
+/// storage: the segments sealed since the previous commit, the tail
+/// as of this commit, and the manifest if a seal changed it. It
+/// borrows nothing from the writer, so it can be made durable on
+/// another thread while the writer keeps appending.
+///
+/// Sealed segments are named, not held open — a full-scale window
+/// seals hundreds, several commits can be in flight, and syncing a
+/// file needs a handle only while it is being synced.
+///
+/// Commits must complete in the order they were taken, and a cursor
+/// may be published only once its commit *and every earlier one*
+/// completed [`Commit::make_durable`]. Dropping a commit unrun
+/// forfeits that for every later cursor too: the writer is then only
+/// good for [`ArchiveWriter::resume`] from the last published cursor.
+#[derive(Debug)]
+#[must_use = "nothing is durable until `make_durable` has run"]
+pub struct Commit {
+    records: u64,
+    dir: PathBuf,
+    /// Indices of the segments sealed since the previous commit.
+    sealed: std::ops::Range<u64>,
+    tail: Option<File>,
+    /// The manifest listing every segment below `sealed.end`; `None`
+    /// when `sealed` is empty and the one on disk still stands.
+    manifest: Option<String>,
+}
+
+impl Commit {
+    /// Records the archive held when this commit was taken — the
+    /// cursor that is safe to publish once it is durable.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Syncs every segment the commit covers, then — only after all
+    /// of them are on stable storage — replaces the manifest
+    /// atomically. No directory fsync, as before: a lost rename
+    /// leaves a complete file under its old name, which the reader
+    /// and [`ArchiveWriter::resume`] scan all the same.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first sync/write failure; later cursors must
+    /// then not be published.
+    pub fn make_durable(self) -> io::Result<()> {
+        for index in self.sealed {
+            let path = self.dir.join(segment_file_name(index));
+            OpenOptions::new().write(true).open(path)?.sync_all()?;
+        }
+        if let Some(tail) = self.tail {
+            tail.sync_all()?;
+        }
+        if let Some(text) = self.manifest {
+            atomic_write(&self.dir.join(MANIFEST_NAME), text.as_bytes())?;
+        }
+        Ok(())
+    }
+}
+
 /// Streaming, crash-safe archive writer.
 #[derive(Debug)]
 pub struct ArchiveWriter {
@@ -165,8 +244,12 @@ pub struct ArchiveWriter {
     sealed: Vec<SealedSegment>,
     tail: Option<Tail>,
     records_total: u64,
-    /// The frame being appended; reused so an append allocates nothing.
-    frame: Vec<u8>,
+    /// Bytes of the tail segment not yet handed to the kernel; reused,
+    /// so an append allocates nothing.
+    buf: Vec<u8>,
+    /// How many sealed segments earlier commits already cover; the
+    /// rest wait for the next one.
+    committed_segments: u64,
 }
 
 impl ArchiveWriter {
@@ -182,19 +265,30 @@ impl ArchiveWriter {
         for name in archive_file_names(dir)? {
             fs::remove_file(dir.join(&name))?;
         }
-        let writer = ArchiveWriter {
+        Self::open(dir, cfg, Vec::new(), 0)
+    }
+
+    /// A writer over the clean sealed prefix `sealed`, with the
+    /// manifest on disk saying exactly that.
+    fn open(
+        dir: &Path,
+        cfg: ArchiveConfig,
+        sealed: Vec<SealedSegment>,
+        records_total: u64,
+    ) -> io::Result<Self> {
+        atomic_write(
+            &dir.join(MANIFEST_NAME),
+            render_manifest(cfg, &sealed).as_bytes(),
+        )?;
+        Ok(ArchiveWriter {
             dir: dir.to_path_buf(),
             cfg,
-            sealed: Vec::new(),
+            committed_segments: sealed.len() as u64,
+            sealed,
             tail: None,
-            records_total: 0,
-            frame: Vec::new(),
-        };
-        atomic_write(
-            &writer.dir.join(MANIFEST_NAME),
-            render_manifest(cfg, &writer.sealed).as_bytes(),
-        )?;
-        Ok(writer)
+            records_total,
+            buf: Vec::with_capacity(WRITE_BUFFER_BYTES),
+        })
     }
 
     /// Reopens an existing archive truncated to exactly `cursor`
@@ -270,18 +364,7 @@ impl ArchiveWriter {
         for name in files.stray_tmp {
             fs::remove_file(dir.join(name))?;
         }
-        let mut writer = ArchiveWriter {
-            dir: dir.to_path_buf(),
-            cfg,
-            sealed: kept,
-            tail: None,
-            records_total: kept_records,
-            frame: Vec::new(),
-        };
-        atomic_write(
-            &writer.dir.join(MANIFEST_NAME),
-            render_manifest(cfg, &writer.sealed).as_bytes(),
-        )?;
+        let mut writer = Self::open(dir, cfg, kept, kept_records)?;
         for payload in replay {
             writer.append_payload(&payload)?;
         }
@@ -290,7 +373,9 @@ impl ArchiveWriter {
     }
 
     /// Appends one report as a frame, sealing the tail segment when it
-    /// crosses the configured size.
+    /// crosses the configured size. The frame is staged in the
+    /// writer's buffer; nothing is promised durable before the next
+    /// completed [`ArchiveWriter::commit`].
     ///
     /// # Errors
     ///
@@ -304,40 +389,41 @@ impl ArchiveWriter {
         self.append_with(|out| out.extend_from_slice(payload))
     }
 
-    /// Builds one frame in the writer's buffer — `fill` writes the
-    /// payload in place — then writes it and folds the same bytes into
+    /// Builds one frame at the end of the writer's buffer — `fill`
+    /// writes the payload in place — and folds the same bytes into
     /// the segment CRC.
     fn append_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if self.tail.is_none() {
             self.open_tail()?;
         }
-        self.frame.clear();
-        append_frame_with(&mut self.frame, fill);
+        let start = self.buf.len();
+        append_frame_with(&mut self.buf, fill);
         // Borrow is re-established after open_tail above.
         let tail = self
             .tail
             .as_mut()
             .ok_or_else(|| invalid("no tail".into()))?;
-        tail.file.write_all(&self.frame)?;
-        tail.crc_state = segment::crc32_update(tail.crc_state, &self.frame);
-        tail.frame_bytes += self.frame.len() as u64;
+        let frame = self.buf.get(start..).unwrap_or(&[]);
+        tail.crc_state = segment::crc32_update(tail.crc_state, frame);
+        tail.frame_bytes += frame.len() as u64;
         tail.records += 1;
         self.records_total += 1;
         if tail.frame_bytes >= self.cfg.segment_bytes {
-            self.seal_tail()?;
+            self.seal_tail()
+        } else if self.buf.len() + FRAME_ROOM > WRITE_BUFFER_BYTES {
+            self.write_buffered()
+        } else {
+            Ok(())
         }
-        Ok(())
     }
 
     fn open_tail(&mut self) -> io::Result<()> {
-        let header = encode_tail_header(self.sealed.len() as u64, self.records_total);
-        let path = self.dir.join(TAIL_NAME);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(&header)?;
+        let file = File::create(self.dir.join(TAIL_NAME))?;
+        self.buf
+            .extend_from_slice(&segment::encode_header(SegmentHeader {
+                index: self.sealed.len() as u64,
+                first_record: self.records_total,
+            }));
         self.tail = Some(Tail {
             file,
             records: 0,
@@ -349,18 +435,29 @@ impl ArchiveWriter {
         Ok(())
     }
 
+    /// Hands the staged bytes to the kernel (not to the disk).
+    fn write_buffered(&mut self) -> io::Result<()> {
+        if let Some(tail) = self.tail.as_mut() {
+            tail.file.write_all(&self.buf)?;
+        }
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Footer + rename; the next commit syncs it.
     fn seal_tail(&mut self) -> io::Result<()> {
         let Some(mut tail) = self.tail.take() else {
             return Ok(());
         };
         let frame_crc = segment::crc32_finish(tail.crc_state);
-        let footer = segment::encode_footer(SegmentFooter {
-            records: tail.records,
-            frame_bytes: tail.frame_bytes,
-            frame_crc,
-        });
-        tail.file.write_all(&footer)?;
-        tail.file.sync_all()?;
+        self.buf
+            .extend_from_slice(&segment::encode_footer(SegmentFooter {
+                records: tail.records,
+                frame_bytes: tail.frame_bytes,
+                frame_crc,
+            }));
+        tail.file.write_all(&self.buf)?;
+        self.buf.clear();
         drop(tail.file);
         fs::rename(
             self.dir.join(TAIL_NAME),
@@ -373,45 +470,64 @@ impl ArchiveWriter {
             frame_bytes: tail.frame_bytes,
             frame_crc,
         });
-        atomic_write(
-            &self.dir.join(MANIFEST_NAME),
-            render_manifest(self.cfg, &self.sealed).as_bytes(),
-        )
-    }
-
-    /// Flushes the unsealed tail to stable storage — called before a
-    /// checkpoint is written so that every record the checkpoint's
-    /// cursor covers is durable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flush/sync failure.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if let Some(tail) = self.tail.as_mut() {
-            tail.file.flush()?;
-            tail.file.sync_all()?;
-        }
         Ok(())
     }
 
-    /// Seals the tail (if it holds any records) and finalises the
-    /// manifest, consuming the writer.
+    /// Takes a commit: writes out what is staged and hands back
+    /// everything that has not reached stable storage yet — which
+    /// segments were sealed since the previous commit, a handle on
+    /// the tail, and the manifest if it changed. The writer is free to
+    /// keep appending while the [`Commit`] is made durable elsewhere.
     ///
     /// # Errors
     ///
-    /// Propagates seal/manifest I/O failures.
+    /// Propagates the write or handle-duplication failure.
+    pub fn commit(&mut self) -> io::Result<Commit> {
+        self.write_buffered()?;
+        let sealed = self.committed_segments..self.sealed.len() as u64;
+        self.committed_segments = sealed.end;
+        Ok(Commit {
+            records: self.records_total,
+            dir: self.dir.to_path_buf(),
+            manifest: (!sealed.is_empty()).then(|| render_manifest(self.cfg, &self.sealed)),
+            sealed,
+            tail: self
+                .tail
+                .as_ref()
+                .map(|tail| tail.file.try_clone())
+                .transpose()?,
+        })
+    }
+
+    /// Commits and makes the commit durable before returning — called
+    /// before a checkpoint is written so that every record the
+    /// checkpoint's cursor covers is on stable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write/sync failure.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.commit()?.make_durable()
+    }
+
+    /// Seals the tail (if it holds any records) and makes the whole
+    /// archive and its final manifest durable, consuming the writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates seal/commit I/O failures.
     pub fn finish(mut self) -> io::Result<ArchiveSummary> {
-        match self.tail.take() {
-            Some(tail) if tail.records > 0 => {
-                self.tail = Some(tail);
-                self.seal_tail()?;
-            }
+        match self.tail.as_ref() {
+            Some(tail) if tail.records > 0 => self.seal_tail()?,
             Some(_) => {
                 // Header-only tail: nothing worth sealing.
+                self.tail = None;
+                self.buf.clear();
                 fs::remove_file(self.dir.join(TAIL_NAME))?;
             }
             None => {}
         }
+        self.commit()?.make_durable()?;
         Ok(ArchiveSummary {
             records: self.records_total,
             sealed_segments: self.sealed.len() as u64,
@@ -427,13 +543,6 @@ impl ArchiveWriter {
     pub fn sealed_segments(&self) -> u64 {
         self.sealed.len() as u64
     }
-}
-
-fn encode_tail_header(index: u64, first_record: u64) -> [u8; SEGMENT_HEADER_LEN] {
-    segment::encode_header(SegmentHeader {
-        index,
-        first_record,
-    })
 }
 
 /// What [`ArchiveWriter::finish`] sealed.
@@ -812,6 +921,76 @@ mod tests {
         );
         fs::remove_dir_all(&dir_full).unwrap();
         fs::remove_dir_all(&dir_cut).unwrap();
+    }
+
+    /// Where commits fall never shows in the bytes: a writer synced
+    /// after every report and one that only ever `finish`es leave the
+    /// same directory. Segments large enough that the staging buffer
+    /// spills mid-segment, too.
+    #[test]
+    fn commit_placement_never_changes_bytes() {
+        for (segment_bytes, n) in [(512u64, 40u32), (160 * 1024, 4000)] {
+            let cfg = ArchiveConfig { segment_bytes };
+            let dir_each = temp_dir("commit-each");
+            let dir_once = temp_dir("commit-once");
+            let mut each = ArchiveWriter::create(&dir_each, cfg).unwrap();
+            let mut once = ArchiveWriter::create(&dir_once, cfg).unwrap();
+            for i in 0..n {
+                let r = report(i + 1, 20 + u64::from(i));
+                each.append(&r).unwrap();
+                each.sync().unwrap();
+                once.append(&r).unwrap();
+            }
+            let summary = each.finish().unwrap();
+            assert_eq!(summary, once.finish().unwrap());
+            assert!(summary.sealed_segments >= 2);
+            let names = archive_file_names(&dir_each).unwrap();
+            assert_eq!(names, archive_file_names(&dir_once).unwrap());
+            for name in &names {
+                assert_eq!(
+                    fs::read(dir_each.join(name)).unwrap(),
+                    fs::read(dir_once.join(name)).unwrap(),
+                    "{name} differs at segment_bytes {segment_bytes}"
+                );
+            }
+            fs::remove_dir_all(&dir_each).unwrap();
+            fs::remove_dir_all(&dir_once).unwrap();
+        }
+    }
+
+    /// A commit owns what it covers: made durable after the writer
+    /// moved on — sealed the very tail it holds, even finished — it
+    /// still lands, and the manifest it carries lists exactly the
+    /// segments sealed when it was taken.
+    #[test]
+    fn commit_carries_the_manifest_of_its_own_moment() {
+        let dir = temp_dir("commit-manifest");
+        let mut w = ArchiveWriter::create(&dir, small_cfg()).unwrap();
+        for i in 0..12u32 {
+            w.append(&report(i + 1, 20 + u64::from(i))).unwrap();
+        }
+        let sealed_then = w.sealed_segments();
+        assert!(sealed_then >= 1);
+        let commit = w.commit().unwrap();
+        assert_eq!(commit.records(), 12);
+        // Until it runs, the manifest on disk is still `create`'s.
+        assert!(read_manifest(&dir).unwrap().unwrap().sealed.is_empty());
+        for i in 12..40u32 {
+            w.append(&report(i + 1, 20 + u64::from(i))).unwrap();
+        }
+        assert!(w.sealed_segments() > sealed_then);
+        commit.make_durable().unwrap();
+        let m = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!(m.sealed.len() as u64, sealed_then);
+        // A commit with no seal since the last one rewrites nothing.
+        let sealed_now = w.sealed_segments();
+        w.commit().unwrap().make_durable().unwrap();
+        let quiet = w.commit().unwrap();
+        assert!(quiet.manifest.is_none());
+        quiet.make_durable().unwrap();
+        let m = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!(m.sealed.len() as u64, sealed_now);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod store;
 pub mod uplink;
 pub mod wire;
 
-pub use archive::{ArchiveConfig, ArchiveWriter, RecoveryReport};
+pub use archive::{ArchiveConfig, ArchiveWriter, Commit, RecoveryReport};
 pub use atomicio::atomic_write;
 pub use buffer::BufferMap;
 pub use codec::{ClientMsg, FrameReader, ReplyMsg};

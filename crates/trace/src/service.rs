@@ -24,6 +24,7 @@
 //!
 //! [`StudyReport`]: ../../magellan_analysis/figures/struct.StudyReport.html
 
+use crate::archive::{ArchiveConfig, ArchiveSummary, ArchiveWriter, Commit};
 use crate::atomicio::atomic_write;
 use crate::codec::{peek_report_addr, ClientMsg, ReplyMsg};
 use crate::report::PeerReport;
@@ -32,7 +33,7 @@ use crate::wire::StatusCode;
 use magellan_netsim::SimTime;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File name of the ingest-accounting sidecar, written next to the
 /// archive directory's segments.
@@ -125,6 +126,17 @@ impl IngestStats {
     /// as `surplus`, never silently absorbed.
     pub fn balanced(&self) -> bool {
         self.sent + self.surplus == self.admitted + self.deduped + self.shed() + self.lost
+    }
+
+    /// Closes the books against the clients' own send counts:
+    /// datagrams that never classified are `lost`; classifications
+    /// beyond what this incarnation's clients sent (chaos duplicates,
+    /// evicted clients' traffic, crash-resume re-receives) are
+    /// `surplus`.
+    pub fn reconcile(&mut self, sent: u64) {
+        self.sent = sent;
+        self.lost = sent.saturating_sub(self.received());
+        self.surplus = self.received().saturating_sub(sent);
     }
 
     /// Renders the stable key-value sidecar format (v2; the v1 reader
@@ -435,6 +447,22 @@ impl ServiceResume {
         )
     }
 
+    /// Makes `commit` durable and only then publishes this checkpoint
+    /// into `archive_dir` — the one place the "cursor never ahead of
+    /// durable records" order is written down. Called in seal order
+    /// (the shell's durability lane is a FIFO), so a published cursor
+    /// also vouches for every earlier commit.
+    ///
+    /// # Errors
+    ///
+    /// The sync or sidecar write failure; the sidecar is untouched
+    /// when the commit did not complete.
+    pub fn publish_after(&self, commit: Commit, archive_dir: &Path) -> io::Result<()> {
+        debug_assert!(self.archived <= commit.records());
+        commit.make_durable()?;
+        write_service_resume(archive_dir, self)
+    }
+
     /// Parses [`ServiceResume::render`] output. `None` on mismatch.
     pub fn parse(text: &str) -> Option<ServiceResume> {
         let mut lines = text.lines();
@@ -476,6 +504,186 @@ pub fn read_service_resume(archive_dir: &Path) -> io::Result<Option<ServiceResum
         Ok(text) => Ok(ServiceResume::parse(&text)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
+    }
+}
+
+/// Connection-plane shed counts the shell keeps outside the shards
+/// (its readers answer these themselves), folded into the books at
+/// every seal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShellSheds {
+    /// Reports shed `Busy` because a shard FIFO was full.
+    pub queue_shed: u64,
+    /// Reports answered `RateLimited` by a token bucket.
+    pub rate_limited: u64,
+}
+
+/// The coordinator's durable state: archive writer, merge frontier,
+/// and the baseline books restored by `--resume` (all zero on a
+/// fresh serve). The shell owns sockets, threads and queues; what a
+/// seal *means* — merge, append, commit, checkpoint, final
+/// reconciliation — is here.
+#[derive(Debug)]
+pub struct Books {
+    archive_dir: PathBuf,
+    writer: ArchiveWriter,
+    merged_below: SimTime,
+    /// Merges across incarnations (starts at the resumed count).
+    merges: u64,
+    /// Receive-side totals of the previous incarnation.
+    base: IngestStats,
+    clients: u32,
+}
+
+impl Books {
+    /// Fresh books over a new archive in `archive_dir`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArchiveWriter::create`].
+    pub fn create(archive_dir: &Path, cfg: ArchiveConfig, clients: u32) -> io::Result<Self> {
+        Ok(Books {
+            archive_dir: archive_dir.to_path_buf(),
+            writer: ArchiveWriter::create(archive_dir, cfg)?,
+            merged_below: SimTime::ORIGIN,
+            merges: 0,
+            base: IngestStats::default(),
+            clients,
+        })
+    }
+
+    /// Crash-resume: reopens the archive at the `INGEST.resume`
+    /// cursor (truncating anything past it) and restores the merge
+    /// frontier and the previous incarnation's books. No sidecar
+    /// means the crash came before the first checkpoint: resume from
+    /// an empty archive.
+    ///
+    /// # Errors
+    ///
+    /// Sidecar read failures and [`ArchiveWriter::resume`]'s.
+    pub fn resume(archive_dir: &Path, cfg: ArchiveConfig, clients: u32) -> io::Result<Self> {
+        let resume = read_service_resume(archive_dir)?.unwrap_or(ServiceResume {
+            archived: 0,
+            merged_below_ms: 0,
+            stats: IngestStats::default(),
+        });
+        Ok(Books {
+            archive_dir: archive_dir.to_path_buf(),
+            writer: ArchiveWriter::resume(archive_dir, cfg, resume.archived)?,
+            merged_below: SimTime::from_millis(resume.merged_below_ms),
+            merges: resume.stats.merges,
+            base: resume.stats,
+            clients,
+        })
+    }
+
+    /// Records landed in the archive, across incarnations.
+    pub fn archived(&self) -> u64 {
+        self.writer.records_written()
+    }
+
+    /// The sealed merge frontier.
+    pub fn merged_below(&self) -> SimTime {
+        self.merged_below
+    }
+
+    /// The barrier a seal is due at, if the registry's has advanced
+    /// past the sealed frontier.
+    pub fn seal_due(&self, registry: &ClientRegistry) -> Option<SimTime> {
+        registry
+            .ready_below()
+            .filter(|ready| *ready > self.merged_below)
+    }
+
+    /// Seals one window: merges the shards' drains below `below` into
+    /// the archive and takes the commit covering them, paired with
+    /// the checkpoint that may be published once — and only once —
+    /// that commit is durable ([`ServiceResume::publish_after`]).
+    /// `shards` are the summed cumulative shard books as of the
+    /// drain.
+    ///
+    /// # Errors
+    ///
+    /// Archive append/commit failures.
+    pub fn seal_window(
+        &mut self,
+        below: SimTime,
+        batches: Vec<Vec<PeerReport>>,
+        registry: &ClientRegistry,
+        shards: &ShardStats,
+        sheds: ShellSheds,
+    ) -> io::Result<(Commit, ServiceResume)> {
+        self.merged_below = below;
+        self.merges += 1;
+        for r in &merge_sorted(batches) {
+            self.writer.append(r)?;
+        }
+        let commit = self.writer.commit()?;
+        let resume = ServiceResume {
+            archived: commit.records(),
+            merged_below_ms: below.as_millis(),
+            stats: self.compose(registry, shards, sheds),
+        };
+        Ok((commit, resume))
+    }
+
+    /// Closes the books: lands the final drain, finishes the archive
+    /// (its last commit, made durable inline), reconciles against the
+    /// clients' send counts and writes the `INGEST` sidecar. Every
+    /// commit from [`Books::seal_window`] must have been published
+    /// (or have failed) before this is called.
+    ///
+    /// # Errors
+    ///
+    /// Archive and sidecar I/O failures.
+    pub fn close(
+        mut self,
+        batches: Vec<Vec<PeerReport>>,
+        registry: &ClientRegistry,
+        shards: &ShardStats,
+        sheds: ShellSheds,
+    ) -> io::Result<(ArchiveSummary, IngestStats)> {
+        let final_batch = merge_sorted(batches);
+        if !final_batch.is_empty() {
+            self.merges += 1;
+        }
+        for r in &final_batch {
+            self.writer.append(r)?;
+        }
+        let mut stats = self.compose(registry, shards, sheds);
+        let summary = self.writer.finish()?;
+        stats.reconcile(registry.total_sent());
+        write_ingest_stats(&self.archive_dir, &stats)?;
+        Ok((summary, stats))
+    }
+
+    /// Receive-side totals right now: previous incarnation + the live
+    /// shards + the reader-side shed counters. `sent`/`lost`/
+    /// `surplus` stay zero until the roster closes — they need the
+    /// registry's final word.
+    fn compose(
+        &self,
+        registry: &ClientRegistry,
+        shards: &ShardStats,
+        sheds: ShellSheds,
+    ) -> IngestStats {
+        IngestStats {
+            clients: self.clients,
+            sent: 0,
+            admitted: self.base.admitted + shards.admitted,
+            deduped: self.base.deduped + shards.deduped,
+            shed_busy: self.base.shed_busy + shards.shed_busy + sheds.queue_shed,
+            rejected: self.base.rejected + shards.rejected,
+            malformed: self.base.malformed + shards.malformed,
+            late: self.base.late + shards.late,
+            unavailable: self.base.unavailable + shards.unavailable,
+            rate_limited: self.base.rate_limited + sheds.rate_limited,
+            lost: 0,
+            surplus: 0,
+            evicted: self.base.evicted + registry.evicted_count(),
+            merges: self.merges,
+            protocol_errors: self.base.protocol_errors + registry.protocol_errors(),
+        }
     }
 }
 
@@ -594,10 +802,9 @@ impl ServiceCore {
         for s in &self.shards {
             totals.absorb(&s.stats());
         }
-        let sent = self.registry.total_sent();
         let mut stats = IngestStats {
             clients: self.registry.expected,
-            sent,
+            sent: 0,
             admitted: totals.admitted,
             deduped: totals.deduped,
             shed_busy: totals.shed_busy,
@@ -612,8 +819,7 @@ impl ServiceCore {
             merges: self.merges,
             protocol_errors: self.registry.protocol_errors(),
         };
-        stats.lost = sent.saturating_sub(stats.received());
-        stats.surplus = stats.received().saturating_sub(sent);
+        stats.reconcile(self.registry.total_sent());
         (final_batch, stats)
     }
 
@@ -920,6 +1126,80 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let missing = std::env::temp_dir().join("magellan-ingest-resume-none");
         assert_eq!(read_service_resume(&missing).unwrap(), None);
+    }
+
+    /// The seal sequence the shell's durability lane runs, without
+    /// the lane: windows are sealed ahead of the disk and published
+    /// strictly in order, and at every step the `INGEST.resume` on
+    /// disk vouches for no more records than a completed
+    /// `make_durable` covers — which a resume then actually finds.
+    #[test]
+    fn published_cursor_never_runs_ahead_of_a_completed_commit() {
+        let dir = std::env::temp_dir().join(format!("magellan-books-seal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ArchiveConfig { segment_bytes: 512 };
+        let mut books = Books::create(&dir, cfg, 1).unwrap();
+        let mut registry = ClientRegistry::new(1);
+        registry.hello(0, 1);
+        let mut shards = ShardStats::default();
+        let sheds = ShellSheds::default();
+        assert_eq!(books.seal_due(&registry), None, "nothing marked yet");
+
+        let on_disk = |dir: &Path| read_service_resume(dir).unwrap().map_or(0, |r| r.archived);
+        let mut queued = std::collections::VecDeque::new();
+        let mut durable = 0u64;
+        let mut next_ip = 1u32;
+        for window in 1..=6u64 {
+            registry.mark(0, at_min(window * 10));
+            let below = books.seal_due(&registry).expect("the barrier advanced");
+            // Two shards' drains, a window's worth each.
+            let batches: Vec<Vec<PeerReport>> = (0..2)
+                .map(|_| {
+                    (0..5)
+                        .map(|_| {
+                            next_ip += 1;
+                            report(next_ip, window * 10 - 5)
+                        })
+                        .collect()
+                })
+                .collect();
+            shards.admitted += 10;
+            queued.push_back(
+                books
+                    .seal_window(below, batches, &registry, &shards, sheds)
+                    .unwrap(),
+            );
+            assert_eq!(books.seal_due(&registry), None, "sealed up to the barrier");
+            assert!(on_disk(&dir) <= durable, "sealing alone published a cursor");
+            // The lane is at most two windows behind.
+            while queued.len() > 2 {
+                let (commit, resume): (Commit, ServiceResume) = queued.pop_front().unwrap();
+                assert_eq!(resume.archived, commit.records());
+                assert_eq!(resume.stats.admitted, resume.archived);
+                resume.publish_after(commit, &dir).unwrap();
+                durable = resume.archived;
+                assert_eq!(read_service_resume(&dir).unwrap(), Some(resume));
+            }
+        }
+        // A crash here (queued commits lost) resumes at the published
+        // cursor and finds every record it vouches for.
+        assert_eq!((durable, books.archived()), (40, 60));
+        drop(queued);
+        drop(books);
+        let resumed = Books::resume(&dir, cfg, 1).unwrap();
+        assert_eq!(resumed.archived(), 40);
+        assert_eq!(resumed.merged_below(), at_min(40));
+
+        // Closing lands the final drain and reconciles.
+        registry.finish(0, 45);
+        shards.admitted = 5;
+        let last = vec![(0..5).map(|i| report(900 + i, 55)).collect()];
+        let (summary, stats) = resumed.close(last, &registry, &shards, sheds).unwrap();
+        assert_eq!(summary.records, 45);
+        assert_eq!((stats.admitted, stats.merges, stats.sent), (45, 5, 45));
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!(read_ingest_stats(&dir).unwrap(), Some(stats));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

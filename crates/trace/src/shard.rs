@@ -195,17 +195,12 @@ impl Shard {
     /// the frontier minus [`DEDUP_RETENTION`] are pruned, bounding
     /// shard memory.
     pub fn drain_below(&mut self, below: SimTime) -> Vec<PeerReport> {
-        let mut batch = Vec::new();
-        let mut keep = Vec::with_capacity(self.pending.len());
-        for r in self.pending.drain(..) {
-            if r.time < below {
-                batch.push(r);
-            } else {
-                keep.push(r);
-            }
-        }
-        self.pending = keep;
-        batch.sort_by_key(|r| (r.time, r.addr.as_u32()));
+        // Sorting the whole buffer in place keeps what stays behind
+        // in order too, so the next drain sorts an almost-sorted
+        // vector and only the drained prefix ever moves.
+        self.pending.sort_by_key(|r| (r.time, r.addr.as_u32()));
+        let cut = self.pending.partition_point(|r| r.time < below);
+        let batch: Vec<PeerReport> = self.pending.drain(..cut).collect();
         if below > self.merged_below {
             self.merged_below = below;
             let retain_from = self

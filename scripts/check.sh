@@ -29,6 +29,21 @@ stage() {
     echo "=================================================================="
 }
 
+# After a `serve` that exited 0: its run directory must fsck, and the
+# `INGEST.resume` cursor must exist and vouch for no more records
+# than serve says it archived — a durability lane abandoned before
+# its last commit, or a cursor published ahead of it, fails here.
+check_traced_run() {
+    local dir=$1 transcript=$2 cursor archived
+    ./target/release/tracetool fsck "${dir}" > /dev/null
+    cursor=$(sed -n 's/^archived \([0-9][0-9]*\)$/\1/p' "${dir}/archive/INGEST.resume")
+    archived=$(sed -n 's/^magellan-traced: archived \([0-9][0-9]*\) report.*/\1/p' "${transcript}")
+    if [ -z "${cursor}" ] || [ -z "${archived}" ] || [ "${cursor}" -gt "${archived}" ]; then
+        echo "==> ${dir}: INGEST.resume cursor '${cursor}' vs '${archived}' archived" >&2
+        return 1
+    fi
+}
+
 # `pipeline_bench/` is a package of its own (empty [workspace] table),
 # so the workspace-wide commands below never see it: it gets the same
 # fmt/clippy/test treatment through its manifest.
@@ -119,7 +134,7 @@ stage "loopback-ingest smoke"
 # retries — must shed instead of stalling and still close balanced
 # books. `wait` propagates each child's exit status, so a panicking
 # serve or drive fails the stage.
-cargo build -q --release --bin magellan-traced
+cargo build -q --release --bin magellan-traced --bin tracetool
 INGEST=$(mktemp -d)
 PARAMS=(--seed 9 --scale 0.0005 --days 1 --sample-every-mins 240)
 ./target/release/magellan study --archive "${INGEST}/inproc" "${PARAMS[@]}" \
@@ -138,6 +153,7 @@ DRIVE0=$!
 wait "${DRIVE0}"
 wait "${SERVE}"
 grep -q '^balanced yes$' "${INGEST}/serve.txt"
+check_traced_run "${INGEST}/traced" "${INGEST}/serve.txt"
 ./target/release/magellan replay --archive "${INGEST}/inproc" \
     | grep -v '^Ingest' > "${INGEST}/inproc.txt"
 ./target/release/magellan replay --archive "${INGEST}/traced" \
@@ -188,6 +204,7 @@ wait "${CDRIVE0}"
 wait "${CSERVE}"
 kill "${NEMESIS}" 2> /dev/null || true
 grep -q '^balanced yes$' "${CHAOS}/serve.txt"
+check_traced_run "${CHAOS}/traced" "${CHAOS}/serve.txt"
 ./target/release/magellan replay --archive "${CHAOS}/inproc" \
     | grep -v '^Ingest' > "${CHAOS}/inproc.txt"
 ./target/release/magellan replay --archive "${CHAOS}/traced" \

@@ -29,7 +29,12 @@
 //! [`ServiceCore`](magellan::trace::ServiceCore) reference: one owner
 //! thread per [`Shard`] behind a bounded FIFO (backpressure sheds
 //! `Busy` at the queue, accounted), reader threads that only route,
-//! and a coordinator owning the registry and the archive writer.
+//! a coordinator owning the registry and the archive [`Books`], and
+//! one durability lane behind a depth-2 FIFO that makes each sealed
+//! window's [`Commit`] durable and then publishes its checkpoint —
+//! the coordinator never waits for the disk. What a seal *means*
+//! lives in [`magellan::trace::service`]; this file is sockets,
+//! threads and flags.
 //!
 //! The service assumes a hostile network. Every socket carries a read
 //! timeout and an idle deadline (`--idle-timeout-ms`), so a slowloris
@@ -49,7 +54,8 @@
 //! evicted, the in-flight window is sealed, the sidecar is flushed,
 //! and the process exits 0. After `kill -9`, `serve --resume` reopens
 //! the archive at the last checkpoint (the `INGEST.resume` sidecar is
-//! rewritten after every merge+sync), truncates any torn tail, and
+//! rewritten after every sealed window's commit is durable),
+//! truncates any torn tail, and
 //! restores the merge frontier so re-received reports below it shed
 //! as `Late` while everything at or past it is admitted fresh —
 //! re-receives reconcile in the `surplus` column, never in the
@@ -75,13 +81,11 @@ use magellan::netsim::{SimDuration, SimTime};
 use magellan::overlay::OverlaySim;
 use magellan::runcfg::{cfg_path, load_params, RunParams};
 use magellan::trace::codec::{self, ClientMsg, FrameReader, ReplyMsg};
-use magellan::trace::service::{
-    merge_sorted, read_service_resume, write_ingest_stats, write_service_resume, ServiceResume,
-};
+use magellan::trace::service::{Books, ServiceResume, ShellSheds};
 use magellan::trace::shard::{shard_of, Shard, ShardStats};
 use magellan::trace::{
-    atomic_write, ArchiveWriter, ClientRegistry, IngestStats, NetBackoff, NetUplink, PeerReport,
-    StatusCode, TokenBucket,
+    atomic_write, ClientRegistry, Commit, NetBackoff, NetUplink, PeerReport, StatusCode,
+    TokenBucket,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -188,6 +192,15 @@ struct Counters {
     reaped: AtomicU64,
     /// Connections refused by the max-conns / per-IP governor.
     refused: AtomicU64,
+}
+
+impl Counters {
+    fn sheds(&self) -> ShellSheds {
+        ShellSheds {
+            queue_shed: self.queue_shed.load(Ordering::SeqCst),
+            rate_limited: self.rate_limited.load(Ordering::SeqCst),
+        }
+    }
 }
 
 /// Per-reader defense knobs, plus the service epoch for token-bucket
@@ -427,38 +440,8 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
             let Ok(msg) = codec::decode_client_msg(&mut body) else {
                 return;
             };
-            let forwarded = match msg {
-                ClientMsg::Report { seq, payload } => {
-                    if bucket.try_admit(ctx.now_ms()) {
-                        route_report(
-                            &ctx.shards,
-                            payload,
-                            seq,
-                            ReplyTo::Tcp(Arc::clone(&write_half)),
-                            &ctx.counters.queue_shed,
-                        );
-                    } else {
-                        ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
-                        send_reply(
-                            &ReplyTo::Tcp(Arc::clone(&write_half)),
-                            &ReplyMsg {
-                                seq,
-                                status: StatusCode::RateLimited,
-                            },
-                        );
-                    }
-                    Ok(())
-                }
-                ClientMsg::Hello { client_id, clients } => {
-                    ctrl_send(&ctx, Ctrl::Hello { client_id, clients })
-                }
-                ClientMsg::WindowMark { client_id, up_to } => {
-                    ctrl_send(&ctx, Ctrl::Mark { client_id, up_to })
-                }
-                ClientMsg::Finish { client_id, sent } => {
-                    ctrl_send(&ctx, Ctrl::Finish { client_id, sent })
-                }
-            };
+            let reply = || ReplyTo::Tcp(Arc::clone(&write_half));
+            let forwarded = dispatch(&ctx, msg, &mut bucket, reply);
             if forwarded.is_err() {
                 return; // coordinator gone — shutdown
             }
@@ -466,9 +449,33 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
     }
 }
 
-/// Forwards one control message to the coordinator.
-fn ctrl_send(ctx: &ReaderCtx, msg: Ctrl) -> Result<(), SendError<Ctrl>> {
-    ctx.ctrl.send(msg)
+/// Handles one decoded client message: a report goes through the
+/// sender's token bucket to its shard (or is answered `RateLimited`
+/// on the spot), control traffic goes to the coordinator. `Err` means
+/// the coordinator is gone — shutdown.
+fn dispatch(
+    ctx: &ReaderCtx,
+    msg: ClientMsg,
+    bucket: &mut TokenBucket,
+    reply: impl FnOnce() -> ReplyTo,
+) -> Result<(), SendError<Ctrl>> {
+    let ctrl = match msg {
+        ClientMsg::Report { seq, payload } => {
+            if bucket.try_admit(ctx.now_ms()) {
+                let shed = &ctx.counters.queue_shed;
+                route_report(&ctx.shards, payload, seq, reply(), shed);
+            } else {
+                ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
+                let status = StatusCode::RateLimited;
+                send_reply(&reply(), &ReplyMsg { seq, status });
+            }
+            return Ok(());
+        }
+        ClientMsg::Hello { client_id, clients } => Ctrl::Hello { client_id, clients },
+        ClientMsg::WindowMark { client_id, up_to } => Ctrl::Mark { client_id, up_to },
+        ClientMsg::Finish { client_id, sent } => Ctrl::Finish { client_id, sent },
+    };
+    ctx.ctrl.send(ctrl)
 }
 
 /// Serves the UDP side: one message per datagram, reports answered
@@ -495,41 +502,11 @@ fn udp_reader(sock: Arc<UdpSocket>, ctx: ReaderCtx) {
         let Ok(msg) = codec::decode_client_msg(&mut body) else {
             continue;
         };
-        let forwarded = match msg {
-            ClientMsg::Report { seq, payload } => {
-                let bucket = buckets.entry(peer).or_insert_with(|| {
-                    TokenBucket::new(ctx.defense.rate_limit, ctx.defense.rate_burst)
-                });
-                if bucket.try_admit(ctx.now_ms()) {
-                    route_report(
-                        &ctx.shards,
-                        payload,
-                        seq,
-                        ReplyTo::Udp(Arc::clone(&sock), peer),
-                        &ctx.counters.queue_shed,
-                    );
-                } else {
-                    ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
-                    send_reply(
-                        &ReplyTo::Udp(Arc::clone(&sock), peer),
-                        &ReplyMsg {
-                            seq,
-                            status: StatusCode::RateLimited,
-                        },
-                    );
-                }
-                Ok(())
-            }
-            ClientMsg::Hello { client_id, clients } => {
-                ctrl_send(&ctx, Ctrl::Hello { client_id, clients })
-            }
-            ClientMsg::WindowMark { client_id, up_to } => {
-                ctrl_send(&ctx, Ctrl::Mark { client_id, up_to })
-            }
-            ClientMsg::Finish { client_id, sent } => {
-                ctrl_send(&ctx, Ctrl::Finish { client_id, sent })
-            }
-        };
+        let bucket = buckets
+            .entry(peer)
+            .or_insert_with(|| TokenBucket::new(ctx.defense.rate_limit, ctx.defense.rate_burst));
+        let reply = || ReplyTo::Udp(Arc::clone(&sock), peer);
+        let forwarded = dispatch(&ctx, msg, bucket, reply);
         if forwarded.is_err() {
             return;
         }
@@ -581,48 +558,6 @@ impl Args<'_> {
     }
 }
 
-/// The coordinator's durable state: archive writer, merge frontier,
-/// and the baseline books restored by `--resume` (all zero on a
-/// fresh serve).
-struct Books {
-    writer: ArchiveWriter,
-    /// Records landed in the archive, across incarnations — the
-    /// checkpoint cursor `--resume` truncates to.
-    archived: u64,
-    merged_below: SimTime,
-    /// Merges across incarnations (starts at the resumed count).
-    merges: u64,
-    /// Receive-side totals of the previous incarnation.
-    base: IngestStats,
-    clients: u32,
-}
-
-impl Books {
-    /// Receive-side totals right now: previous incarnation + the live
-    /// shards + the reader-side shed counters. `sent`/`lost`/
-    /// `surplus` stay zero until the roster closes — they need the
-    /// registry's final word.
-    fn compose(&self, registry: &ClientRegistry, shards: &ShardStats, c: &Counters) -> IngestStats {
-        IngestStats {
-            clients: self.clients,
-            sent: 0,
-            admitted: self.base.admitted + shards.admitted,
-            deduped: self.base.deduped + shards.deduped,
-            shed_busy: self.base.shed_busy + shards.shed_busy + c.queue_shed.load(Ordering::SeqCst),
-            rejected: self.base.rejected + shards.rejected,
-            malformed: self.base.malformed + shards.malformed,
-            late: self.base.late + shards.late,
-            unavailable: self.base.unavailable + shards.unavailable,
-            rate_limited: self.base.rate_limited + c.rate_limited.load(Ordering::SeqCst),
-            lost: 0,
-            surplus: 0,
-            evicted: self.base.evicted + registry.evicted_count(),
-            merges: self.merges,
-            protocol_errors: self.base.protocol_errors + registry.protocol_errors(),
-        }
-    }
-}
-
 /// Drains every shard below `below` (finally when `stop`), returning
 /// the merged batches plus the summed cumulative shard books.
 fn drain_shards(
@@ -647,49 +582,129 @@ fn drain_shards(
     Ok((batches, totals))
 }
 
-/// Seals everything below the registry's barrier into the archive,
-/// then rewrites the `INGEST.resume` checkpoint — append+sync first,
-/// checkpoint second, so the cursor never runs ahead of durable
-/// records. No-op while the barrier hasn't advanced.
+/// How many sealed windows the coordinator may run ahead of the disk.
+/// The bound is the backpressure: a disk slower than the network
+/// blocks the coordinator here — and through the shard FIFOs, the
+/// clients — instead of queueing unsynced windows without limit.
+const LANE_DEPTH: usize = 2;
+
+/// The coordinator's end of the durability lane: a bounded FIFO into
+/// the one thread that waits for the disk. FIFO order *is* the
+/// cursor-never-ahead rule — window k's `INGEST.resume` is written
+/// after commit k is durable and after every earlier window's — and
+/// window k's disk time overlaps window k+1's drain, merge and encode.
+struct DurabilityLane {
+    tx: SyncSender<(Commit, ServiceResume)>,
+    /// `None` once reaped after a failed `submit`.
+    thread: Option<thread::JoinHandle<Result<Duration, String>>>,
+    /// Commits the lane has completed (a statistic; publishes nothing).
+    done: Arc<AtomicU64>,
+    sent: u64,
+    max_depth: u64,
+    blocked: Duration,
+    epoch: Instant,
+}
+
+/// What the lane did, for the exit line. Wall-clock readings: stdout
+/// only, never the sidecars or the archive.
+struct LaneReport {
+    commits: u64,
+    busy: Duration,
+    max_depth: u64,
+    blocked: Duration,
+}
+
+impl DurabilityLane {
+    fn spawn(archive_dir: PathBuf, epoch: Instant) -> Self {
+        let (tx, rx) = sync_channel::<(Commit, ServiceResume)>(LANE_DEPTH); // lint:allow(P1): service shell — the bounded FIFO is the durability order and the disk's backpressure; nothing simulation-visible crosses it
+        let done = Arc::new(AtomicU64::new(0));
+        let lane_done = Arc::clone(&done);
+        // lint:allow(D3): service shell — the one thread that waits for the disk; serve joins it before the final drain
+        let thread = thread::spawn(move || {
+            let mut busy = Duration::ZERO;
+            for (commit, resume) in rx {
+                let began = epoch.elapsed();
+                resume
+                    .publish_after(commit, &archive_dir)
+                    .map_err(|e| format!("durability lane: {e}"))?;
+                busy += epoch.elapsed() - began;
+                lane_done.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(busy)
+        });
+        DurabilityLane {
+            tx,
+            thread: Some(thread),
+            done,
+            sent: 0,
+            max_depth: 0,
+            blocked: Duration::ZERO,
+            epoch,
+        }
+    }
+
+    /// Queues one sealed window, blocking while the lane is
+    /// `LANE_DEPTH` behind. Fails only when the lane stopped on an
+    /// I/O error, which becomes the error returned here.
+    fn submit(&mut self, seal: (Commit, ServiceResume)) -> Result<(), String> {
+        self.sent += 1;
+        let depth = self.sent - self.done.load(Ordering::SeqCst);
+        self.max_depth = self.max_depth.max(depth);
+        let began = self.epoch.elapsed();
+        let sent = self.tx.send(seal);
+        self.blocked += self.epoch.elapsed() - began;
+        if sent.is_ok() {
+            return Ok(());
+        }
+        // The receiver is gone, so the thread has returned its error.
+        let stopped = || "durability lane stopped".to_string();
+        Err(reap_lane(self.thread.take()).err().unwrap_or_else(stopped))
+    }
+
+    /// Closes the FIFO and waits until everything queued is durable
+    /// and checkpointed.
+    fn join(self) -> Result<LaneReport, String> {
+        drop(self.tx);
+        Ok(LaneReport {
+            busy: reap_lane(self.thread)?,
+            commits: self.done.load(Ordering::SeqCst),
+            max_depth: self.max_depth,
+            blocked: self.blocked,
+        })
+    }
+}
+
+fn reap_lane(
+    thread: Option<thread::JoinHandle<Result<Duration, String>>>,
+) -> Result<Duration, String> {
+    thread
+        .ok_or("durability lane already reaped")?
+        .join()
+        .map_err(|_| "durability lane panicked".to_string())?
+}
+
+/// Seals everything below the registry's barrier into the archive and
+/// queues the commit with its `INGEST.resume` checkpoint on the
+/// durability lane. No-op while the barrier hasn't advanced.
 fn seal_ready(
     books: &mut Books,
     registry: &ClientRegistry,
     shard_txs: &[SyncSender<ShardCmd>],
     counters: &Counters,
-    archive_dir: &Path,
+    lane: &mut DurabilityLane,
 ) -> Result<(), String> {
-    let Some(ready) = registry.ready_below() else {
+    let Some(ready) = books.seal_due(registry) else {
         return Ok(());
     };
-    if ready <= books.merged_below {
-        return Ok(());
-    }
     // Every live client flushed everything below `ready` before
     // marking, and the FIFOs preserve that order — the drains see
     // every covered report. Evicted clients are excluded from the
     // barrier: whatever they still owed reconciles as loss.
     let (batches, totals) = drain_shards(shard_txs, ready, false)?;
-    books.merged_below = ready;
-    books.merges += 1;
-    let merged = merge_sorted(batches);
-    for r in &merged {
-        books
-            .writer
-            .append(r)
-            .map_err(|e| format!("archive append: {e}"))?;
-    }
-    books.archived += merged.len() as u64;
-    books
-        .writer
-        .sync()
-        .map_err(|e| format!("archive sync: {e}"))?;
-    let resume = ServiceResume {
-        archived: books.archived,
-        merged_below_ms: books.merged_below.as_millis(),
-        stats: books.compose(registry, &totals, counters),
-    };
-    write_service_resume(archive_dir, &resume).map_err(|e| format!("write resume sidecar: {e}"))?;
-    Ok(())
+    let seal = books
+        .seal_window(ready, batches, registry, &totals, counters.sheds())
+        .map_err(|e| format!("archive append: {e}"))?;
+    lane.submit(seal)
 }
 
 fn serve(args: &Args) -> Result<(), String> {
@@ -728,43 +743,23 @@ fn serve(args: &Args) -> Result<(), String> {
 
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let archive_dir = dir.join("archive");
-    let (writer, archived, base, frontier) = if resuming {
+    let archive_cfg = params.durable_config().archive;
+    let mut books = if resuming {
         // Crash-resume: reopen the archive at the checkpoint cursor
         // (truncating any torn tail past it) and restore the merge
         // frontier, so already-archived reports shed as `Late` when
         // the drill re-offers them.
-        let resume = read_service_resume(&archive_dir)
-            .map_err(|e| format!("read resume sidecar: {e}"))?
-            .unwrap_or(ServiceResume {
-                archived: 0,
-                merged_below_ms: 0,
-                stats: IngestStats::default(),
-            });
-        let writer = ArchiveWriter::resume(
-            &archive_dir,
-            params.durable_config().archive,
-            resume.archived,
-        )
-        .map_err(|e| format!("resume archive: {e}"))?;
-        let frontier = SimTime::from_millis(resume.merged_below_ms);
-        (writer, resume.archived, resume.stats, frontier)
+        Books::resume(&archive_dir, archive_cfg, clients)
+            .map_err(|e| format!("resume archive: {e}"))?
     } else {
         // The run directory is replay-compatible: study.cfg first, so
         // a killed drill still identifies its parameters.
         atomic_write(&cfg_path(&dir), params.render().as_bytes())
             .map_err(|e| format!("write study.cfg: {e}"))?;
-        let writer = ArchiveWriter::create(&archive_dir, params.durable_config().archive)
-            .map_err(|e| format!("create archive: {e}"))?;
-        (writer, 0, IngestStats::default(), SimTime::ORIGIN)
+        Books::create(&archive_dir, archive_cfg, clients)
+            .map_err(|e| format!("create archive: {e}"))?
     };
-    let mut books = Books {
-        writer,
-        archived,
-        merged_below: frontier,
-        merges: base.merges,
-        base,
-        clients,
-    };
+    let frontier = books.merged_below();
 
     // One owner thread per shard behind a bounded FIFO. On resume
     // every shard starts at the restored frontier: re-received
@@ -808,8 +803,8 @@ fn serve(args: &Args) -> Result<(), String> {
         if resuming {
             format!(
                 ", resumed at {} archived record(s), frontier {} ms",
-                books.archived,
-                books.merged_below.as_millis()
+                books.archived(),
+                frontier.as_millis()
             )
         } else {
             String::new()
@@ -860,6 +855,7 @@ fn serve(args: &Args) -> Result<(), String> {
     // ticks instead of blocking, so a vanished client or a drain
     // signal degrades the run instead of wedging it.
     let mut registry = ClientRegistry::new(clients);
+    let mut lane = DurabilityLane::spawn(archive_dir.clone(), epoch);
     let now_ms = || epoch.elapsed().as_millis() as u64;
     let mut drained_on_signal = false;
     while !registry.all_finished() {
@@ -886,7 +882,7 @@ fn serve(args: &Args) -> Result<(), String> {
             Ok(Ctrl::Mark { client_id, up_to }) => {
                 registry.touch(client_id, now_ms());
                 registry.mark(client_id, up_to);
-                seal_ready(&mut books, &registry, &shard_txs, &counters, &archive_dir)?;
+                seal_ready(&mut books, &registry, &shard_txs, &counters, &mut lane)?;
             }
             Err(RecvTimeoutError::Timeout) => {
                 // The barrier deadline: a client silent past it is
@@ -898,7 +894,7 @@ fn serve(args: &Args) -> Result<(), String> {
                         "magellan-traced: evicted {evicted} client(s) silent past the \
                          {barrier_timeout_ms} ms barrier deadline; sealing a partial window"
                     );
-                    seal_ready(&mut books, &registry, &shard_txs, &counters, &archive_dir)?;
+                    seal_ready(&mut books, &registry, &shard_txs, &counters, &mut lane)?;
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
@@ -907,32 +903,14 @@ fn serve(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Final drain: stop every shard, merge the tail, close the books.
+    // Every sealed window must be durable and checkpointed before the
+    // archive's last commit: join the lane, then stop every shard,
+    // merge the tail and close the books.
+    let lane = lane.join()?;
     let (batches, totals) = drain_shards(&shard_txs, window_end, true)?;
-    let final_batch = merge_sorted(batches);
-    if !final_batch.is_empty() {
-        books.merges += 1;
-    }
-    for r in &final_batch {
-        books
-            .writer
-            .append(r)
-            .map_err(|e| format!("archive append: {e}"))?;
-    }
-    let sent = registry.total_sent();
-    let mut stats = books.compose(&registry, &totals, &counters);
-    let summary = books
-        .writer
-        .finish()
-        .map_err(|e| format!("archive finish: {e}"))?;
-    stats.sent = sent;
-    // Net reconciliation: datagrams the clients sent that never
-    // classified are `lost`; classifications beyond what this
-    // incarnation's clients sent (chaos duplicates, evicted clients'
-    // traffic, crash-resume re-receives) are `surplus`.
-    stats.lost = sent.saturating_sub(stats.received());
-    stats.surplus = stats.received().saturating_sub(sent);
-    write_ingest_stats(&archive_dir, &stats).map_err(|e| format!("write sidecar: {e}"))?;
+    let (summary, stats) = books
+        .close(batches, &registry, &totals, counters.sheds())
+        .map_err(|e| format!("close the books: {e}"))?;
     println!(
         "magellan-traced: archived {} report(s) in {} sealed segment(s)",
         summary.records, summary.sealed_segments
@@ -942,6 +920,13 @@ fn serve(args: &Args) -> Result<(), String> {
         counters.reaped.load(Ordering::SeqCst),
         counters.refused.load(Ordering::SeqCst),
         if drained_on_signal { "yes" } else { "no" },
+    );
+    println!(
+        "magellan-traced: durability lane commits {} busy_ms {} max_depth {} coordinator_blocked_ms {}",
+        lane.commits,
+        lane.busy.as_millis(),
+        lane.max_depth,
+        lane.blocked.as_millis(),
     );
     print!("{}", stats.render());
     if !stats.balanced() {

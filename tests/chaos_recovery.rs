@@ -17,6 +17,7 @@
 //!    uninterrupted run, re-receives reconciling as `Late`/`surplus`
 //!    rather than duplicate archive records.
 
+use magellan::trace::service::{read_ingest_stats, read_service_resume};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -324,6 +325,37 @@ fn sigterm_drains_seals_and_exits_zero() {
             serve_out.contains("balanced yes"),
             "[{shards} shards] drain broke the balance identity:\n{serve_out}"
         );
+        // The durability lane was joined, not abandoned: the
+        // checkpoint on disk is the last sealed window's — one merge
+        // behind the closed books exactly when the final drain still
+        // had something to land — and vouches for no record the
+        // archive does not hold.
+        let archive = traced.join("archive");
+        let resume = read_service_resume(&archive)
+            .expect("read INGEST.resume")
+            .expect("INGEST.resume parses");
+        let closed = read_ingest_stats(&archive)
+            .expect("read INGEST")
+            .expect("INGEST parses");
+        let final_batch = closed.merges - resume.stats.merges;
+        assert!(
+            final_batch <= 1,
+            "[{shards} shards] checkpoint is {final_batch} merges behind the books:\n{serve_out}"
+        );
+        let archived: u64 = serve_out
+            .lines()
+            .find_map(|l| l.strip_prefix("magellan-traced: archived "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|w| w.parse().ok())
+            .expect("archived count in serve output");
+        assert!(
+            resume.archived <= archived,
+            "[{shards} shards] cursor {} ahead of {archived} archived records",
+            resume.archived
+        );
+        if final_batch == 0 {
+            assert_eq!(resume.archived, archived);
+        }
         // The partial archive is a valid run: replay must work.
         let replay = replay_filtered(&traced);
         assert!(

@@ -150,6 +150,24 @@ fn multi_process_drill_matches_in_process_study() {
         serve_out.lines().any(|l| l == "lost 0"),
         "TCP drill lost reports:\n{serve_out}"
     );
+    // Every window sealed before the final drain went through the
+    // durability lane, and the lane says so on stdout.
+    let lane: Vec<&str> = serve_out
+        .lines()
+        .find_map(|l| l.strip_prefix("magellan-traced: durability lane "))
+        .expect("durability lane line in serve output")
+        .split_whitespace()
+        .collect();
+    assert_eq!(
+        (lane[0], lane[2], lane[4], lane[6]),
+        ("commits", "busy_ms", "max_depth", "coordinator_blocked_ms"),
+        "lane line changed shape:\n{serve_out}"
+    );
+    let commits: u64 = lane[1].parse().expect("commit count");
+    assert!(
+        commits > 0 && commits + 1 >= stat(&serve_out, "merges"),
+        "{commits} lane commits for the windows sealed:\n{serve_out}"
+    );
 
     assert_eq!(
         replay_filtered(&inproc),
