@@ -5,10 +5,11 @@
 //! maintaining just enough state to reconstruct snapshots at sampling
 //! boundaries: the last two reports of each recently-seen peer (the
 //! paper's trace server kept 120 GB; we keep a rolling window). At
-//! every sample instant it selects the stable-peer set, builds the
-//! active-link topology once, and appends one point to each figure's
-//! series — every boundary is measured from scratch, at a cost
-//! proportional to its own snapshot (DESIGN.md §10).
+//! every sample instant it freezes the stable-peer set; the frozen
+//! boundaries are measured side by side on the worker pool — each from
+//! scratch, at a cost proportional to its own snapshot, with one
+//! active-link topology build — and their points are appended to each
+//! figure's series in boundary order (DESIGN.md §10).
 
 use crate::figures::{DegreeSnapshot, PartialSample, StudyReport};
 use crate::graphs::{
@@ -28,8 +29,9 @@ use magellan_netsim::{
 };
 use magellan_overlay::{OverlaySim, SimConfig};
 use magellan_trace::PeerReport;
-use magellan_workload::{FaultPlan, Scenario};
+use magellan_workload::{ChannelId, FaultPlan, Scenario};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Configuration of one study run.
 #[derive(Debug, Clone)]
@@ -182,21 +184,22 @@ impl MagellanStudy {
 
 /// The last two reports of one peer (two suffice: sampling lags the
 /// stream by at most one simulator tick, which is shorter than the
-/// 10-minute report interval).
+/// 10-minute report interval). Shared, so a finalized boundary's
+/// stable set is a list of refcount bumps rather than report copies.
 #[derive(Debug, Clone)]
 struct RecentPair {
-    newer: PeerReport,
-    older: Option<PeerReport>,
+    newer: Arc<PeerReport>,
+    older: Option<Arc<PeerReport>>,
 }
 
 impl RecentPair {
-    fn push(&mut self, r: PeerReport) {
+    fn push(&mut self, r: Arc<PeerReport>) {
         let old = std::mem::replace(&mut self.newer, r);
         self.older = Some(old);
     }
 
     /// The freshest report with `time <= at` and `time > at - horizon`.
-    fn select(&self, at: SimTime, horizon: SimDuration) -> Option<&PeerReport> {
+    fn select(&self, at: SimTime, horizon: SimDuration) -> Option<&Arc<PeerReport>> {
         let floor = at - horizon;
         if self.newer.time <= at && self.newer.time > floor {
             return Some(&self.newer);
@@ -210,11 +213,73 @@ impl RecentPair {
 
 /// A sampling boundary: either a periodic sample, a Fig. 4 capture,
 /// or both.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Boundary {
     time: SimTime,
     sample: bool,
     capture: Option<usize>,
+}
+
+/// A finalized boundary waiting to be measured: everything its
+/// figures depend on, frozen when the stream passed it.
+struct Pending {
+    boundary: Boundary,
+    /// Fraction of the staleness horizon with the collection server up.
+    coverage: f64,
+    /// One report per stable peer, in address order.
+    stable: Vec<Arc<PeerReport>>,
+}
+
+impl Pending {
+    /// A periodic sample whose horizon a server outage ate into: the
+    /// stable set is a known undercount, so the figures record the
+    /// hole instead of averaging over it.
+    fn is_partial(&self) -> bool {
+        self.boundary.sample && self.coverage < 1.0
+    }
+}
+
+/// What one boundary measured: every value its figures need, computed
+/// from its [`Pending`] alone.
+struct Measured {
+    /// The periodic sample; `None` at a capture-only or partial
+    /// boundary.
+    sample: Option<SampleValues>,
+    /// The Fig. 4 capture, when the boundary is one.
+    capture: Option<DegreeSnapshot>,
+}
+
+/// One full-coverage periodic sample.
+struct SampleValues {
+    /// Stable reporters (Fig. 1a).
+    stable: usize,
+    /// Distinct addresses visible: reporters and all their partners.
+    known: usize,
+    /// The known population per ISP, by [`Isp::index`] (Fig. 2).
+    isp_counts: [u64; 7],
+    /// `(viewers, satisfied viewers)` of CCTV1, then CCTV4 (Fig. 3).
+    quality: [(usize, usize); 2],
+    /// Figs. 5/6; `None` for an empty stable set.
+    degrees: Option<DegreeValues>,
+    /// Figs. 7/8; `None` below `min_graph_nodes`.
+    graph: Option<GraphValues>,
+}
+
+/// Fig. 5's summed degree triple and Fig. 6's three fractions.
+struct DegreeValues {
+    /// Summed (partners, active indegree, active outdegree).
+    sums: (usize, usize, usize),
+    intra_in: f64,
+    intra_out: f64,
+    pool: f64,
+}
+
+/// Fig. 7A, Fig. 7B (when the panel ISP is large enough), and Fig. 8's
+/// four values in series order: all, weighted, intra, inter.
+struct GraphValues {
+    global: SmallWorldReport,
+    isp: Option<SmallWorldReport>,
+    fig8: [Option<f64>; 4],
 }
 
 pub(crate) struct Accumulator {
@@ -230,20 +295,22 @@ pub(crate) struct Accumulator {
     session_runs: BTreeMap<PeerAddr, (SimTime, SimTime, u32)>,
     /// Observed lengths (minutes) of completed report runs.
     finished_sessions_mins: Vec<f64>,
+    /// Finalized boundaries not yet measured, in boundary order.
+    pending: Vec<Pending>,
+    /// How many boundaries are measured side by side: the pool's
+    /// width, so one lane measures each boundary as it is finalized.
+    lanes: usize,
     sampler: Sampler,
 }
 
-/// What a boundary's samples write to, held apart from the rolling
-/// window they read so the stable set can stay borrowed from `recent`
-/// while the figures grow.
+/// The figures boundaries write to, plus the read-only context their
+/// measurement needs. Held apart from the rolling window so queued
+/// boundaries can be measured while the stream moves on.
 struct Sampler {
     cfg: StudyConfig,
     db: IspDatabase,
     isp_share_sums: [f64; 7],
     isp_share_samples: u64,
-    /// Scratch for the known-population count, reused across
-    /// boundaries.
-    known: Vec<PeerAddr>,
     report: StudyReport,
 }
 
@@ -315,12 +382,13 @@ impl Accumulator {
             day_stable_ips: vec![HashSet::new(); days],
             session_runs: BTreeMap::new(),
             finished_sessions_mins: Vec::new(),
+            pending: Vec::new(),
+            lanes: magellan_par::effective_workers_grained(usize::MAX, 1).max(1),
             sampler: Sampler {
                 cfg: cfg.clone(),
                 db,
                 isp_share_sums: [0.0; 7],
                 isp_share_samples: 0,
-                known: Vec::new(),
                 report,
             },
         }
@@ -342,8 +410,7 @@ impl Accumulator {
         while self.next_boundary < self.boundaries.len()
             && r.time >= self.boundaries[self.next_boundary].time + safe_margin
         {
-            let b = self.boundaries[self.next_boundary].clone();
-            self.finalize_boundary(&b);
+            self.finalize_boundary(self.boundaries[self.next_boundary]);
             self.next_boundary += 1;
         }
 
@@ -377,10 +444,11 @@ impl Accumulator {
         }
 
         // Rolling two-report window.
-        match self.recent.get_mut(&r.addr) {
+        let addr = r.addr;
+        let r = Arc::new(r);
+        match self.recent.get_mut(&addr) {
             Some(pair) => pair.push(r),
             None => {
-                let addr = r.addr;
                 self.recent.insert(
                     addr,
                     RecentPair {
@@ -393,12 +461,13 @@ impl Accumulator {
     }
 
     pub(crate) fn finish(mut self) -> StudyReport {
-        // Remaining boundaries (the stream ended).
+        // Remaining boundaries (the stream ended), then whatever is
+        // still queued.
         while self.next_boundary < self.boundaries.len() {
-            let b = self.boundaries[self.next_boundary].clone();
-            self.finalize_boundary(&b);
+            self.finalize_boundary(self.boundaries[self.next_boundary]);
             self.next_boundary += 1;
         }
+        self.flush();
         let mut report = self.sampler.report;
         // Fig. 1B.
         report.fig1b.total = self
@@ -442,137 +511,218 @@ impl Accumulator {
         report
     }
 
-    fn finalize_boundary(&mut self, b: &Boundary) {
+    /// Freezes boundary `b` into the measurement queue and measures
+    /// the queue once it holds one boundary per lane.
+    fn finalize_boundary(&mut self, b: Boundary) {
         let at = b.time;
         // Prune peers whose newest report fell out of the horizon —
         // they cannot matter for this or any later boundary.
         let floor = at - self.staleness;
         self.recent.retain(|_, pair| pair.newer.time > floor); // lint:allow(H3): horizon pruning walks the rolling window once per boundary, not per tick
 
-        // The stable set at `at`, borrowed from the rolling window: one
+        // The stable set at `at`, shared with the rolling window: one
         // report per peer, in address order (the map's).
-        let stable: Vec<&PeerReport> = self
+        let staleness = self.staleness;
+        let stable: Vec<Arc<PeerReport>> = self
             .recent
             .values()
-            .filter_map(|pair| pair.select(at, self.staleness))
-            .collect(); // lint:allow(H2): one Vec of references to the stable set per boundary
+            .filter_map(|pair| pair.select(at, staleness))
+            .map(Arc::clone)
+            .collect(); // lint:allow(H2): one Vec of refcount bumps per boundary
 
         // Fraction of this boundary's horizon with the collection
         // server up. Derived from the configured outage schedule — not
         // from the report stream — so the live and replay paths mark
         // the same boundaries partial and stay byte-identical.
-        let sampler = &mut self.sampler;
         let coverage = uncovered_fraction(
-            &sampler.cfg.faults.server_outages,
+            &self.sampler.cfg.faults.server_outages,
             floor + SimDuration::from_millis(1),
             at + SimDuration::from_millis(1),
         );
-        if b.sample {
-            if coverage < 1.0 {
-                // A server outage ate into this horizon: the stable
-                // set is a known undercount. Record the hole instead
-                // of averaging over it.
-                sampler
-                    .report
-                    .partial_samples
-                    .push(PartialSample { time: at, coverage });
-            } else {
-                sampler.sample_population(at, &stable);
-                sampler.sample_quality(at, &stable);
-                sampler.sample_degrees(at, &stable);
-                sampler.sample_graph_metrics(at, &stable);
-            }
+        self.pending.push(Pending {
+            boundary: b,
+            coverage,
+            stable,
+        });
+        if self.pending.len() >= self.lanes {
+            self.flush();
         }
-        if let Some(ci) = b.capture {
-            sampler.capture_degree_distribution(ci, at, coverage, &stable);
+    }
+
+    /// Measures the queued boundaries side by side, then applies them
+    /// in boundary order. Each measurement is a pure function of its
+    /// [`Pending`], and every write to the figures — the series pushes
+    /// and the Fig. 2 float fold — happens in `apply`, one boundary
+    /// after another, so the report is bit-identical for every lane
+    /// count (DESIGN.md §10).
+    fn flush(&mut self) {
+        let (pending, sampler) = (&self.pending, &self.sampler);
+        let measured = magellan_par::par_map_collect_grained(pending.len(), 1, |i| {
+            sampler.measure(&pending[i])
+        });
+        for (p, m) in self.pending.drain(..).zip(measured) {
+            self.sampler.apply(&p, m);
         }
     }
 }
 
 impl Sampler {
-    fn sample_population(&mut self, at: SimTime, stable: &[&PeerReport]) {
-        // Every address visible at this instant: reporters and all of
-        // their partners, active or not.
-        let known = &mut self.known;
-        known.clear();
+    /// Everything boundary `p`'s figures need. Reads the
+    /// configuration, the ISP database and `p` — nothing another
+    /// boundary's measurement or [`Sampler::apply`] writes.
+    fn measure(&self, p: &Pending) -> Measured {
+        let (at, stable) = (p.boundary.time, p.stable.as_slice());
+        let sample = (p.boundary.sample && !p.is_partial()).then(|| {
+            let (known, isp_counts) = self.population(stable);
+            SampleValues {
+                stable: stable.len(),
+                known,
+                isp_counts,
+                quality: [
+                    self.quality(stable, ChannelId::CCTV1),
+                    self.quality(stable, ChannelId::CCTV4),
+                ],
+                degrees: (!stable.is_empty()).then(|| self.degrees(stable)),
+                graph: (stable.len() >= self.cfg.min_graph_nodes)
+                    .then(|| self.graph_metrics(stable)),
+            }
+        });
+        let capture = p
+            .boundary
+            .capture
+            .map(|ci| self.degree_snapshot(ci, at, p.coverage, stable));
+        Measured { sample, capture }
+    }
+
+    /// Writes boundary `p`'s measurement into the figures, in the
+    /// order the boundaries were finalized — the one place a boundary
+    /// touches state another boundary also writes.
+    fn apply(&mut self, p: &Pending, m: Measured) {
+        let at = p.boundary.time;
+        let report = &mut self.report;
+        if p.is_partial() {
+            report.partial_samples.push(PartialSample {
+                time: at,
+                coverage: p.coverage,
+            });
+        }
+        if let Some(s) = m.sample {
+            report.fig1a.stable.push(at, s.stable as f64);
+            report.fig1a.total.push(at, s.known as f64);
+            if s.known > 0 {
+                for isp in Isp::ALL {
+                    self.isp_share_sums[isp.index()] +=
+                        s.isp_counts[isp.index()] as f64 / s.known as f64;
+                }
+                self.isp_share_samples += 1;
+            }
+            let fig3 = &mut report.fig3;
+            for ((viewers, good), series, viewer_series) in [
+                (s.quality[0], &mut fig3.cctv1, &mut fig3.cctv1_viewers),
+                (s.quality[1], &mut fig3.cctv4, &mut fig3.cctv4_viewers),
+            ] {
+                viewer_series.push(at, viewers as f64);
+                if viewers > 0 {
+                    series.push(at, good as f64 / viewers as f64);
+                }
+            }
+            if let Some(d) = s.degrees {
+                let n = s.stable as f64;
+                report.fig5.partners.push(at, d.sums.0 as f64 / n);
+                report.fig5.indegree.push(at, d.sums.1 as f64 / n);
+                report.fig5.outdegree.push(at, d.sums.2 as f64 / n);
+                report.fig6.indegree.push(at, d.intra_in);
+                report.fig6.outdegree.push(at, d.intra_out);
+                report.fig6.pool.push(at, d.pool);
+            }
+            if let Some(g) = s.graph {
+                for (sw, r) in [
+                    (&mut report.fig7.global, Some(g.global)),
+                    (&mut report.fig7.isp, g.isp),
+                ] {
+                    if let Some(SmallWorldReport {
+                        c,
+                        c_rand,
+                        l: Some(l),
+                        l_rand: Some(l_rand),
+                        ..
+                    }) = r
+                    {
+                        sw.c.push(at, c);
+                        sw.c_rand.push(at, c_rand);
+                        sw.l.push(at, l);
+                        sw.l_rand.push(at, l_rand);
+                    }
+                }
+                // Same order as `graph_metrics` returned the values.
+                let fig8_series = [
+                    &mut report.fig8.all,
+                    &mut report.fig8.weighted,
+                    &mut report.fig8.intra,
+                    &mut report.fig8.inter,
+                ];
+                for (series, value) in fig8_series.into_iter().zip(g.fig8) {
+                    if let Some(v) = value {
+                        series.push(at, v);
+                    }
+                }
+            }
+        }
+        if let Some(snapshot) = m.capture {
+            report.fig4.snapshots.push(snapshot);
+        }
+    }
+
+    /// Figs. 1a/2: every address visible at the boundary — reporters
+    /// and all of their partners, active or not — counted once, and
+    /// that population split by ISP.
+    fn population(&self, stable: &[Arc<PeerReport>]) -> (usize, [u64; 7]) {
+        let mut known: Vec<PeerAddr> =
+            Vec::with_capacity(stable.iter().map(|r| 1 + r.partners.len()).sum::<usize>());
         for r in stable {
             known.push(r.addr);
             known.extend(r.partners.iter().map(|p| p.addr));
         }
         known.sort_unstable();
         known.dedup();
-        self.report.fig1a.stable.push(at, stable.len() as f64);
-        self.report.fig1a.total.push(at, known.len() as f64);
-        // Fig. 2 accumulation over the known population.
-        if !known.is_empty() {
-            let mut counts = [0u64; 7];
-            for addr in known.iter() {
-                counts[self.db.lookup(*addr).index()] += 1;
-            }
-            for isp in Isp::ALL {
-                self.isp_share_sums[isp.index()] += counts[isp.index()] as f64 / known.len() as f64;
-            }
-            self.isp_share_samples += 1;
+        let mut counts = [0u64; 7];
+        for addr in &known {
+            counts[self.db.lookup(*addr).index()] += 1;
         }
+        (known.len(), counts)
     }
 
-    fn sample_quality(&mut self, at: SimTime, stable: &[&PeerReport]) {
-        use magellan_workload::ChannelId;
-        for (channel, series, viewer_series) in [
-            (
-                ChannelId::CCTV1,
-                &mut self.report.fig3.cctv1,
-                &mut self.report.fig3.cctv1_viewers,
-            ),
-            (
-                ChannelId::CCTV4,
-                &mut self.report.fig3.cctv4,
-                &mut self.report.fig3.cctv4_viewers,
-            ),
-        ] {
-            let (mut viewers, mut good) = (0usize, 0usize);
-            for r in stable.iter().filter(|r| r.channel == channel) {
-                viewers += 1;
-                good += usize::from(r.achieves_rate(400.0, self.cfg.quality_fraction));
-            }
-            viewer_series.push(at, viewers as f64);
-            if viewers > 0 {
-                series.push(at, good as f64 / viewers as f64);
-            }
+    /// Fig. 3: `(viewers, satisfied viewers)` of one channel.
+    fn quality(&self, stable: &[Arc<PeerReport>], channel: ChannelId) -> (usize, usize) {
+        let (mut viewers, mut good) = (0usize, 0usize);
+        for r in stable.iter().filter(|r| r.channel == channel) {
+            viewers += 1;
+            good += usize::from(r.achieves_rate(400.0, self.cfg.quality_fraction));
         }
+        (viewers, good)
     }
 
-    fn sample_degrees(&mut self, at: SimTime, stable: &[&PeerReport]) {
-        if stable.is_empty() {
-            return;
-        }
-        let mut sp = 0usize;
-        let mut si = 0usize;
-        let mut so = 0usize;
+    /// Figs. 5/6 over a non-empty stable set.
+    fn degrees(&self, stable: &[Arc<PeerReport>]) -> DegreeValues {
+        let mut sums = (0usize, 0usize, 0usize);
         for r in stable {
             let (p, i, o) = crate::classify::degree_triple(r);
-            sp += p;
-            si += i;
-            so += o;
+            sums.0 += p;
+            sums.1 += i;
+            sums.2 += o;
         }
-        let n = stable.len() as f64;
-        self.report.fig5.partners.push(at, sp as f64 / n);
-        self.report.fig5.indegree.push(at, si as f64 / n);
-        self.report.fig5.outdegree.push(at, so as f64 / n);
-        // Fig. 6.
-        let (fin, fout) = intra_isp_degree_fractions(stable.iter().copied(), &self.db);
-        self.report.fig6.indegree.push(at, fin);
-        self.report.fig6.outdegree.push(at, fout);
-        self.report.fig6.pool.push(
-            at,
-            intra_isp_pool_fraction(stable.iter().copied(), &self.db),
-        );
+        let (intra_in, intra_out) =
+            intra_isp_degree_fractions(stable.iter().map(Arc::as_ref), &self.db);
+        DegreeValues {
+            sums,
+            intra_in,
+            intra_out,
+            pool: intra_isp_pool_fraction(stable.iter().map(Arc::as_ref), &self.db),
+        }
     }
 
-    fn sample_graph_metrics(&mut self, at: SimTime, stable: &[&PeerReport]) {
-        if stable.len() < self.cfg.min_graph_nodes {
-            return;
-        }
+    /// Figs. 7/8 over a stable set of at least `min_graph_nodes`.
+    fn graph_metrics(&self, stable: &[Arc<PeerReport>]) -> GraphValues {
         let sw_cfg = |n: usize| SmallWorldConfig {
             // Exact metrics below 1500 nodes; sampled above.
             path_sampling: if n <= 1500 {
@@ -590,12 +740,12 @@ impl Sampler {
         // One build of the all-known topology serves both figures: the
         // stable-peer graph of Fig. 7 is its prefix (reporters are
         // interned first, one per stable report), and the ISP panels
-        // of Figs. 7B and 8B read one per-node ISP vector. Construction
-        // allocates and stays sequential; the metric kernels below run
-        // over the shared flat views and fan out.
-        let full = active_link_graph(stable.iter().copied(), NodeScope::AllKnown);
-        let isps = node_isps(&full, &self.db);
-        let full = Csr::from_digraph(&full);
+        // of Figs. 7B and 8B read one per-node ISP vector. The keyed
+        // build is dropped once flattened, before the kernels allocate.
+        let (full, isps) = {
+            let g = active_link_graph(stable.iter().map(Arc::as_ref), NodeScope::AllKnown);
+            (Csr::from_digraph(&g), node_isps(&g, &self.db))
+        };
         let stable_graph = full.induced(|id| id.index() < stable.len());
 
         let isp_panel = self.cfg.isp_panel;
@@ -604,13 +754,8 @@ impl Sampler {
         // Fig. 7 (small-world) and Fig. 8 (reciprocity) read disjoint
         // graphs, so the two metric sets compute concurrently via
         // `magellan_par::join`. Both closures are pure functions of
-        // their graphs; the results come back as an ordered pair and
-        // the series pushes below happen in the same fixed order as
-        // the sequential schedule, so the report is byte-identical for
-        // every thread count.
-        type Fig7 = (SmallWorldReport, Option<SmallWorldReport>);
-        type Fig8 = [Option<f64>; 4];
-        let (fig7, fig8): (Fig7, Fig8) = magellan_par::join(
+        // their graphs and come back as an ordered pair.
+        let ((global, isp), fig8) = magellan_par::join(
             || {
                 // Fig. 7A: stable-peer graph; 7B: one ISP's subgraph.
                 let global = assess_csr(&stable_graph, &sw_cfg(stable_graph.node_count()));
@@ -632,43 +777,17 @@ impl Sampler {
                 ]
             },
         );
-
-        let (global, isp) = fig7;
-        if let (Some(l), Some(lr)) = (global.l, global.l_rand) {
-            self.report.fig7.global.c.push(at, global.c);
-            self.report.fig7.global.c_rand.push(at, global.c_rand);
-            self.report.fig7.global.l.push(at, l);
-            self.report.fig7.global.l_rand.push(at, lr);
-        }
-        if let Some(r) = isp {
-            if let (Some(l), Some(lr)) = (r.l, r.l_rand) {
-                self.report.fig7.isp.c.push(at, r.c);
-                self.report.fig7.isp.c_rand.push(at, r.c_rand);
-                self.report.fig7.isp.l.push(at, l);
-                self.report.fig7.isp.l_rand.push(at, lr);
-            }
-        }
-        // Same order as the Fig. 8 closure returned its values.
-        let fig8_series = [
-            &mut self.report.fig8.all,
-            &mut self.report.fig8.weighted,
-            &mut self.report.fig8.intra,
-            &mut self.report.fig8.inter,
-        ];
-        for (series, value) in fig8_series.into_iter().zip(fig8) {
-            if let Some(v) = value {
-                series.push(at, v);
-            }
-        }
+        GraphValues { global, isp, fig8 }
     }
 
-    fn capture_degree_distribution(
-        &mut self,
+    /// Fig. 4: the degree distributions at capture `ci`.
+    fn degree_snapshot(
+        &self,
         ci: usize,
         at: SimTime,
         coverage: f64,
-        stable: &[&PeerReport],
-    ) {
+        stable: &[Arc<PeerReport>],
+    ) -> DegreeSnapshot {
         let label = self.cfg.degree_captures[ci].0.clone(); // lint:allow(H2): one label clone per configured degree capture (a handful per run)
         let mut partners = DegreeHistogram::new();
         let mut indegree = DegreeHistogram::new();
@@ -681,7 +800,7 @@ impl Sampler {
         }
         let samples = partners.to_samples();
         let partner_powerlaw = powerlaw::assess(&samples).ok();
-        self.report.fig4.snapshots.push(DegreeSnapshot {
+        DegreeSnapshot {
             label,
             time: at,
             coverage,
@@ -689,7 +808,7 @@ impl Sampler {
             indegree,
             outdegree,
             partner_powerlaw,
-        });
+        }
     }
 }
 
@@ -822,6 +941,41 @@ mod tests {
     }
 
     #[test]
+    fn stream_ending_mid_batch_measures_every_remaining_boundary() {
+        // Four lanes, and a stream cut off mid-window while the queue
+        // holds part of a batch: `finish` must finalize the boundaries
+        // the stream never reached, measure the whole tail, and yield
+        // exactly the one-lane report.
+        let cfg = quick_config();
+        let mut sim = OverlaySim::new(cfg.scenario(), cfg.sim.clone());
+        let db = sim.isp_database().clone();
+        let mut reports = Vec::new();
+        sim.run(|r| reports.push(r)).expect("run succeeds");
+        reports.retain(|r| r.time < SimTime::at(1, 5, 0));
+        let report_at = |lanes: usize| {
+            let mut acc = Accumulator::new(&cfg, db.clone());
+            acc.lanes = lanes;
+            for r in &reports {
+                acc.ingest(r.clone());
+            }
+            if lanes > 1 {
+                assert!(!acc.pending.is_empty(), "the cut must fall mid-batch");
+                assert!(acc.next_boundary < acc.boundaries.len());
+            }
+            let samples = acc.boundaries.iter().filter(|b| b.sample).count();
+            let report = acc.finish();
+            assert_eq!(
+                report.fig1a.stable.len(),
+                samples,
+                "a sample went unmeasured"
+            );
+            assert_eq!(report.fig4.snapshots.len(), 2, "a capture went unmeasured");
+            format!("{report:?}")
+        };
+        assert_eq!(report_at(4), report_at(1));
+    }
+
+    #[test]
     fn boundaries_merge_samples_and_captures() {
         let cfg = quick_config();
         let db = IspDatabase::default();
@@ -882,10 +1036,10 @@ mod tests {
             partners: vec![],
         };
         let mut pair = RecentPair {
-            newer: mk(20),
+            newer: Arc::new(mk(20)),
             older: None,
         };
-        pair.push(mk(30));
+        pair.push(Arc::new(mk(30)));
         let horizon = SimDuration::from_mins(15);
         // At t=25 the newer (t=30) is in the future; fall back to 20.
         let sel = pair

@@ -209,9 +209,10 @@ fn render(config: &Config, entries: &[(PathBuf, FileStamp, FileSummary)]) -> Str
             ));
             for c in &f.calls {
                 out.push_str(&format!(
-                    "C {} {} {}\n",
+                    "C {} {} {} {}\n",
                     c.line,
                     u8::from(c.method),
+                    u8::from(c.on_self),
                     c.path.join("::")
                 ));
             }
@@ -404,9 +405,9 @@ fn parse(text: &str, config: &Config) -> BTreeMap<PathBuf, (FileStamp, FileSumma
                 });
             }
             "C" => {
-                let mut parts = rest.splitn(3, ' ');
-                let (Some(line_no), Some(method), Some(path)) =
-                    (parts.next(), parts.next(), parts.next())
+                let mut parts = rest.splitn(4, ' ');
+                let (Some(line_no), Some(method), Some(on_self), Some(path)) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
                 else {
                     current = None;
                     continue;
@@ -419,6 +420,7 @@ fn parse(text: &str, config: &Config) -> BTreeMap<PathBuf, (FileStamp, FileSumma
                 f.calls.push(CallSite {
                     line: line_no,
                     method: method == "1",
+                    on_self: on_self == "1",
                     path: path.split("::").map(str::to_owned).collect(),
                 });
             }

@@ -41,6 +41,11 @@ pub struct CallSite {
     pub line: usize,
     /// Whether the call is a method call (`receiver.name(...)`).
     pub method: bool,
+    /// Whether the method's receiver is `self` itself (`self.name(..)`,
+    /// not `self.field.name(..)`): the callee is then a method of the
+    /// caller's own type, which lets resolution stay in the caller's
+    /// crate (see [`crate::reach`]).
+    pub on_self: bool,
     /// Path segments as written (`["magellan_graph", "random",
     /// "watts_strogatz"]`, or just `["helper"]` for a bare call).
     pub path: Vec<String>,
@@ -372,9 +377,19 @@ fn collect_calls(line: &str, lineno: usize, out: &mut Vec<CallSite>) {
         out.push(CallSite {
             line: lineno,
             method,
+            on_self: method && is_self_receiver(&line[..j - 1]),
             path: segments,
         });
     }
+}
+
+/// Whether the code before a method call's `.` ends in the bare
+/// receiver `self` (so `self.flush()` and `&self.flush()` do, but
+/// `self.inner.flush()` and `myself.flush()` do not).
+fn is_self_receiver(before_dot: &str) -> bool {
+    before_dot
+        .strip_suffix("self")
+        .is_some_and(|rest| !rest.ends_with(|c: char| c.is_alphanumeric() || c == '_' || c == '.'))
 }
 
 fn brace_delta(line: &str) -> i32 {
@@ -441,6 +456,23 @@ mod tests {
         assert!(!paths.iter().any(|p| p.last().unwrap() == "Some"));
         let und = calls.iter().find(|c| c.path == ["und"]).unwrap();
         assert!(und.method);
+        assert!(!und.on_self);
+    }
+
+    #[test]
+    fn self_receiver_is_recorded() {
+        let text = "fn f(&mut self) {\n    self.flush();\n    self.inner.drain();\n    myself.seal();\n    (&self).peek();\n    helper(self.count());\n}\n";
+        let fi = items(text);
+        let on_self = |name: &str| {
+            let c = fi.fns[0].calls.iter().find(|c| c.path == [name]).unwrap();
+            assert!(c.method, "{name} is a method call");
+            c.on_self
+        };
+        assert!(on_self("flush"));
+        assert!(on_self("count"));
+        assert!(!on_self("drain"));
+        assert!(!on_self("seal"));
+        assert!(!on_self("peek"));
     }
 
     #[test]

@@ -328,12 +328,16 @@ fn resolve_call(
     }
     // Bare or method call: the caller's crate, plus (for methods) its
     // workspace dependencies — receiver types are not resolved, so
-    // method calls over-approximate across the dep edge.
+    // method calls over-approximate across the dep edge. The one
+    // receiver known without types is `self`: a `self.name(..)` call
+    // is the caller's own type's method, so when the caller's crate
+    // defines `name` it resolves there alone.
     let mut out: Vec<String> = Vec::new();
-    if defining.contains(caller_crate) {
+    let local = defining.contains(caller_crate);
+    if local {
         out.push(caller_crate.to_owned());
     }
-    if call.method {
+    if call.method && !(call.on_self && local) {
         for &c in defining.iter() {
             if c != caller_crate && visible(c) {
                 out.push(c.to_owned());

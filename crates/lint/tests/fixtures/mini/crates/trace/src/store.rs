@@ -11,3 +11,17 @@ pub fn freshest_reports() -> Vec<u32> {
     let reports: HashMap<u32, u32> = HashMap::new();
     reports.keys().copied().collect()
 }
+
+/// An uplink with a same-named `flush` that allocates: cold, and only
+/// reachable from `Window::finalize` if `self.` calls resolved across
+/// crates.
+pub struct Uplink {
+    queue: Vec<u32>,
+}
+
+impl Uplink {
+    /// Hands out the queued ids.
+    pub fn flush(&mut self) -> Vec<u32> {
+        self.queue.drain(..).collect()
+    }
+}

@@ -129,6 +129,35 @@ fn injected_hot_allocation_is_detected_with_chain() {
 }
 
 #[test]
+fn self_method_call_resolves_to_the_callers_crate() {
+    // Both crates define `flush`; only the trace one allocates. The hot
+    // entry's `self.flush()` is its own type's method, so no H2 chain
+    // may cross into `magellan-trace` — while a call on any other
+    // receiver still over-approximates across the crate edge.
+    let trace = parse(
+        "crates/trace/src/uplink.rs",
+        "pub fn flush(q: &mut Vec<u32>) -> Vec<u32> {\n    q.drain(..).collect()\n}\n",
+    );
+    let window = |call: &str| {
+        parse(
+            "crates/analysis/src/window.rs",
+            &format!(
+                "// lint:hot: per-boundary finalizer\npub fn finalize(&mut self) {{\n    {call};\n}}\nfn flush(&mut self) {{\n    self.n = 0;\n}}\n"
+            ),
+        )
+    };
+    let h2 = |sources: &[SourceFile]| {
+        lint_sources(sources, &Config::default())
+            .violations
+            .into_iter()
+            .filter(|v| v.rule.id() == "H2")
+            .count()
+    };
+    assert_eq!(h2(&[window("self.flush()"), trace.clone()]), 0);
+    assert_eq!(h2(&[window("self.uplink.flush()"), trace]), 1);
+}
+
+#[test]
 fn injected_hot_scan_is_detected() {
     let src = parse(
         "crates/overlay/src/injected.rs",

@@ -2,8 +2,9 @@
 # Pre-PR gate for the Magellan workspace: formatting, clippy with
 # warnings denied, the magellan-lint pass (line rules, D4 taint, the
 # H2/H3/P2 hot-path cost analysis, and the L1/S1/U1 concurrency
-# pass), the test suite, the pipeline-benchmark smoke, a loom smoke
-# over the worker pool, and the end-to-end smokes: fault schedule,
+# pass), the test suite, the pipeline-benchmark smoke, the release
+# default-scale findings, a loom smoke over the worker pool, and the
+# end-to-end smokes: fault schedule,
 # crash recovery, the multi-process loopback-ingest drill against
 # magellan-traced, and the chaos-ingest drill through the tracetool
 # nemesis proxy. Run from anywhere inside the repo.
@@ -69,15 +70,19 @@ stage "magellan-lint"
 mkdir -p target
 cargo run -q -p magellan-lint -- --format sarif --output target/magellan-lint.sarif
 
-stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild)"
+stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, boundary fan-out vs one lane)"
 # Fast fail-early pass over the equivalence tests that pin the
 # perf-path kernels to their reference implementations: the 64-wide
-# bit-parallel BFS against per-source scalar BFS, and the incremental
-# snapshot engine against full recomputation. Byte-determinism rests
+# bit-parallel BFS against per-source scalar BFS, the incremental
+# snapshot engine against full recomputation, and the study's
+# side-by-side boundary measurement against one lane (at 1, 2 and 8
+# workers, and live against archive replay). Byte-determinism rests
 # on guarantees like these, so they get their own stage before the
 # full suite.
 cargo test -q -p magellan-graph --lib multi64
 cargo test -q -p magellan-graph --lib incremental
+cargo test -q -p magellan-analysis --lib stream_ending_mid_batch_measures_every_remaining_boundary
+cargo test -q --test determinism boundary_fan_out_matches_one_lane_and_archive_replay
 
 stage "cargo test"
 cargo test -q --workspace
@@ -88,6 +93,15 @@ stage "pipeline-bench smoke"
 # Its ingest workload spawns the tier-1 release `magellan-traced`.
 cargo build -q --release
 cargo test -q --release --offline --manifest-path "${BENCH_MANIFEST}"
+
+stage "full-scale (release)"
+# The paper's findings at default scale: ~1,000 concurrent peers over
+# the full 14-day window, one study report shared by the four
+# `tests/full_scale.rs` cases (Fig. 1 flash-crowd scalability, Fig. 4
+# non-power-law spikes, Figs. 6-7 ISP clustering, Fig. 8 reciprocity).
+# They stay #[ignore]d so the debug test run skips them; in release
+# the stage takes about half a minute on a 2-core host.
+cargo test -q --release --test full_scale -- --ignored
 
 stage "loom smoke (pool queue/shutdown protocol)"
 # A bounded-iteration pass over the worker-pool model tests: the

@@ -559,14 +559,15 @@ impl Args<'_> {
 }
 
 /// Drains every shard below `below` (finally when `stop`), returning
-/// the merged batches plus the summed cumulative shard books.
+/// the batches in shard order plus the summed cumulative shard books.
+/// Every shard is asked before any reply is awaited, so the shards
+/// drain concurrently: one round trip per window, not one per shard.
 fn drain_shards(
     shard_txs: &[SyncSender<ShardCmd>],
     below: SimTime,
     stop: bool,
 ) -> Result<(Vec<Vec<PeerReport>>, ShardStats), String> {
-    let mut batches = Vec::with_capacity(shard_txs.len());
-    let mut totals = ShardStats::default();
+    let mut replies = Vec::with_capacity(shard_txs.len());
     for tx in shard_txs {
         let (out, back) = channel();
         let cmd = if stop {
@@ -575,6 +576,11 @@ fn drain_shards(
             ShardCmd::Drain { below, out }
         };
         tx.send(cmd).map_err(|_| "shard worker died".to_string())?;
+        replies.push(back);
+    }
+    let mut batches = Vec::with_capacity(replies.len());
+    let mut totals = ShardStats::default();
+    for back in replies {
         let (batch, stats) = back.recv().map_err(|_| "shard worker died".to_string())?;
         batches.push(batch);
         totals.absorb(&stats);

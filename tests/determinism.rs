@@ -318,3 +318,66 @@ fn study_series_bits_are_pinned() {
         );
     }
 }
+
+#[test]
+fn boundary_fan_out_matches_one_lane_and_archive_replay() {
+    // Finalized boundaries are measured side by side, one per pool
+    // lane, and applied in boundary order. At a 10-minute cadence
+    // under the stress plan a batch mixes full samples, partial samples
+    // (day-1 server outage, 12:00–13:00) and a capture-only boundary;
+    // one capture sits on the sample grid inside the outage, one off
+    // it. The report must not depend on the lane count, and replaying
+    // the archive must reproduce the live study.
+    use magellan::analysis::{DurableConfig, DurableStudy};
+    let cfg = StudyConfig {
+        seed: 2006,
+        scale: 0.002,
+        window_days: 2,
+        sample_every: SimDuration::from_mins(10),
+        degree_captures: vec![
+            ("on-grid 12:30 d1".into(), SimTime::at(1, 12, 30)),
+            ("off-grid 13:05 d1".into(), SimTime::at(1, 13, 5)),
+        ],
+        faults: FaultPlan::combined_stress(1),
+        ..StudyConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("magellan-fanout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let study = DurableStudy::new(&dir, cfg, DurableConfig::default());
+
+    magellan::par::set_threads(8);
+    let live = study.run().expect("live run");
+    let mut replays = Vec::new();
+    for threads in [1, 2, 8] {
+        magellan::par::set_threads(threads);
+        replays.push(study.analyze_archive().expect("replay"));
+    }
+    magellan::par::set_threads(0);
+    std::fs::remove_dir_all(&dir).expect("clean up");
+
+    assert!(!live.partial_samples.is_empty(), "no partial sample");
+    assert_eq!(live.fig4.snapshots.len(), 2, "both captures recorded");
+    assert!(
+        live.fig4.snapshots.iter().all(|s| s.coverage < 1.0),
+        "both captures sit inside the outage horizon"
+    );
+    let one_lane = format!("{:?}", replays[0]);
+    for (threads, r) in [2, 8].into_iter().zip(&replays[1..]) {
+        assert_eq!(
+            one_lane,
+            format!("{r:?}"),
+            "replay at {threads} worker(s) diverged from one lane"
+        );
+    }
+    // Replay carries recovery accounting and no simulator or
+    // collection summary; everything else must match the live run.
+    let mut replay = replays.swap_remove(0);
+    assert!(replay.recovery.take().is_some_and(|r| r.is_clean()));
+    replay.sim = live.sim;
+    replay.collection = live.collection;
+    assert_eq!(
+        format!("{live:?}"),
+        format!("{replay:?}"),
+        "archive replay diverged from the live study"
+    );
+}

@@ -2,8 +2,9 @@
 //! executable assertions.
 //!
 //! These run the default experiment scale (~1,000 concurrent peers,
-//! the full 14-day window) and take minutes, so they are `#[ignore]`d
-//! by default. Run them in release mode:
+//! the full 14-day window) — half a minute in release, far longer in a
+//! debug build — so they are `#[ignore]`d by default and
+//! `scripts/check.sh` runs them in release mode:
 //!
 //! ```text
 //! cargo test --release --test full_scale -- --ignored
