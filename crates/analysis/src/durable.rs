@@ -29,8 +29,8 @@ use magellan_netsim::SimTime;
 use magellan_overlay::{OverlaySim, SimCheckpoint};
 use magellan_trace::checkpoint::{latest_valid_checkpoint, prune_checkpoints, write_checkpoint};
 use magellan_trace::{
-    wire, ArchiveConfig, ArchiveWriter, GatewayCore, PeerReport, ReportGateway, ReportUplink,
-    ServerStats, SubmitError, UplinkStats,
+    wire, ArchiveConfig, ArchiveWriter, GatewayCore, PeerReport, ReportUplink, ServerStats,
+    SinkGateway, UplinkStats,
 };
 use std::io;
 use std::path::PathBuf;
@@ -80,28 +80,21 @@ pub struct DurableStudy {
 
 /// The admission pipeline behind the uplink: gateway semantics
 /// (downtime, validation, dedup) in front of the archive writer and
-/// the streaming accumulator. Archive append errors cannot surface
-/// through [`SubmitError`], so they are stashed for the driver to
-/// rethrow after the tick.
-struct ArchiveGateway<'a> {
+/// the streaming accumulator. An archive append error cannot surface
+/// through the gateway, so the first one is stashed in `io_error` for
+/// `drive` to rethrow after the tick.
+fn archive_gateway<'a>(
     core: &'a mut GatewayCore,
     writer: &'a mut ArchiveWriter,
     acc: &'a mut Accumulator,
     io_error: &'a mut Option<io::Error>,
-}
-
-impl ReportGateway for ArchiveGateway<'_> {
-    fn submit_report(&mut self, report: PeerReport, now: SimTime) -> Result<(), SubmitError> {
-        if self.core.admit(&report, now)? {
-            if let Err(e) = self.writer.append(&report) {
-                if self.io_error.is_none() {
-                    *self.io_error = Some(e);
-                }
-            }
-            self.acc.ingest(report);
+) -> SinkGateway<'a, impl FnMut(PeerReport) + 'a> {
+    SinkGateway::new(core, move |report| {
+        if let Err(e) = writer.append(&report) {
+            io_error.get_or_insert(e);
         }
-        Ok(())
-    }
+        acc.ingest(report);
+    })
 }
 
 /// Everything a checkpoint carries beyond the simulator state.
@@ -367,18 +360,14 @@ impl DurableStudy {
                 last_checkpoint = Some(tick);
             }
             observer(tick);
-            let mut gw = ArchiveGateway {
-                core: &mut core,
-                writer: &mut writer,
-                acc: &mut acc,
-                io_error: &mut io_error,
-            };
+            let mut gw = archive_gateway(&mut core, &mut writer, &mut acc, &mut io_error);
             let more = sim
                 .tick_once(&mut state, &mut |r: PeerReport| {
                     let now = r.time;
                     uplink.send_via(r, now, &mut gw);
                 })
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            drop(gw);
             if let Some(e) = io_error.take() {
                 return Err(e);
             }
@@ -389,13 +378,9 @@ impl DurableStudy {
 
         // The collector keeps listening past the window: drain what
         // the last outage left buffered, then seal the archive.
-        let mut gw = ArchiveGateway {
-            core: &mut core,
-            writer: &mut writer,
-            acc: &mut acc,
-            io_error: &mut io_error,
-        };
+        let mut gw = archive_gateway(&mut core, &mut writer, &mut acc, &mut io_error);
         uplink.flush_via(window_end, &mut gw);
+        drop(gw);
         if let Some(e) = io_error.take() {
             return Err(e);
         }

@@ -158,7 +158,7 @@ impl MagellanStudy {
     }
 
     /// Runs the analysis over an existing trace (for example one
-    /// reloaded from JSON lines) instead of simulating — the
+    /// loaded from a segmented archive) instead of simulating — the
     /// replay-from-archive mode a measurement group actually works
     /// in. Reports are re-streamed in timestamp order; `db` must be
     /// the ISP mapping the trace was collected under (the default

@@ -3,14 +3,12 @@
 //! ```text
 //! cargo run --release -p magellan-bench --bin figures -- \
 //!     [--scale 0.01] [--days 14] [--seed 2006] [--sample-mins 60] \
-//!     [--fig all|1a|1b|2|3|4|5|6|7|8] [--csv-dir out/] [--svg-dir out/] \
-//!     [--save-trace trace.jsonl] [--trace trace.jsonl]
+//!     [--fig all|1a|1b|2|3|4|5|6|7|8] [--csv-dir out/] [--svg-dir out/]
 //! ```
 //!
-//! `--save-trace` streams every report of the run to a JSON-lines
-//! file; `--trace` skips the simulation and re-analyzes such an
-//! archive (the workflow a measurement group actually has); `--svg-dir`
-//! renders each figure as an SVG chart.
+//! `--svg-dir` renders each figure as an SVG chart. To archive a run
+//! and re-analyze it offline, use `magellan study --archive <dir>`
+//! and `magellan replay --archive <dir>`.
 //!
 //! At `--scale 1.0` this is the paper's full population (~100k
 //! concurrent peers); the default 0.01 preserves every reported shape
@@ -28,8 +26,6 @@ struct Args {
     fig: String,
     csv_dir: Option<String>,
     svg_dir: Option<String>,
-    save_trace: Option<String>,
-    trace: Option<String>,
     isp: Option<String>,
 }
 
@@ -51,8 +47,6 @@ fn parse_args() -> Args {
         fig: get("--fig").unwrap_or_else(|| "all".to_owned()),
         csv_dir: get("--csv-dir"),
         svg_dir: get("--svg-dir"),
-        save_trace: get("--save-trace"),
-        trace: get("--trace"),
         isp: get("--isp"),
     }
 }
@@ -87,45 +81,7 @@ fn main() {
         }
     }
     let start = std::time::Instant::now();
-    let report = if let Some(path) = &args.trace {
-        // Replay an archived trace through the analysis.
-        let file = std::fs::File::open(path).expect("open trace archive");
-        let store = magellan_trace::TraceStore::read_jsonl(std::io::BufReader::new(file))
-            .expect("parse trace archive");
-        eprintln!("replaying {} archived reports from {path}", store.len());
-        let db = magellan_netsim::IspDatabase::default();
-        MagellanStudy::new(cfg).analyze_trace(&store, &db)
-    } else if let Some(path) = &args.save_trace {
-        // Simulate, archiving every report as it streams by.
-        use std::io::Write as _;
-        let file = std::fs::File::create(path).expect("create trace archive");
-        let writer = std::sync::Mutex::new(std::io::BufWriter::new(file));
-        let study = MagellanStudy::new(cfg.clone());
-        let scenario = cfg.scenario();
-        let mut sim = magellan_overlay::OverlaySim::new(scenario, cfg.sim.clone());
-        let db = sim.isp_database().clone();
-        let store = std::sync::Mutex::new(magellan_trace::TraceStore::new());
-        let summary = sim
-            .run(|r| {
-                let mut w = writer.lock().expect("writer");
-                w.write_all(magellan_trace::jsonl::to_json_line(&r).as_bytes())
-                    .and_then(|_| w.write_all(b"\n"))
-                    .expect("write trace archive");
-                store.lock().expect("store").push(r);
-            })
-            .expect("archival scenario is self-consistent");
-        writer
-            .into_inner()
-            .expect("writer")
-            .flush()
-            .expect("flush trace archive");
-        eprintln!("archived trace to {path}");
-        let mut report = study.analyze_trace(&store.into_inner().expect("store"), &db);
-        report.sim = summary;
-        report
-    } else {
-        MagellanStudy::new(cfg).run()
-    };
+    let report = MagellanStudy::new(cfg).run();
     eprintln!("study complete in {:.1}s\n", start.elapsed().as_secs_f64());
 
     let want = |k: &str| args.fig == "all" || args.fig == k;

@@ -22,7 +22,9 @@ use crate::transfer::{self, TransferScratch};
 use magellan_netsim::{
     AddrAllocator, Isp, IspDatabase, LinkQuality, PeerAddr, RngFactory, SimTime,
 };
-use magellan_trace::{PeerReport, ReportUplink, TraceServer, TraceStore, REPORT_INTERVAL};
+use magellan_trace::{
+    GatewayCore, PeerReport, ReportUplink, SinkGateway, TraceStore, REPORT_INTERVAL,
+};
 use magellan_workload::{ChannelId, FaultPlan, JoinEvent, Scenario};
 use rand::rngs::StdRng;
 use rand::RngExt as _;
@@ -522,11 +524,12 @@ impl OverlaySim {
         (sim, state)
     }
 
-    /// Convenience wrapper: run and collect everything through a
-    /// validating [`TraceServer`] into a [`TraceStore`]. Use only at
-    /// small scales; figure pipelines stream instead.
+    /// Convenience wrapper: run and collect everything through the
+    /// trace server's admission rules ([`GatewayCore`]) into a
+    /// [`TraceStore`]. Use only at small scales; figure pipelines
+    /// stream instead.
     ///
-    /// The server honours the scenario's trace-server outage schedule;
+    /// Admission honours the scenario's trace-server outage schedule;
     /// reports arriving during downtime ride a bounded
     /// store-and-forward uplink and are retransmitted (oldest first)
     /// once the server answers again, with a final drain after the
@@ -535,27 +538,28 @@ impl OverlaySim {
     ///
     /// # Errors
     ///
-    /// Fails on any [`OverlaySim::run`] failure, or when the
-    /// validating server rejects a simulated report (a disagreement
-    /// between the report builder and the §3.2 schema).
+    /// Fails on any [`OverlaySim::run`] failure, or when admission
+    /// rejects a simulated report (a disagreement between the report
+    /// builder and the §3.2 schema).
     pub fn run_collecting(&mut self) -> Result<(TraceStore, SimSummary), SimError> {
         let window_end = self.scenario.calendar.window_end();
-        let mut server =
-            TraceServer::with_downtime(window_end, self.scenario.faults.server_outages.clone());
+        let mut core = GatewayCore::new(window_end, self.scenario.faults.server_outages.clone());
+        let mut store = TraceStore::new();
+        let mut gateway = SinkGateway::new(&mut core, |r| store.push(r));
         let mut uplink = ReportUplink::new(1 << 16);
         let summary = self.run(|r| {
             let now = r.time;
-            uplink.send(r, now, &mut server);
+            uplink.send_via(r, now, &mut gateway);
         })?;
         // The real collector kept listening past the window: drain
         // whatever the last outage left buffered.
-        uplink.flush(window_end, &mut server);
+        uplink.flush_via(window_end, &mut gateway);
         if uplink.stats().rejected > 0 {
             return Err(SimError::ReportRejected {
                 reason: "validating trace server rejected a simulated report".into(),
             });
         }
-        Ok((server.into_store(), summary))
+        Ok((store, summary))
     }
 
     fn spawn_servers(&mut self, link_rng: &mut StdRng, horizon: SimTime) {

@@ -14,18 +14,15 @@
 //!   corruption-tolerant streaming reader and its [`RecoveryReport`].
 //! * [`checkpoint`] — the self-validating checkpoint-file envelope
 //!   behind crash-safe study resume.
-//! * [`gateway`] — the report-delivery trait the uplink speaks, with
-//!   the server's admission logic factored out for archive backends.
+//! * [`gateway`] — the collection endpoint's admission rules
+//!   ([`GatewayCore`]: scheduled-downtime windows, validation,
+//!   `(peer, timestamp)` deduplication of retransmitted reports), the
+//!   report-delivery trait the uplink speaks, and [`SinkGateway`],
+//!   which puts the rules in front of any in-process report sink.
 //! * [`atomicio`] — write-temp-then-atomic-rename artifact emission.
 //! * [`wire`] — a compact binary encoding of reports (the real system
-//!   shipped them as UDP datagrams).
-//! * [`jsonl`] — JSON-lines persistence, hand-rolled to keep the
-//!   dependency set to the approved crates.
-//! * [`loss`] — lossy-collection injection (dropped/corrupted
-//!   datagrams) for robustness testing.
-//! * [`server`] — the standalone trace server collecting reports,
-//!   with scheduled-downtime windows and `(peer, timestamp)`
-//!   deduplication of retransmitted reports.
+//!   shipped them as UDP datagrams); the archive frames the same
+//!   bytes.
 //! * [`codec`] — the networked service's message vocabulary: one
 //!   message per UDP datagram, length-prefixed frames over TCP.
 //! * [`shard`] — one shard of the sharded admission pipeline: an
@@ -49,7 +46,7 @@
 //! ## Example
 //!
 //! ```
-//! use magellan_trace::{jsonl, wire, BufferMap, PeerReport};
+//! use magellan_trace::{wire, BufferMap, GatewayCore, PeerReport, ReportGateway, SinkGateway};
 //! use magellan_netsim::{PeerAddr, SimTime};
 //! use magellan_workload::ChannelId;
 //!
@@ -64,11 +61,17 @@
 //!     send_throughput_kbps: 120.0,
 //!     partners: vec![],
 //! };
-//! // Wire and JSON-lines codecs both round-trip.
+//! // The wire codec round-trips.
 //! let datagram = wire::encode(&report);
 //! assert_eq!(wire::decode(&mut datagram.clone()).unwrap(), report);
-//! let line = jsonl::to_json_line(&report);
-//! assert_eq!(jsonl::from_json_line(&line).unwrap(), report);
+//! // Admission stores a report once; a retransmission is absorbed.
+//! let mut core = GatewayCore::new(SimTime::at(1, 0, 0), vec![]);
+//! let mut stored = Vec::new();
+//! let mut gateway = SinkGateway::new(&mut core, |r| stored.push(r));
+//! gateway.submit_report(report.clone(), report.time).unwrap();
+//! gateway.submit_report(report.clone(), report.time).unwrap();
+//! assert_eq!(stored, vec![report]);
+//! assert_eq!(core.stats().duplicates, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,11 +83,8 @@ pub mod buffer;
 pub mod checkpoint;
 pub mod codec;
 pub mod gateway;
-pub mod jsonl;
-pub mod loss;
 pub mod report;
 pub mod segment;
-pub mod server;
 pub mod service;
 pub mod shard;
 pub mod snapshot;
@@ -97,11 +97,10 @@ pub use archive::{ArchiveConfig, ArchiveWriter, Commit, RecoveryReport};
 pub use atomicio::atomic_write;
 pub use buffer::BufferMap;
 pub use codec::{ClientMsg, FrameReader, ReplyMsg};
-pub use gateway::{GatewayCore, ReportGateway};
+pub use gateway::{GatewayCore, ReportGateway, ServerStats, SinkGateway, SubmitError};
 pub use report::{
     PartnerRecord, PeerReport, ACTIVE_SEGMENT_THRESHOLD, FIRST_REPORT_DELAY, REPORT_INTERVAL,
 };
-pub use server::{ServerStats, SubmitError, TraceServer};
 pub use service::{ClientRegistry, IngestStats, ServiceCore, ServiceResume, TokenBucket};
 pub use shard::{shard_of, Shard, ShardStats};
 pub use snapshot::{Snapshot, SnapshotBuilder};

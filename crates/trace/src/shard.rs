@@ -1,13 +1,12 @@
 //! One shard of the sharded admission pipeline.
 //!
-//! The networked service replaces the old single-lock trace server
-//! with N independent [`Shard`]s: reports are routed by a stable hash
-//! of the peer address ([`shard_of`]), so every `(peer, timestamp)`
-//! identity lands on exactly one shard and the per-shard
-//! [`GatewayCore`] dedup set is *exact* without any cross-shard
-//! coordination. A shard owns its admission state outright — no
-//! locks, no atomics — and the service shell gives each shard its own
-//! thread and bounded queue.
+//! The networked service admits through N independent [`Shard`]s,
+//! each owning one [`GatewayCore`]: reports are routed by a stable
+//! hash of the peer address ([`shard_of`]), so every `(peer,
+//! timestamp)` identity lands on exactly one shard and the per-shard
+//! dedup set is *exact* without any cross-shard coordination. A shard
+//! owns its admission state outright — no locks, no atomics — and the
+//! service shell gives each shard its own thread and bounded queue.
 //!
 //! Backpressure and shedding are explicit and accounted: a full
 //! pending buffer sheds with [`StatusCode::Busy`] (retryable), a
@@ -16,9 +15,8 @@
 //! increments exactly one [`ShardStats`] counter, so the books
 //! balance by construction.
 
-use crate::gateway::GatewayCore;
+use crate::gateway::{GatewayCore, SubmitError};
 use crate::report::PeerReport;
-use crate::server::SubmitError;
 use crate::wire::{self, StatusCode};
 use magellan_netsim::{PeerAddr, SimDuration, SimTime};
 

@@ -1,23 +1,21 @@
 //! The trace store: every collected report, bucketed by report
-//! interval for fast time-range queries, with JSON-lines persistence.
+//! interval for fast time-range queries. On disk a trace is a
+//! segmented archive; [`crate::archive::read_archive`] with
+//! [`TraceStore::push`] as its sink loads one.
 
-use crate::jsonl::{from_json_line, to_json_line};
 use crate::report::{PeerReport, REPORT_INTERVAL};
 use magellan_netsim::{PeerAddr, SimTime};
-use std::collections::{BTreeSet, HashMap};
-use std::io::{self, BufRead, Write};
+use std::collections::HashMap;
 
 /// In-memory store of peer reports.
 ///
 /// Reports are kept in arrival order; a bucket index over
 /// [`REPORT_INTERVAL`]-wide windows serves the snapshot builder's
-/// range scans, and a `(peer, timestamp)` identity set lets the
-/// server deduplicate retransmitted reports.
+/// range scans.
 #[derive(Debug, Default, Clone)]
 pub struct TraceStore {
     reports: Vec<PeerReport>,
     buckets: HashMap<u64, Vec<usize>>,
-    seen: BTreeSet<(u32, u64)>,
 }
 
 /// The bucket index of an instant.
@@ -32,25 +30,15 @@ impl TraceStore {
     }
 
     /// Appends one report. The store itself is append-only;
-    /// deduplication policy belongs to the server (see
-    /// [`TraceStore::contains`]).
+    /// deduplication policy belongs to admission
+    /// ([`crate::GatewayCore`]).
     pub fn push(&mut self, report: PeerReport) {
         let idx = self.reports.len();
         self.buckets
             .entry(bucket_of(report.time))
             .or_default()
             .push(idx);
-        self.seen
-            .insert((report.addr.as_u32(), report.time.as_millis()));
         self.reports.push(report);
-    }
-
-    /// Whether a report with this `(peer, timestamp)` identity is
-    /// already stored — the retransmission-dedup key: a peer emits at
-    /// most one report per schedule instant, so an identical key
-    /// means a buffered resend, not new data.
-    pub fn contains(&self, addr: PeerAddr, time: SimTime) -> bool {
-        self.seen.contains(&(addr.as_u32(), time.as_millis()))
     }
 
     /// Number of stored reports.
@@ -92,74 +80,6 @@ impl TraceStore {
         let min = self.reports.iter().map(|r| r.time).min()?;
         let max = self.reports.iter().map(|r| r.time).max()?;
         Some((min, max))
-    }
-
-    /// Writes every report as JSON lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from `w`.
-    pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
-        for r in &self.reports {
-            w.write_all(to_json_line(r).as_bytes())?;
-            w.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-
-    /// Reads a store back from JSON lines (blank lines skipped).
-    ///
-    /// A malformed **final** line is treated as a truncated trailing
-    /// write (the signature of a killed process) and silently
-    /// dropped; use [`TraceStore::read_jsonl_lenient`] to learn that
-    /// it happened.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error, or — for a malformed line
-    /// *followed by more data* (real corruption, not truncation) — a
-    /// [`crate::jsonl::JsonError`] wrapped in `io::Error` with the
-    /// 1-based line number prepended.
-    pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Self> {
-        Self::read_jsonl_lenient(r).map(|(store, _)| store)
-    }
-
-    /// As [`TraceStore::read_jsonl`], also reporting whether a
-    /// truncated trailing line was dropped (a human-readable note
-    /// naming the line).
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceStore::read_jsonl`].
-    pub fn read_jsonl_lenient<R: BufRead>(r: R) -> io::Result<(Self, Option<String>)> {
-        let mut store = TraceStore::new();
-        let lines: Vec<String> = r.lines().collect::<io::Result<_>>()?;
-        let last_data = lines.iter().rposition(|l| !l.trim().is_empty());
-        for (lineno, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match from_json_line(line) {
-                Ok(report) => store.push(report),
-                Err(e) if Some(lineno) == last_data => {
-                    // Nothing follows: a torn final write, not
-                    // corruption. Keep what was recovered.
-                    let note = format!(
-                        "truncated trailing line {} dropped ({e}); {} reports recovered",
-                        lineno + 1,
-                        store.len()
-                    );
-                    return Ok((store, Some(note)));
-                }
-                Err(e) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {}: {e}", lineno + 1),
-                    ));
-                }
-            }
-        }
-        Ok((store, None))
     }
 }
 
@@ -241,69 +161,6 @@ mod tests {
         assert_eq!(lo, SimTime::ORIGIN + SimDuration::from_mins(20));
         assert_eq!(hi, SimTime::ORIGIN + SimDuration::from_mins(50));
         assert!(TraceStore::new().time_span().is_none());
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let s: TraceStore = vec![report(1, 20), report(2, 30)].into_iter().collect();
-        let mut buf = Vec::new();
-        s.write_jsonl(&mut buf).unwrap();
-        let back = TraceStore::read_jsonl(&buf[..]).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.reports(), s.reports());
-    }
-
-    #[test]
-    fn jsonl_reports_line_numbers_on_error() {
-        let good = to_json_line(&report(1, 20));
-        // The bad line is followed by more data, so this is
-        // corruption — not a torn tail — and must fail loudly.
-        let text = format!("{good}\nthis is not json\n{good}\n");
-        let err = TraceStore::read_jsonl(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_tolerates_truncated_trailing_line() {
-        let good = to_json_line(&report(1, 20));
-        let torn = &good[..good.len() / 2];
-        let text = format!("{good}\n{good}\n{torn}");
-        let store = TraceStore::read_jsonl(text.as_bytes()).unwrap();
-        assert_eq!(store.len(), 2, "intact prefix recovered");
-        let (store, note) = TraceStore::read_jsonl_lenient(text.as_bytes()).unwrap();
-        assert_eq!(store.len(), 2);
-        let note = note.unwrap();
-        assert!(note.contains("line 3"), "{note}");
-        assert!(note.contains("2 reports recovered"), "{note}");
-        // A clean file reports no truncation.
-        let (_, note) = TraceStore::read_jsonl_lenient(good.as_bytes()).unwrap();
-        assert!(note.is_none());
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines() {
-        let good = to_json_line(&report(1, 20));
-        let text = format!("\n{good}\n\n");
-        let back = TraceStore::read_jsonl(text.as_bytes()).unwrap();
-        assert_eq!(back.len(), 1);
-    }
-
-    #[test]
-    fn contains_tracks_peer_timestamp_identity() {
-        let mut s = TraceStore::new();
-        s.push(report(7, 20));
-        let t = SimTime::ORIGIN + SimDuration::from_mins(20);
-        assert!(s.contains(PeerAddr::from_u32(7), t));
-        assert!(!s.contains(PeerAddr::from_u32(8), t));
-        assert!(!s.contains(
-            PeerAddr::from_u32(7),
-            SimTime::ORIGIN + SimDuration::from_mins(30)
-        ));
-        // Identity survives a JSONL roundtrip.
-        let mut buf = Vec::new();
-        s.write_jsonl(&mut buf).unwrap();
-        let back = TraceStore::read_jsonl(&buf[..]).unwrap();
-        assert!(back.contains(PeerAddr::from_u32(7), t));
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! collection server is down ([`SubmitError::Unavailable`]) the
 //! report is not lost outright: the client buffers it in a bounded
 //! FIFO and retransmits once the server answers again, oldest first,
-//! dropping the oldest on overflow. The server deduplicates
+//! dropping the oldest on overflow. Admission deduplicates
 //! retransmissions by `(peer, timestamp)`, so a retry that raced a
 //! successful delivery is absorbed idempotently.
 
 use crate::codec::{self, ClientMsg};
-use crate::gateway::ReportGateway;
+use crate::gateway::{ReportGateway, SubmitError};
 use crate::report::PeerReport;
-use crate::server::{SubmitError, TraceServer};
 use crate::wire::{self, StatusCode};
 use bytes::Bytes;
 use magellan_netsim::SimTime;
@@ -57,7 +56,7 @@ pub struct UplinkStats {
     pub dropped_permanent: u64,
 }
 
-/// A bounded store-and-forward queue in front of a [`TraceServer`].
+/// A bounded store-and-forward queue in front of a [`ReportGateway`].
 ///
 /// # Eviction policy
 ///
@@ -90,16 +89,9 @@ impl ReportUplink {
     }
 
     /// Offers one report at time `now`. Pending buffered reports are
-    /// flushed first so the server sees FIFO order; if the server is
-    /// down the report joins the buffer (evicting the oldest entry on
+    /// flushed first so the gateway sees FIFO order; if it is down
+    /// the report joins the buffer (evicting the oldest entry on
     /// overflow).
-    pub fn send(&mut self, report: PeerReport, now: SimTime, server: &mut TraceServer) {
-        self.send_via(report, now, server);
-    }
-
-    /// As [`ReportUplink::send`], for any [`ReportGateway`] backend —
-    /// the durable study pipeline delivers into an archive gateway
-    /// through this.
     pub fn send_via<G: ReportGateway>(
         &mut self,
         report: PeerReport,
@@ -128,13 +120,8 @@ impl ReportUplink {
     }
 
     /// Retransmits buffered reports, oldest first, until the queue
-    /// drains or the server bounces again. Returns how many were
+    /// drains or the gateway bounces again. Returns how many were
     /// delivered by this call.
-    pub fn flush(&mut self, now: SimTime, server: &mut TraceServer) -> usize {
-        self.flush_via(now, server)
-    }
-
-    /// As [`ReportUplink::flush`], for any [`ReportGateway`] backend.
     pub fn flush_via<G: ReportGateway>(&mut self, now: SimTime, gateway: &mut G) -> usize {
         let mut sent = 0;
         while let Some(front) = self.queue.front() {
@@ -686,6 +673,7 @@ fn recv_matching_reply(sock: &UdpSocket, seq: u64) -> io::Result<Option<StatusCo
 mod tests {
     use super::*;
     use crate::buffer::BufferMap;
+    use crate::gateway::{GatewayCore, SinkGateway};
     use magellan_netsim::{FaultWindow, PeerAddr, SimDuration};
     use magellan_workload::ChannelId;
 
@@ -707,86 +695,88 @@ mod tests {
         SimTime::ORIGIN + SimDuration::from_mins(m)
     }
 
-    fn downtime_server() -> TraceServer {
-        TraceServer::with_downtime(
+    fn downtime_core() -> GatewayCore {
+        GatewayCore::new(
             SimTime::at(14, 0, 0),
             vec![FaultWindow::new(at_min(30), at_min(60))],
         )
     }
 
+    fn addrs(stored: &[PeerReport]) -> Vec<u32> {
+        stored.iter().map(|r| r.addr.as_u32()).collect()
+    }
+
     #[test]
     fn delivers_directly_when_server_is_up() {
-        let mut server = downtime_server();
+        let (mut core, mut stored) = (downtime_core(), Vec::new());
+        let mut gw = SinkGateway::new(&mut core, |r| stored.push(r));
         let mut up = ReportUplink::new(8);
-        up.send(report(1, 20), at_min(20), &mut server);
+        up.send_via(report(1, 20), at_min(20), &mut gw);
         assert_eq!(up.pending(), 0);
         assert_eq!(up.stats().delivered, 1);
-        assert_eq!(server.len(), 1);
+        assert_eq!(stored.len(), 1);
     }
 
     #[test]
     fn buffers_across_downtime_and_retransmits_in_order() {
-        let mut server = downtime_server();
+        let (mut core, mut stored) = (downtime_core(), Vec::new());
+        let mut gw = SinkGateway::new(&mut core, |r| stored.push(r));
         let mut up = ReportUplink::new(8);
-        up.send(report(1, 35), at_min(35), &mut server);
-        up.send(report(2, 45), at_min(45), &mut server);
+        up.send_via(report(1, 35), at_min(35), &mut gw);
+        up.send_via(report(2, 45), at_min(45), &mut gw);
         assert_eq!(up.pending(), 2);
-        assert_eq!(server.len(), 0);
+        assert!(stored.is_empty());
+        let mut gw = SinkGateway::new(&mut core, |r| stored.push(r));
         // Server back at minute 60: next send flushes backlog first.
-        up.send(report(3, 65), at_min(65), &mut server);
+        up.send_via(report(3, 65), at_min(65), &mut gw);
         assert_eq!(up.pending(), 0);
         let st = up.stats();
         assert_eq!(st.delivered, 3);
         assert_eq!(st.retransmitted, 2);
-        let addrs: Vec<u32> = server
-            .into_store()
-            .reports()
-            .iter()
-            .map(|r| r.addr.as_u32())
-            .collect();
-        assert_eq!(addrs, vec![1, 2, 3], "FIFO order violated");
+        assert_eq!(addrs(&stored), vec![1, 2, 3], "FIFO order violated");
     }
 
     #[test]
     fn overflow_drops_oldest() {
-        let mut server = downtime_server();
+        let (mut core, mut stored) = (downtime_core(), Vec::new());
+        let mut gw = SinkGateway::new(&mut core, |r| stored.push(r));
         let mut up = ReportUplink::new(2);
         for (ip, minute) in [(1, 31), (2, 40), (3, 50)] {
-            up.send(report(ip, minute), at_min(minute), &mut server);
+            up.send_via(report(ip, minute), at_min(minute), &mut gw);
         }
         assert_eq!(up.pending(), 2);
         assert_eq!(up.stats().dropped_overflow, 1);
-        assert_eq!(up.flush(at_min(61), &mut server), 2);
-        let addrs: Vec<u32> = server
-            .into_store()
-            .reports()
-            .iter()
-            .map(|r| r.addr.as_u32())
-            .collect();
-        assert_eq!(addrs, vec![2, 3], "oldest report should have been evicted");
+        assert_eq!(up.flush_via(at_min(61), &mut gw), 2);
+        assert_eq!(
+            addrs(&stored),
+            vec![2, 3],
+            "oldest report should have been evicted"
+        );
     }
 
     #[test]
     fn retransmitted_duplicates_are_absorbed() {
-        let mut server = downtime_server();
+        let (mut core, mut stored) = (downtime_core(), Vec::new());
+        let mut gw = SinkGateway::new(&mut core, |r| stored.push(r));
         let mut up = ReportUplink::new(8);
         // Delivered once directly…
-        up.send(report(1, 20), at_min(20), &mut server);
-        // …and offered again (e.g. an ack was lost): the server
+        up.send_via(report(1, 20), at_min(20), &mut gw);
+        // …and offered again (e.g. an ack was lost): admission
         // absorbs the duplicate, the uplink still counts delivery.
-        up.send(report(1, 20), at_min(21), &mut server);
-        assert_eq!(server.len(), 1);
-        assert_eq!(server.stats().duplicates, 1);
+        up.send_via(report(1, 20), at_min(21), &mut gw);
+        assert_eq!(stored.len(), 1);
+        assert_eq!(core.stats().duplicates, 1);
         assert_eq!(up.stats().delivered, 2);
     }
 
     #[test]
     fn validation_failures_are_not_buffered() {
-        let mut server = downtime_server();
+        let mut core = downtime_core();
+        let mut gw = SinkGateway::new(&mut core, |_| {});
         let mut up = ReportUplink::new(8);
         let mut bad = report(1, 20);
         bad.recv_throughput_kbps = f64::NAN;
-        up.send(bad, at_min(20), &mut server);
+        up.send_via(bad, at_min(20), &mut gw);
         assert_eq!(up.pending(), 0);
         assert_eq!(up.stats().rejected, 1);
     }

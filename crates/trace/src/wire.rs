@@ -5,8 +5,8 @@
 //! top of the `bytes` crate, with a strict, length-checked decoder.
 
 use crate::buffer::BufferMap;
+use crate::gateway::SubmitError;
 use crate::report::{PartnerRecord, PeerReport};
-use crate::server::SubmitError;
 use bytes::{Buf, BufMut, Bytes};
 use magellan_netsim::{PeerAddr, SimTime};
 use magellan_workload::ChannelId;

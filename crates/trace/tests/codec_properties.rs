@@ -1,9 +1,10 @@
 //! Property tests over the trace codecs: any structurally valid
-//! report must survive both the wire format and the JSON-lines format
-//! byte-for-byte, and malformed inputs must fail cleanly.
+//! report must survive the wire format byte-for-byte, and malformed
+//! inputs must fail cleanly and be counted exactly once by the shard
+//! that receives them.
 
 use magellan_netsim::{PeerAddr, SimTime};
-use magellan_trace::{jsonl, wire, BufferMap, PartnerRecord, PeerReport, TraceServer};
+use magellan_trace::{wire, BufferMap, PartnerRecord, PeerReport, Shard, StatusCode};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
 
@@ -83,70 +84,51 @@ proptest! {
     }
 
     #[test]
-    fn jsonl_roundtrip(report in arb_report()) {
-        let line = jsonl::to_json_line(&report);
-        prop_assert!(!line.contains('\n'), "line breaks corrupt JSONL");
-        let back = jsonl::from_json_line(&line).expect("parse");
-        prop_assert_eq!(back, report);
-    }
-
-    #[test]
-    fn jsonl_parser_never_panics_on_mutations(report in arb_report(), idx in any::<prop::sample::Index>(), byte in any::<u8>()) {
-        let mut line = jsonl::to_json_line(&report).into_bytes();
-        let i = idx.index(line.len());
-        line[i] = byte;
-        if let Ok(s) = String::from_utf8(line) {
-            let _ = jsonl::from_json_line(&s); // may fail, must not panic
-        }
-    }
-
-    #[test]
-    fn jsonl_parser_never_panics_on_garbage(garbage in "\\PC*") {
-        let _ = jsonl::from_json_line(&garbage);
-    }
-
-    #[test]
     fn wire_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let mut buf = bytes::Bytes::from(bytes);
         let _ = wire::decode(&mut buf);
     }
 
-    /// A truncated datagram fired at the server must land in a
-    /// [`SubmitError`] path (almost always `Malformed`), never a
-    /// panic, and the rejection must be counted.
+    /// A truncated datagram fired at a shard must land in a
+    /// rejection (almost always `Malformed`), never a panic, and
+    /// exactly one [`magellan_trace::ShardStats`] counter must move.
     #[test]
     fn server_counts_truncated_datagrams(report in arb_report(), cut_frac in 0.0f64..1.0) {
-        let mut server = TraceServer::new(SimTime::from_millis(14 * 86_400_000));
+        let mut shard = Shard::new(SimTime::from_millis(14 * 86_400_000), usize::MAX);
         let bytes = wire::encode(&report);
         let cut = ((bytes.len() as f64 * cut_frac) as usize).min(bytes.len().saturating_sub(1));
-        let res = server.submit_wire(bytes.slice(0..cut));
-        let st = server.stats();
-        prop_assert_eq!(st.accepted + st.rejected, 1);
-        prop_assert_eq!(res.is_ok(), st.accepted == 1);
-        if let Err(e) = res {
-            prop_assert!(!e.to_string().is_empty());
-        }
+        let status = shard.ingest_wire(&bytes[..cut]);
+        prop_assert_one_verdict(&shard, status)?;
     }
 
     /// A single flipped bit either still decodes into a report the
     /// validator can judge, or fails decoding — both are counted
-    /// `SubmitError` paths; nothing panics and the books balance.
+    /// verdicts; nothing panics and the books balance.
     #[test]
     fn server_counts_bitflipped_datagrams(
         report in arb_report(),
         idx in any::<prop::sample::Index>(),
         bit in 0u32..8,
     ) {
-        let mut server = TraceServer::new(SimTime::from_millis(14 * 86_400_000));
+        let mut shard = Shard::new(SimTime::from_millis(14 * 86_400_000), usize::MAX);
         let mut bytes = wire::encode(&report).to_vec();
         let i = idx.index(bytes.len());
         bytes[i] ^= 1 << bit;
-        let res = server.submit_wire(bytes::Bytes::from(bytes));
-        let st = server.stats();
-        prop_assert_eq!(st.accepted + st.rejected, 1);
-        prop_assert_eq!(res.is_ok(), st.accepted == 1);
-        if let Err(e) = res {
-            prop_assert!(!e.to_string().is_empty());
-        }
+        let status = shard.ingest_wire(&bytes);
+        prop_assert_one_verdict(&shard, status)?;
     }
+}
+
+/// One datagram into a fresh shard: exactly one counter moved — an
+/// admission iff the verdict is `Ack` — and any rejection carries a
+/// message.
+fn prop_assert_one_verdict(shard: &Shard, status: StatusCode) -> Result<(), TestCaseError> {
+    let st = shard.stats();
+    prop_assert_eq!(st.received(), 1);
+    prop_assert_eq!(st.admitted + st.rejected + st.malformed, 1);
+    prop_assert_eq!(status == StatusCode::Ack, st.admitted == 1);
+    if let Err(e) = status.into_admission(SimTime::ORIGIN) {
+        prop_assert!(!e.to_string().is_empty());
+    }
+    Ok(())
 }

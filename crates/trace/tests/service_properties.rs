@@ -1,14 +1,18 @@
 //! Property tests over the networked ingest path: the framed-TCP
 //! codec and the UDP datagram path must never panic on truncated,
 //! bit-flipped, duplicated, or reordered input; a corrupt datagram
-//! must cost at most the one report it carried; and the service
-//! accounting must balance no matter what arrives.
+//! must cost at most the one report it carried; the service
+//! accounting must balance no matter what arrives; and a shard admits
+//! exactly what the in-process gateway admits.
 
 use magellan_netsim::{PeerAddr, SimDuration, SimTime};
 use magellan_trace::codec::{
     decode_client_msg, decode_reply, encode_client_msg, encode_reply, frame,
 };
-use magellan_trace::{wire, BufferMap, ClientMsg, FrameReader, PeerReport, ReplyMsg, ServiceCore};
+use magellan_trace::{
+    wire, BufferMap, ClientMsg, FrameReader, GatewayCore, PeerReport, ReplyMsg, ReportGateway,
+    ServiceCore, Shard, SinkGateway,
+};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
 
@@ -245,5 +249,42 @@ proptest! {
         let before = ids.len();
         ids.dedup();
         prop_assert_eq!(before, ids.len(), "duplicate identity archived");
+    }
+
+    /// With no downtime, the in-process path (a `SinkGateway` over a
+    /// `GatewayCore`) and a shard with its frontier at the origin and
+    /// an unbounded pending buffer are one admission authority: every
+    /// verdict agrees, the admitted sets are equal, and so are the
+    /// counts.
+    #[test]
+    fn sink_gateway_and_shard_admit_the_same_set(
+        sends in proptest::collection::vec((0u32..12, 0u64..40, 0u8..6), 0..120),
+    ) {
+        // Minutes 30..40 fall outside the window; every sixth report
+        // carries an implausible field; the narrow address and time
+        // ranges make duplicates common.
+        let end = SimTime::ORIGIN + SimDuration::from_mins(30);
+        let mut core = GatewayCore::new(end, vec![]);
+        let mut stored = Vec::new();
+        let mut gateway = SinkGateway::new(&mut core, |r| stored.push(r));
+        let mut shard = Shard::new(end, usize::MAX);
+        for (ip, minute, flaw) in sends {
+            let mut r = report(ip, minute);
+            if flaw == 0 {
+                r.upload_capacity_kbps = -1.0;
+            }
+            let now = r.time;
+            let in_process = gateway.submit_report(r.clone(), now);
+            let sharded = shard.ingest(r, now);
+            prop_assert_eq!(in_process.is_ok(), sharded.is_delivered(), "verdicts differ: {:?}", sharded);
+        }
+        stored.sort_by_key(|r| (r.time, r.addr.as_u32()));
+        prop_assert_eq!(shard.drain_below(end), stored);
+        let (gs, ss) = (core.stats(), shard.stats());
+        prop_assert_eq!(gs.accepted, ss.admitted);
+        prop_assert_eq!(gs.duplicates, ss.deduped);
+        prop_assert_eq!(gs.rejected, ss.rejected);
+        prop_assert_eq!(gs.unavailable + ss.unavailable, 0);
+        prop_assert_eq!(ss.received(), ss.admitted + ss.deduped + ss.rejected);
     }
 }

@@ -3,7 +3,7 @@
 //! first, and a post-outage flush drains everything that survived.
 
 use magellan_netsim::{FaultWindow, PeerAddr, SimDuration, SimTime};
-use magellan_trace::{BufferMap, PeerReport, ReportUplink, TraceServer};
+use magellan_trace::{BufferMap, GatewayCore, PeerReport, ReportUplink, SinkGateway};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
 
@@ -34,18 +34,20 @@ proptest! {
         down_start in 0u64..150,
         down_len in 1u64..120,
     ) {
-        let mut server = TraceServer::with_downtime(
+        let mut core = GatewayCore::new(
             SimTime::ORIGIN + SimDuration::from_mins(WINDOW_END_MIN),
             vec![FaultWindow::new(
                 SimTime::ORIGIN + SimDuration::from_mins(down_start),
                 SimTime::ORIGIN + SimDuration::from_mins(down_start + down_len),
             )],
         );
+        let mut stored = 0u64;
+        let mut server = SinkGateway::new(&mut core, |_| stored += 1);
         let mut up = ReportUplink::new(capacity);
         let mut sorted = minutes.clone();
         sorted.sort_unstable();
         for (i, m) in sorted.iter().enumerate() {
-            up.send(report(i as u32 + 1, *m), SimTime::ORIGIN + SimDuration::from_mins(*m), &mut server);
+            up.send_via(report(i as u32 + 1, *m), SimTime::ORIGIN + SimDuration::from_mins(*m), &mut server);
             let st = up.stats();
             prop_assert_eq!(st.offered, i as u64 + 1);
             prop_assert_eq!(
@@ -58,7 +60,7 @@ proptest! {
         }
         // The collector keeps listening after the outage: a flush past
         // the window drains every survivor.
-        up.flush(
+        up.flush_via(
             SimTime::ORIGIN + SimDuration::from_mins(down_start + down_len + 1),
             &mut server,
         );
@@ -66,7 +68,7 @@ proptest! {
         prop_assert_eq!(up.pending(), 0, "flush past the outage left a backlog");
         prop_assert_eq!(st.offered, st.delivered + st.dropped_overflow + st.rejected);
         prop_assert_eq!(st.rejected, 0, "well-formed reports were rejected");
-        prop_assert_eq!(server.len() as u64, st.delivered - server.stats().duplicates);
+        prop_assert_eq!(stored, st.delivered - core.stats().duplicates);
     }
 
     /// Overflow during an outage always evicts the *oldest* buffered
@@ -79,27 +81,23 @@ proptest! {
     ) {
         let n = capacity + extra;
         let down_end = 1000u64;
-        let mut server = TraceServer::with_downtime(
+        let mut core = GatewayCore::new(
             SimTime::ORIGIN + SimDuration::from_mins(WINDOW_END_MIN),
             vec![FaultWindow::new(
                 SimTime::ORIGIN,
                 SimTime::ORIGIN + SimDuration::from_mins(down_end),
             )],
         );
+        let mut delivered: Vec<u32> = Vec::new();
+        let mut server = SinkGateway::new(&mut core, |r| delivered.push(r.addr.as_u32()));
         let mut up = ReportUplink::new(capacity);
         for i in 0..n {
             let m = i as u64;
-            up.send(report(i as u32 + 1, m), SimTime::ORIGIN + SimDuration::from_mins(m), &mut server);
+            up.send_via(report(i as u32 + 1, m), SimTime::ORIGIN + SimDuration::from_mins(m), &mut server);
         }
         prop_assert_eq!(up.pending(), capacity);
         prop_assert_eq!(up.stats().dropped_overflow, extra as u64);
-        up.flush(SimTime::ORIGIN + SimDuration::from_mins(down_end + 1), &mut server);
-        let delivered: Vec<u32> = server
-            .into_store()
-            .reports()
-            .iter()
-            .map(|r| r.addr.as_u32())
-            .collect();
+        up.flush_via(SimTime::ORIGIN + SimDuration::from_mins(down_end + 1), &mut server);
         let expected: Vec<u32> = ((extra + 1) as u32..=n as u32).collect();
         prop_assert_eq!(delivered, expected, "eviction was not oldest-first");
     }

@@ -137,6 +137,16 @@ COMMON=(--seed 9 --scale 0.0005 --days 1 --sample-every-mins 240 \
 diff -r "${SMOKE}/clean/archive" "${SMOKE}/crashed/archive"
 cmp "${SMOKE}/clean.txt" "${SMOKE}/crashed.txt"
 ./target/release/tracetool fsck "${SMOKE}/crashed" > /dev/null
+# The loaders that read a whole archive into memory: each must succeed
+# on the clean run and print something.
+for args in "stats" "sessions" "snapshot --at 0,12,0 --format edges"; do
+    read -r -a argv <<< "${args}"
+    out=$(./target/release/tracetool "${argv[0]}" "${SMOKE}/clean" "${argv[@]:1}")
+    if [ -z "${out}" ]; then
+        echo "==> tracetool ${args}: no output" >&2
+        exit 1
+    fi
+done
 rm -rf "${SMOKE}"
 
 stage "loopback-ingest smoke"

@@ -1,9 +1,9 @@
 //! Trace workbench: inspect and export archived traces.
 //!
 //! ```text
-//! tracetool stats    <trace.jsonl | archive-dir>
-//! tracetool sessions <trace.jsonl>
-//! tracetool snapshot <trace.jsonl> --at d,h,m [--scope stable|all]
+//! tracetool stats    <archive-dir>
+//! tracetool sessions <archive-dir>
+//! tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all]
 //!                    [--format summary|edges|dot] [--out file]
 //! tracetool inspect  <archive-dir>
 //! tracetool fsck     <archive-dir>
@@ -13,16 +13,16 @@
 //!                    [--profile tcp|udp|off]
 //! ```
 //!
-//! Traces come from `figures --save-trace` (or any §3.2-conformant
-//! JSON-lines archive). `snapshot --format edges|dot` exports the
-//! reconstructed topology for networkx / Graphviz. `inspect` and
-//! `fsck` operate on the segmented binary archives written by
-//! `magellan study`: `inspect` summarizes contents and recovery
-//! state, `fsck` exits non-zero when any frame was lost to damage.
-//! `stats` on a directory scans the segmented archive instead of a
-//! JSONL trace and adds the `magellan-traced` ingest accounting
-//! (admitted / deduped / shed / lost and whether the books balance)
-//! when the run came through the networked service.
+//! Every command reads the segmented binary archive written by
+//! `magellan study --archive` or `magellan-traced serve`; `<archive-dir>`
+//! may also be the run directory holding it. `stats` prints trace
+//! volume and recovery state, plus the `magellan-traced` ingest
+//! accounting (admitted / deduped / shed / lost and whether the books
+//! balance) when the run came through the networked service.
+//! `snapshot --format edges|dot` exports the reconstructed topology
+//! for networkx / Graphviz. `inspect` summarizes contents and
+//! recovery state without loading the trace into memory, and `fsck`
+//! exits non-zero when any frame was lost to damage.
 //!
 //! `nemesis` is the deterministic chaos interposer for the hostile
 //! ingest drills: it proxies TCP connections and UDP datagrams to
@@ -40,20 +40,24 @@ use magellan::graph::export::{to_dot, to_edge_list};
 use magellan::graph::reciprocity::garlaschelli_reciprocity;
 use magellan::graph::smallworld::{assess, SmallWorldConfig};
 use magellan::netsim::{IspDatabase, SimTime};
-use magellan::trace::{atomic_write, SnapshotBuilder, TraceStats, TraceStore};
-use std::io::BufReader;
+use magellan::trace::archive::read_archive;
+use magellan::trace::{atomic_write, RecoveryReport, SnapshotBuilder, TraceStats, TraceStore};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn load(path: &str) -> Result<TraceStore, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    TraceStore::read_jsonl(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
+/// Loads every recoverable report of an archive into memory.
+fn load(path: &str) -> Result<(TraceStore, RecoveryReport), String> {
+    let dir = archive_dir(path);
+    let mut store = TraceStore::new();
+    let recovery = read_archive(&dir, |r| store.push(r))
+        .map_err(|e| format!("read archive {}: {e}", dir.display()))?;
+    Ok((store, recovery))
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  tracetool stats    <trace.jsonl | archive-dir>\n  tracetool sessions <trace.jsonl>\n  \
-         tracetool snapshot <trace.jsonl> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
+        "usage:\n  tracetool stats    <archive-dir>\n  tracetool sessions <archive-dir>\n  \
+         tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
          tracetool inspect  <archive-dir>\n  tracetool fsck     <archive-dir>\n  \
          tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N] [--profile tcp|udp|off] [--port-file FILE]\n  \
          tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N] [--profile tcp|udp|off]"
@@ -427,7 +431,7 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
     let mut records = 0u64;
     let mut span: Option<(SimTime, SimTime)> = None;
     let mut reporters = std::collections::BTreeSet::new();
-    let report = match magellan::trace::archive::read_archive(&dir, |r| {
+    let report = match read_archive(&dir, |r| {
         records += 1;
         reporters.insert(r.addr.as_u32());
         span = Some(match span {
@@ -447,6 +451,15 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
     if let Some((lo, hi)) = span {
         println!("time span          : {lo} .. {hi}");
     }
+    print_recovery(&report);
+    if strict && !report.is_clean() {
+        eprintln!("fsck: archive sustained damage");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+fn print_recovery(report: &RecoveryReport) {
     println!(
         "segments           : {} ({} sealed)",
         report.segments_read, report.sealed_segments
@@ -457,17 +470,12 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
         "torn tail          : {}",
         if report.truncated_tail { "yes" } else { "no" }
     );
-    if strict && !report.is_clean() {
-        eprintln!("fsck: archive sustained damage");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
-/// `stats` on a segmented archive: recovery state plus — when the run
-/// came through `magellan-traced` — the full ingest accounting and
-/// its balance verdict.
-fn archive_stats(path: &str) -> ExitCode {
+/// `stats`: trace volume and recovery state, plus — when the run came
+/// through `magellan-traced` — the full ingest accounting and its
+/// balance verdict.
+fn archive_stats(path: &str, store: &TraceStore, recovery: &RecoveryReport) -> ExitCode {
     let dir = archive_dir(path);
     match magellan::trace::service::read_ingest_stats(&dir) {
         Ok(Some(s)) => {
@@ -498,7 +506,21 @@ fn archive_stats(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    scan_archive(path, false)
+    let s = TraceStats::compute(store);
+    println!("archive            : {}", dir.display());
+    println!("reports            : {}", s.reports);
+    println!("wire volume        : {:.2} MB", s.wire_bytes as f64 / 1e6);
+    println!("mean report size   : {:.0} B", s.mean_report_bytes);
+    println!("distinct reporters : {}", s.distinct_reporters);
+    println!("distinct addresses : {}", s.distinct_addresses);
+    println!("mean partners      : {:.1}", s.mean_partners);
+    println!("active buckets     : {}", s.active_buckets);
+    println!("reports per bucket : {:.1}", s.reports_per_bucket);
+    if let Some((lo, hi)) = store.time_span() {
+        println!("time span          : {lo} .. {hi}");
+    }
+    print_recovery(recovery);
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -519,15 +541,14 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    // Archive-directory commands never parse JSON lines.
+    // `inspect` and `fsck` stream the archive without holding it.
     match cmd.as_str() {
         "inspect" => return scan_archive(path, false),
         "fsck" => return scan_archive(path, true),
-        "stats" if Path::new(path).is_dir() => return archive_stats(path),
         _ => {}
     }
-    let store = match load(path) {
-        Ok(s) => s,
+    let (store, recovery) = match load(path) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -535,21 +556,7 @@ fn main() -> ExitCode {
     };
 
     match cmd.as_str() {
-        "stats" => {
-            let s = TraceStats::compute(&store);
-            println!("reports            : {}", s.reports);
-            println!("wire volume        : {:.2} MB", s.wire_bytes as f64 / 1e6);
-            println!("mean report size   : {:.0} B", s.mean_report_bytes);
-            println!("distinct reporters : {}", s.distinct_reporters);
-            println!("distinct addresses : {}", s.distinct_addresses);
-            println!("mean partners      : {:.1}", s.mean_partners);
-            println!("active buckets     : {}", s.active_buckets);
-            println!("reports per bucket : {:.1}", s.reports_per_bucket);
-            if let Some((lo, hi)) = store.time_span() {
-                println!("time span          : {lo} .. {hi}");
-            }
-            ExitCode::SUCCESS
-        }
+        "stats" => archive_stats(path, &store, &recovery),
         "sessions" => {
             let sessions = stable_sessions(&store);
             match summarize(&sessions) {

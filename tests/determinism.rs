@@ -29,9 +29,9 @@ fn archive_bytes_with(seed: u64, faults: FaultPlan) -> Vec<u8> {
     let (store, summary) = sim.run_collecting().expect("run succeeds");
     assert!(summary.reports > 0, "a run with no reports proves nothing");
     let mut buf = Vec::new();
-    store
-        .write_jsonl(&mut buf)
-        .expect("in-memory serialization succeeds");
+    for r in store.reports() {
+        magellan::trace::wire::encode_into(r, &mut buf);
+    }
     buf
 }
 

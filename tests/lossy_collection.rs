@@ -1,29 +1,30 @@
 //! Robustness of the study to measurement loss: the real trace
-//! arrived as UDP datagrams and some never made it. Pushing the full
-//! simulated report stream through a lossy path must degrade counts,
-//! not conclusions — the snapshot design (staleness horizon > one
-//! report interval) tolerates missed reports by construction.
+//! arrived as UDP datagrams and some never made it. Losing a fifth of
+//! the simulated report stream in flight (`FaultPlan::base_report_loss`)
+//! on its way to the collector must degrade counts, not conclusions —
+//! the snapshot design (staleness horizon > one report interval)
+//! tolerates missed reports by construction.
 
 use magellan::netsim::{SimTime, StudyCalendar};
-use magellan::overlay::{OverlaySim, SimConfig};
+use magellan::overlay::{OverlaySim, SimConfig, SimSummary};
 use magellan::prelude::*;
-use magellan::trace::loss::LossyCollector;
-use magellan::trace::{SnapshotBuilder, TraceServer, TraceStats, TraceStore};
+use magellan::trace::{SnapshotBuilder, TraceStats, TraceStore};
 use magellan::workload::DiurnalProfile;
 use std::sync::OnceLock;
 
-fn collect(drop_prob: f64) -> (TraceStore, magellan::trace::loss::LossStats) {
-    let scenario = Scenario::builder(2112, 0.0005)
+fn collect(loss: f64) -> (TraceStore, SimSummary) {
+    let mut builder = Scenario::builder(2112, 0.0005)
         .calendar(StudyCalendar { window_days: 1 })
         .diurnal(DiurnalProfile::flat())
-        .flash_crowds(vec![])
-        .build();
-    let mut sim = OverlaySim::new(scenario, SimConfig::default());
-    let mut server = TraceServer::new(SimTime::at(2, 0, 0));
-    let mut chan = LossyCollector::new(&mut server, drop_prob, 0.01, 7);
-    sim.run(|r| chan.transmit(&r)).expect("run succeeds");
-    let stats = chan.stats();
-    (server.into_store(), stats)
+        .flash_crowds(vec![]);
+    if loss > 0.0 {
+        builder = builder.faults(FaultPlan {
+            base_report_loss: loss,
+            ..FaultPlan::default()
+        });
+    }
+    let mut sim = OverlaySim::new(builder.build(), SimConfig::default());
+    sim.run_collecting().expect("run succeeds")
 }
 
 fn pristine() -> &'static TraceStore {
@@ -31,18 +32,18 @@ fn pristine() -> &'static TraceStore {
     STORE.get_or_init(|| collect(0.0).0)
 }
 
-fn lossy() -> &'static (TraceStore, magellan::trace::loss::LossStats) {
-    static PAIR: OnceLock<(TraceStore, magellan::trace::loss::LossStats)> = OnceLock::new();
+fn lossy() -> &'static (TraceStore, SimSummary) {
+    static PAIR: OnceLock<(TraceStore, SimSummary)> = OnceLock::new();
     PAIR.get_or_init(|| collect(0.2))
 }
 
 #[test]
 fn loss_reduces_volume_proportionally() {
     let clean = pristine();
-    let (dirty, stats) = lossy();
-    assert!(stats.dropped > 0);
+    let (dirty, summary) = lossy();
+    assert!(summary.faults.reports_lost > 0);
     let kept = dirty.len() as f64 / clean.len() as f64;
-    // 20% drop + 1% corruption → ~79% kept, binomial noise aside.
+    // 20% in-flight loss → ~80% kept, binomial noise aside.
     assert!(
         (0.72..=0.86).contains(&kept),
         "kept fraction {kept:.3} inconsistent with 20% loss"
@@ -97,11 +98,14 @@ fn topology_conclusions_survive_loss() {
 
 #[test]
 fn stats_account_for_the_session() {
-    let (dirty, stats) = lossy();
-    assert_eq!(stats.delivered, dirty.len() as u64);
+    let (dirty, summary) = lossy();
+    assert_eq!(summary.reports, dirty.len() as u64);
+    // Loss draws come from the fault stream alone, so peers build the
+    // same reports as in the lossless run: every one of them was
+    // either collected or lost in flight.
     assert_eq!(
-        stats.sent,
-        stats.delivered + stats.dropped + stats.rejected_by_server
+        dirty.len() as u64 + summary.faults.reports_lost,
+        pristine().len() as u64
     );
     let ts = TraceStats::compute(dirty);
     assert_eq!(ts.reports, dirty.len() as u64);

@@ -1,11 +1,12 @@
 //! Integration of the simulator with the measurement substrate:
-//! simulated reports survive the wire codec, the JSON-lines store,
+//! simulated reports survive the wire codec, the segmented archive,
 //! and snapshot reconstruction unchanged.
 
 use magellan::netsim::{SimTime, StudyCalendar};
 use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
-use magellan::trace::{jsonl, wire, SnapshotBuilder, TraceServer, TraceStore};
+use magellan::trace::archive::read_archive;
+use magellan::trace::{wire, ArchiveConfig, ArchiveWriter, Shard, SnapshotBuilder, TraceStore};
 use magellan::workload::DiurnalProfile;
 use std::sync::OnceLock;
 
@@ -37,22 +38,34 @@ fn every_simulated_report_roundtrips_on_the_wire() {
     }
 }
 
-#[test]
-fn every_simulated_report_roundtrips_as_jsonl() {
-    let store = sim_store();
-    for r in store.reports().iter().take(500) {
-        let line = jsonl::to_json_line(r);
-        let back = jsonl::from_json_line(&line).expect("simulated report parses");
-        assert_eq!(&back, r);
+/// Writes `store` to a fresh segmented archive (small segments, so
+/// the trace spans several) and reads it back.
+fn archive_roundtrip(store: &TraceStore, tag: &str) -> TraceStore {
+    let dir = std::env::temp_dir().join(format!("magellan-roundtrip-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = ArchiveWriter::create(
+        &dir,
+        ArchiveConfig {
+            segment_bytes: 64 * 1024,
+        },
+    )
+    .unwrap();
+    for r in store.reports() {
+        writer.append(r).unwrap();
     }
+    writer.finish().unwrap();
+    let mut reloaded = TraceStore::new();
+    let recovery = read_archive(&dir, |r| reloaded.push(r)).unwrap();
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert!(recovery.sealed_segments > 1, "{recovery:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    reloaded
 }
 
 #[test]
 fn store_persistence_preserves_everything() {
     let store = sim_store();
-    let mut buf = Vec::new();
-    store.write_jsonl(&mut buf).unwrap();
-    let reloaded = TraceStore::read_jsonl(&buf[..]).unwrap();
+    let reloaded = archive_roundtrip(store, "persist");
     assert_eq!(reloaded.len(), store.len());
     assert_eq!(reloaded.reports(), store.reports());
 }
@@ -60,9 +73,7 @@ fn store_persistence_preserves_everything() {
 #[test]
 fn snapshots_from_reloaded_store_match() {
     let store = sim_store();
-    let mut buf = Vec::new();
-    store.write_jsonl(&mut buf).unwrap();
-    let reloaded = TraceStore::read_jsonl(&buf[..]).unwrap();
+    let reloaded = archive_roundtrip(store, "snapshot");
     let t = SimTime::at(0, 12, 0);
     let a = SnapshotBuilder::new(store).at(t);
     let b = SnapshotBuilder::new(&reloaded).at(t);
@@ -73,14 +84,17 @@ fn snapshots_from_reloaded_store_match() {
 #[test]
 fn simulated_reports_pass_server_validation_via_wire() {
     let store = sim_store();
-    let mut server = TraceServer::new(SimTime::at(2, 0, 0));
+    let mut shard = Shard::new(SimTime::at(2, 0, 0), usize::MAX);
     for r in store.reports().iter().take(300) {
-        server
-            .submit_wire(wire::encode(r))
-            .expect("validated simulated datagram");
+        let status = shard.ingest_wire(&wire::encode(r));
+        assert!(
+            status.is_delivered(),
+            "simulated datagram bounced: {status:?}"
+        );
     }
-    assert_eq!(server.stats().rejected, 0);
-    assert_eq!(server.len(), 300.min(store.len()));
+    let st = shard.stats();
+    assert_eq!(st.rejected + st.malformed, 0);
+    assert_eq!(st.admitted, 300.min(store.len()) as u64);
 }
 
 #[test]
