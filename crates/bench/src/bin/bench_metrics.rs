@@ -289,32 +289,23 @@ fn main() {
     );
 
     // Lint-gate wall time — the fixed cost every scripts/check.sh run
-    // pays. One cold run (incremental cache deleted) and one warm run
-    // (cache reused); the gap is what the cache buys. Rows are empty
-    // when the release binary is missing (bench.sh builds it).
+    // pays: one full pass over the tree (the gate keeps no cache). The
+    // row is absent when the release binary is missing (bench.sh
+    // builds it) or the run fails.
     let lint_bin = std::path::Path::new("target/release/magellan-lint");
-    let mut lint_rows: Vec<(&str, f64)> = Vec::new();
+    let mut lint_ms: Option<f64> = None;
     if lint_bin.is_file() {
-        let _ = std::fs::remove_file("target/magellan-lint-cache.v3");
-        for phase in ["cold", "warm"] {
-            eprintln!("lint gate, {phase} cache ...");
-            let start = Instant::now();
-            let status = std::process::Command::new(lint_bin)
-                .stdout(std::process::Stdio::null())
-                .status();
-            match status {
-                Ok(s) if s.success() => {
-                    lint_rows.push((phase, start.elapsed().as_secs_f64() * 1e3));
-                }
-                _ => {
-                    eprintln!("lint gate {phase} run failed; dropping lint rows");
-                    lint_rows.clear();
-                    break;
-                }
-            }
+        eprintln!("lint gate ...");
+        let start = Instant::now();
+        let status = std::process::Command::new(lint_bin)
+            .stdout(std::process::Stdio::null())
+            .status();
+        match status {
+            Ok(s) if s.success() => lint_ms = Some(start.elapsed().as_secs_f64() * 1e3),
+            _ => eprintln!("lint gate run failed; dropping the lint row"),
         }
     } else {
-        eprintln!("target/release/magellan-lint missing; skipping lint rows");
+        eprintln!("target/release/magellan-lint missing; skipping the lint row");
     }
 
     // End-to-end: one full quick study (12 sample boundaries) per
@@ -374,13 +365,11 @@ fn main() {
         ingest.0, ingest.1, ingest.2
     ));
     out.push_str("  \"lint_gate\": [\n");
-    out.push_str(
-        &lint_rows
-            .iter()
-            .map(|(phase, ms)| format!("    {{\"phase\": \"{phase}\", \"wall_ms\": {ms:.1}}}"))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
+    if let Some(ms) = lint_ms {
+        out.push_str(&format!(
+            "    {{\"phase\": \"cold\", \"wall_ms\": {ms:.1}}}"
+        ));
+    }
     out.push_str("\n  ],\n");
     out.push_str("  \"end_to_end_study\": [\n");
     out.push_str(

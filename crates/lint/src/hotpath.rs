@@ -1,10 +1,10 @@
-//! Rules H2/H3/P2: hot-path cost analysis over the workspace call
+//! Rules H2/H3: hot-path cost analysis over the workspace call
 //! graph.
 //!
 //! The paper's flash crowds put ~10⁵ concurrent viewers in one
 //! channel, so the per-tick and per-sample code paths live or die on
-//! per-event cost. The line rules cannot see *where* an allocation or
-//! lock sits relative to those paths; this pass can, because it walks
+//! per-event cost. The line rules cannot see *where* an allocation
+//! sits relative to those paths; this pass can, because it walks
 //! the same call graph rule D4 uses ([`crate::reach`]) — just in the
 //! opposite direction:
 //!
@@ -26,21 +26,18 @@
 //!      `.values()`/`.retain()` over map/set-typed bindings and
 //!      `0..len()` range scans — the "no global scans per tick"
 //!      invariant the timer-wheel refactor depends on.
-//!    * **P2** — lock/channel machinery. Deliberately fires on sites
-//!      whose P1 line finding was `lint:allow`ed: a justified lock is
-//!      still a per-tick cost, and `.lock()` on a field P1 cannot see
-//!      is caught here unconditionally.
 //!
-//! Suppression: `lint:allow(H2|H3|P2): <why>` on the sink line
+//! Suppression: `lint:allow(H2|H3): <why>` on the sink line
 //! un-seeds that sink; on a function's `fn` line it exempts every sink
 //! in that body; on a hot entry's `fn` line it waives the entry (and
 //! with it the whole subtree only that entry makes hot).
 
 use crate::reach::{render_hop, CallGraph, Direction, FnKey};
+use crate::rules::over_budget;
 use crate::rules::{contains_ident, Rule};
 use crate::source::{SourceFile, TargetKind};
 use crate::taint::{enclosing_fn, iteration_of, typed_names};
-use crate::{Config, CostKind, CostSink, FileSummary, Report, Violation};
+use crate::{Config, CostKind, CostSink, FileSummary, FnSummary, Report, Violation};
 use std::collections::BTreeMap;
 
 /// Crates whose code can carry cost sinks: the simulation tick path
@@ -128,10 +125,6 @@ const ALLOC_IN_LOOP: [&str; 10] = [
 /// Map/set types whose whole-collection iteration is an H3 scan.
 const SCAN_TYPES: [&str; 4] = ["BTreeMap", "BTreeSet", "HashMap", "HashSet"];
 
-/// Lock/channel identifiers whose *presence* P1 already reports; P2
-/// re-raises them only when the P1 finding was allowed away.
-const LOCK_IDENTS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "Barrier"];
-
 /// Detects the cost sinks inside `src`, attributed per function.
 ///
 /// Returns `(fn_index_in_items, sink)` pairs. At most one sink per
@@ -193,30 +186,6 @@ pub fn detect_sinks(src: &SourceFile, fns: &[crate::items::FnItem]) -> Vec<(usiz
                 push(fn_idx, lineno, CostKind::Scan, what);
             }
         }
-        // P2 — lock/channel machinery.
-        if !src.is_allowed(lineno, Rule::P2.id()) {
-            let p1_allowed = src.is_allowed(lineno, Rule::P1.id());
-            let ident_hit = LOCK_IDENTS
-                .iter()
-                .find(|l| contains_ident(line, l))
-                .copied();
-            let channel_hit = contains_ident(line, "mpsc") || line.contains("sync_channel(");
-            if p1_allowed && (ident_hit.is_some() || channel_hit) {
-                let what = match ident_hit {
-                    Some(l) => format!("`{l}` behind a lint:allow(P1)"),
-                    None => "channel behind a lint:allow(P1)".to_owned(),
-                };
-                push(fn_idx, lineno, CostKind::Lock, what);
-            } else if ident_hit.is_none() && !channel_hit && line.contains(".lock()") {
-                // A `.lock()` on a field P1's ident needles cannot see.
-                push(
-                    fn_idx,
-                    lineno,
-                    CostKind::Lock,
-                    "`.lock()` acquisition".to_owned(),
-                );
-            }
-        }
     }
     out
 }
@@ -268,7 +237,7 @@ fn is_range_scan(line: &str) -> bool {
             .is_some_and(|tail| tail.contains("..") && tail.contains(".len()"))
 }
 
-/// Runs the H2/H3/P2 analysis over the shared call graph and appends
+/// Runs the H2/H3 analysis over the shared call graph and appends
 /// violations to `report`.
 pub fn check_hot_paths(
     graph: &CallGraph,
@@ -276,28 +245,31 @@ pub fn check_hot_paths(
     config: &Config,
     report: &mut Report,
 ) {
-    for kind in [CostKind::Alloc, CostKind::Scan, CostKind::Lock] {
+    for kind in [CostKind::Alloc, CostKind::Scan] {
         check_kind(graph, files, config, kind, report);
     }
 }
 
-/// Whether any definition of the node is a hot entry for `rule`
+/// Whether any definition of the node is a hot entry for `kind`
 /// (marker or registry, not waived on its `fn` line).
-fn is_hot_seed(node: &crate::reach::Node, key: &FnKey, files: &[FileSummary], rule: Rule) -> bool {
+fn is_hot_seed(
+    node: &crate::reach::Node,
+    key: &FnKey,
+    files: &[FileSummary],
+    kind: CostKind,
+) -> bool {
     node.defs.iter().any(|d| {
         let f = &files[d.file].fns[d.fun];
         let marked = f.hot_marked || HOT_REGISTRY.contains(&(key.0.as_str(), key.1.as_str()));
-        marked && !rule_waived(f, rule)
+        marked && !waived(f, kind)
     })
 }
 
-/// Whether the summary's `fn` line carries `lint:allow(<rule>)`.
-fn rule_waived(f: &crate::FnSummary, rule: Rule) -> bool {
-    match rule {
-        Rule::H2 => f.h2_allowed,
-        Rule::H3 => f.h3_allowed,
-        Rule::P2 => f.p2_allowed,
-        _ => false,
+/// Whether the summary's `fn` line carries `lint:allow` for `kind`'s rule.
+fn waived(f: &FnSummary, kind: CostKind) -> bool {
+    match kind {
+        CostKind::Alloc => f.h2_allowed,
+        CostKind::Scan => f.h3_allowed,
     }
 }
 
@@ -312,7 +284,7 @@ fn check_kind(
     let seeds: Vec<&FnKey> = graph
         .nodes
         .iter()
-        .filter(|(k, n)| is_hot_seed(n, k, files, rule))
+        .filter(|(k, n)| is_hot_seed(n, k, files, kind))
         .map(|(k, _)| k)
         .collect();
     if seeds.is_empty() {
@@ -329,7 +301,7 @@ fn check_kind(
         }
         for def in &node.defs {
             let f = &files[def.file].fns[def.fun];
-            if rule_waived(f, rule) {
+            if waived(f, kind) {
                 continue;
             }
             for sink in f.sinks.iter().filter(|s| s.kind == kind) {
@@ -348,35 +320,27 @@ fn check_kind(
         }
     }
 
-    match kind {
-        CostKind::Alloc => {
-            // H2 is budgeted per sink crate, mirroring the C1 unwrap
-            // ratchet: counts at or under the audited budget are the
-            // signed-off residue; one over reports the whole crate.
-            let mut per_crate: BTreeMap<String, usize> = BTreeMap::new();
-            for (crate_name, _) in &found {
-                *per_crate.entry(crate_name.clone()).or_insert(0) += 1;
-            }
-            for (crate_name, v) in found {
-                let count = per_crate[crate_name.as_str()];
-                let budget = config
-                    .hot_alloc_budgets
-                    .get(crate_name.as_str())
-                    .copied()
-                    .unwrap_or(0);
-                if count > budget {
-                    report.violations.push(Violation {
-                        message: format!(
-                            "{} [crate `{crate_name}`: {count} hot allocation(s), budget {budget}]",
-                            v.message
-                        ),
-                        ..v
-                    });
-                }
-            }
-        }
-        CostKind::Scan | CostKind::Lock => {
-            report.violations.extend(found.into_iter().map(|(_, v)| v));
+    if kind == CostKind::Scan {
+        report.violations.extend(found.into_iter().map(|(_, v)| v));
+        return;
+    }
+    // H2 is budgeted per sink crate, mirroring the C1 unwrap ratchet:
+    // counts at or under the audited budget are the signed-off residue;
+    // one over reports the whole crate.
+    let mut per_crate: BTreeMap<String, usize> = BTreeMap::new();
+    for (crate_name, _) in &found {
+        *per_crate.entry(crate_name.clone()).or_insert(0) += 1;
+    }
+    let over = over_budget(&per_crate, &config.hot_alloc_budgets);
+    for (crate_name, v) in found {
+        if let Some(&(count, budget)) = over.get(crate_name.as_str()) {
+            report.violations.push(Violation {
+                message: format!(
+                    "{} [crate `{crate_name}`: {count} hot allocation(s), budget {budget}]",
+                    v.message
+                ),
+                ..v
+            });
         }
     }
 }
@@ -418,10 +382,6 @@ fn message_for(kind: CostKind, fn_name: &str, chain: &str) -> String {
              touch only the peers an event names (ROADMAP item 1); index or bucket instead, \
              or justify with lint:allow(H3)"
         ),
-        CostKind::Lock => format!(
-            "hot-path lock/channel in `{fn_name}`: {chain} — a justified lock is still a \
-             per-tick cost; move it off the hot path or justify with lint:allow(P2)"
-        ),
     }
 }
 
@@ -432,7 +392,7 @@ mod tests {
 
     fn summarize(path: &str, text: &str) -> FileSummary {
         let src = SourceFile::parse(PathBuf::from(path), text);
-        crate::analyze_file(&src, &crate::Config::default())
+        crate::analyze_file(&src)
     }
 
     fn hot(files: &[FileSummary]) -> Vec<Violation> {
@@ -554,38 +514,6 @@ mod tests {
         let h3: Vec<_> = vs.iter().filter(|v| v.rule == Rule::H3).collect();
         assert_eq!(h3.len(), 1, "{vs:?}");
         assert_eq!(h3[0].line, 5);
-    }
-
-    #[test]
-    fn p2_fires_only_behind_p1_allow() {
-        // An unallowed Mutex: P1's finding, not P2's.
-        let raw = summarize(
-            "crates/netsim/src/a.rs",
-            "// lint:hot\npub fn pump() -> bool {\n    std::sync::Mutex::new(7).lock().is_ok()\n}\n",
-        );
-        let vs = hot(&[raw]);
-        assert!(vs.iter().all(|v| v.rule != Rule::P2), "{vs:?}");
-        // The same lock justified at the line level: P2 takes over.
-        let allowed = summarize(
-            "crates/netsim/src/b.rs",
-            "// lint:hot\npub fn pump() -> bool {\n    // lint:allow(P1): counter shared with the collector thread\n    std::sync::Mutex::new(7).lock().is_ok()\n}\n",
-        );
-        let vs = hot(&[allowed]);
-        let p2: Vec<_> = vs.iter().filter(|v| v.rule == Rule::P2).collect();
-        assert_eq!(p2.len(), 1, "{vs:?}");
-        assert_eq!(p2[0].line, 4);
-    }
-
-    #[test]
-    fn blind_field_lock_fires_p2_unconditionally() {
-        let f = summarize(
-            "crates/netsim/src/c.rs",
-            "// lint:hot\npub fn pump(&self) -> bool {\n    self.state.lock().is_ok()\n}\n",
-        );
-        let vs = hot(&[f]);
-        let p2: Vec<_> = vs.iter().filter(|v| v.rule == Rule::P2).collect();
-        assert_eq!(p2.len(), 1, "{vs:?}");
-        assert_eq!(p2[0].line, 3);
     }
 
     #[test]

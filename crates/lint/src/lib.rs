@@ -14,29 +14,26 @@
 //! | `D1` | sim crates (`overlay`, `netsim`, `workload`) | `HashMap`/`HashSet` use — iteration order is seed-hostile; use `BTreeMap`/`BTreeSet` or sort |
 //! | `D2` | all lib crates | `thread_rng`, `rand::rng()`, `SystemTime::now`, `Instant::now` — ambient entropy / wall clock in simulation code |
 //! | `D3` | sim + metric crates | raw `thread::spawn` outside `magellan-par` |
-//! | `D4` | entry crates (`overlay`, `netsim`, `workload`, `graph`, `analysis`) | public entry point that *transitively* reaches a nondeterminism source through the workspace call graph |
+//! | `D4` | entry crates (`overlay`, `netsim`, `workload`, `graph`, `analysis`, `trace`) | public entry point that *transitively* reaches a nondeterminism source through the workspace call graph |
 //! | `P1` | sim + metric crates | locks, channels, non-SeqCst atomic orderings outside `magellan-par` |
-//! | `P2` | hot-path crates (`overlay`, `netsim`, `workload`, `graph`, `analysis`) | lock/channel machinery *transitively reachable from a hot entry point* — fires even when the site's P1 finding was `lint:allow`ed |
-//! | `L1` | all lib crates | cycle in the static lock-acquisition-order graph: some path acquires class `B` while holding `A` (directly or through the call graph) and another acquires `A` while holding `B` — a potential deadlock, reported with both full chains |
-//! | `S1` | all lib crates | unsound surface at the `magellan-par` pool boundary: manual `unsafe impl Send`/`Sync`, interior mutability in a dispatching function, or a lock guard held across a pool call |
 //! | `C1` | all lib crates | `unwrap()` / `expect(` in non-test library code beyond the per-crate budget |
 //! | `C2` | metric crates (`graph`, `analysis`) | float `==` / `!=` comparisons |
 //! | `C3` | metric crates (`graph`, `analysis`) | lossy `as` casts: narrow widths (`u8`/`u16`/`i8`/`i16`/`f32`) and `len() as u32`-style truncations |
 //! | `C4` | metric crates (`graph`, `analysis`) | unchecked `+`/`*` arithmetic inside index brackets — debug overflow panics where release wraps |
 //! | `H1` | every workspace crate | missing `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]` crate header (`magellan-par` may `deny` unsafe instead — its pool opts one audited module back in) |
-//! | `H2` | hot-path crates | heap allocation (collect/clone/to_vec/format!/`Box::new`, or a constructor in a loop) reachable from a hot entry point, beyond the per-crate budget |
+//! | `H2` | hot-path crates (`overlay`, `netsim`, `workload`, `graph`, `analysis`, `trace`) | heap allocation (collect/clone/to_vec/format!/`Box::new`, or a constructor in a loop) reachable from a hot entry point, beyond the per-crate budget |
 //! | `H3` | hot-path crates | whole-collection iteration (map/set `.iter()`/`.keys()`/`.values()`/`.retain()`, `0..len()` range scans) reachable from a hot entry point |
 //! | `U1` | all lib crates | `unsafe` block/impl/fn without a structured `// SAFETY:` contract (or `# Safety` doc section), or a crate over its audited per-crate unsafe-site budget |
 //! | `M1` | everywhere | malformed `lint:allow` (missing rule id or justification) |
 //!
-//! The line-local rules run per file; `D4` and `H2`/`H3`/`P2` are the
+//! The line-local rules run per file; `D4` and `H2`/`H3` are the
 //! semantic passes — they parse `fn` items, `use` imports, and call
 //! sites out of every file ([`items`]), link them into a workspace
 //! call graph ([`reach`]), and propagate reachability: `D4` walks
 //! *backwards* from nondeterminism sources to public entry points
 //! ([`taint`]); the hot-path cost pass walks *forward* from `lint:hot`
-//! entry points (plus a built-in registry) to allocation, scan, and
-//! lock sinks ([`hotpath`]). Both print the full call chain in the
+//! entry points (plus a built-in registry) to allocation and scan
+//! sinks ([`hotpath`]). Both print the full call chain in the
 //! violation.
 //!
 //! Any finding can be waived *with a written justification* by
@@ -50,11 +47,8 @@
 //! mentioning `thread_rng` in a doc comment is fine; the allow
 //! annotations themselves are read from the raw comment text.
 //!
-//! Reports render as human text, `--format json` (stable,
-//! byte-reproducible schema `magellan-lint-report/1`), or `--format
-//! sarif` (SARIF 2.1.0, loadable by GitHub code scanning); a
-//! checked-in baseline file can grandfather known findings, and an
-//! mtime+hash cache under `target/` keeps warm runs fast.
+//! Reports render as human text or `--format sarif` (SARIF 2.1.0,
+//! byte-reproducible, loadable by GitHub code scanning).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -63,8 +57,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-mod cache;
-mod concurrency;
 mod hotpath;
 mod items;
 mod output;
@@ -74,16 +66,11 @@ mod source;
 mod taint;
 mod walk;
 
-pub use cache::{atomic_write, load_cache, store_cache, FileStamp, CACHE_FILE};
 pub use items::{parse_items, CallSite, FileItems, FnItem, UseImport};
-pub use output::{
-    load_baseline, render_human, render_json, render_sarif, violation_fingerprint, Baseline,
-    BASELINE_FILE,
-};
+pub use output::{render_human, render_sarif};
 pub use reach::{CallGraph, Direction, FnKey};
 pub use rules::{
     default_hot_alloc_budgets, default_unsafe_budgets, default_unwrap_budgets, Rule, RULES,
-    RULES_VERSION,
 };
 pub use source::{SourceFile, TargetKind};
 pub use walk::{collect_workspace_sources, find_workspace_root, parse_crate_deps};
@@ -127,7 +114,7 @@ pub struct Config {
     /// not listed have budget 0.
     pub unsafe_budgets: BTreeMap<String, usize>,
     /// Workspace crate dependency edges (`crate -> deps`), used to
-    /// gate call resolution in the semantic passes (D4, H2/H3/P2).
+    /// gate call resolution in the semantic passes (D4, H2/H3).
     /// When empty (in-memory runs), calls resolve across every crate
     /// pair — a fully connected fallback.
     pub crate_deps: BTreeMap<String, BTreeSet<String>>,
@@ -157,29 +144,6 @@ pub enum TaintKind {
     HashOrder,
 }
 
-impl TaintKind {
-    /// Stable identifier used in the cache serialization.
-    pub fn id(self) -> &'static str {
-        match self {
-            TaintKind::Clock => "clock",
-            TaintKind::Entropy => "entropy",
-            TaintKind::Spawn => "spawn",
-            TaintKind::HashOrder => "hash",
-        }
-    }
-
-    /// Inverse of [`TaintKind::id`].
-    pub fn from_id(s: &str) -> Option<Self> {
-        match s {
-            "clock" => Some(TaintKind::Clock),
-            "entropy" => Some(TaintKind::Entropy),
-            "spawn" => Some(TaintKind::Spawn),
-            "hash" => Some(TaintKind::HashOrder),
-            _ => None,
-        }
-    }
-}
-
 /// One nondeterminism source seeded inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintSource {
@@ -191,43 +155,21 @@ pub struct TaintSource {
     pub what: String,
 }
 
-/// What kind of hot-path cost a sink incurs (rules H2/H3/P2).
+/// What kind of hot-path cost a sink incurs (rules H2/H3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CostKind {
     /// Heap allocation (rule H2).
     Alloc,
     /// Whole-collection iteration / range scan (rule H3).
     Scan,
-    /// Lock acquisition or channel machinery (rule P2).
-    Lock,
 }
 
 impl CostKind {
-    /// Stable identifier used in the cache serialization.
-    pub fn id(self) -> &'static str {
-        match self {
-            CostKind::Alloc => "alloc",
-            CostKind::Scan => "scan",
-            CostKind::Lock => "lock",
-        }
-    }
-
-    /// Inverse of [`CostKind::id`].
-    pub fn from_id(s: &str) -> Option<Self> {
-        match s {
-            "alloc" => Some(CostKind::Alloc),
-            "scan" => Some(CostKind::Scan),
-            "lock" => Some(CostKind::Lock),
-            _ => None,
-        }
-    }
-
     /// The rule that reports this sink kind.
     pub fn rule(self) -> Rule {
         match self {
             CostKind::Alloc => Rule::H2,
             CostKind::Scan => Rule::H3,
-            CostKind::Lock => Rule::P2,
         }
     }
 }
@@ -243,27 +185,8 @@ pub struct CostSink {
     pub what: String,
 }
 
-/// One lock acquisition inside a function body (rules L1/S1 input).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockAcquire {
-    /// 1-based acquisition line.
-    pub line: usize,
-    /// Lock class: the receiver's final identifier
-    /// (`self.inner.lock()` → `inner`), deliberately unqualified so
-    /// same-named locks conflate across crates (a conservative
-    /// over-approximation).
-    pub class: String,
-    /// Last 1-based line (inclusive) on which the guard is held: the
-    /// end of the enclosing block for a `let`-bound guard (or an
-    /// explicit `drop`), the acquisition line for a temporary.
-    pub until: usize,
-    /// Whether the acquisition line carries a `lint:allow(L1): <why>`
-    /// annotation (drops it from the lock-order graph).
-    pub l1_allowed: bool,
-}
-
-/// Per-function analysis product: everything rule D4 needs, detached
-/// from the source text so it can be cached.
+/// Per-function analysis product: everything the call-graph passes
+/// (D4, H2/H3) need, detached from the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Bare function name (call-graph node key within its crate).
@@ -287,22 +210,17 @@ pub struct FnSummary {
     /// Whether the `fn` line carries a `lint:allow(H3): <why>`
     /// annotation (scan analogue of `h2_allowed`).
     pub h3_allowed: bool,
-    /// Whether the `fn` line carries a `lint:allow(P2): <why>`
-    /// annotation (lock analogue of `h2_allowed`).
-    pub p2_allowed: bool,
     /// Call sites inside the body.
     pub calls: Vec<CallSite>,
     /// Nondeterminism sources inside the body.
     pub sources: Vec<TaintSource>,
     /// Hot-path cost sinks inside the body.
     pub sinks: Vec<CostSink>,
-    /// Lock acquisitions inside the body (rules L1/S1 input).
-    pub locks: Vec<LockAcquire>,
 }
 
 /// Per-file analysis product: line-local violations plus the call
-/// graph fragment. The cache stores these; the global phases (C1
-/// budgets, D4 taint) always recompute from them.
+/// graph fragment. The global phases (budgets, D4 taint, H2/H3 cost)
+/// run over these.
 #[derive(Debug, Clone)]
 pub struct FileSummary {
     /// Path relative to the workspace root.
@@ -332,8 +250,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Per-crate non-test `unwrap()`/`expect(` counts (rule C1 input).
     pub unwrap_counts: BTreeMap<String, usize>,
-    /// Findings suppressed by the baseline file (not in `violations`).
-    pub suppressed_baseline: usize,
 }
 
 impl Report {
@@ -344,27 +260,21 @@ impl Report {
 }
 
 /// Runs every line-local rule and the item/taint-source extraction
-/// over one file. Pure per-file work — this is the unit the cache
-/// stores.
-pub fn analyze_file(src: &SourceFile, config: &Config) -> FileSummary {
+/// over one file.
+pub fn analyze_file(src: &SourceFile) -> FileSummary {
     let mut scratch = Report::default();
-    rules::check_file(src, config, &mut scratch);
-    let unwrap_count = scratch.unwrap_counts.values().sum();
-    let items = if src.kind == TargetKind::Lib {
-        items::parse_items(src)
+    rules::check_file(src, &mut scratch);
+    let (items, unwrap_count, unsafe_count) = if src.kind == TargetKind::Lib {
+        (
+            items::parse_items(src),
+            rules::count_unwraps(src),
+            rules::check_unsafe_contracts(src, &mut scratch),
+        )
     } else {
-        FileItems::default()
+        (FileItems::default(), 0, 0)
     };
     let sources = taint::detect_sources(src, &items.fns);
     let sinks = hotpath::detect_sinks(src, &items.fns);
-    let locks = concurrency::detect_locks(src, &items.fns);
-    let unsafe_count = if src.kind == TargetKind::Lib {
-        let n = concurrency::check_unsafe_contracts(src, &mut scratch);
-        concurrency::check_pool_boundary(src, &items.fns, &items.uses, &locks, &mut scratch);
-        n
-    } else {
-        0
-    };
     let fns = items
         .fns
         .iter()
@@ -378,7 +288,6 @@ pub fn analyze_file(src: &SourceFile, config: &Config) -> FileSummary {
             hot_marked: src.is_hot_marked(f.def_line),
             h2_allowed: src.is_allowed(f.def_line, Rule::H2.id()),
             h3_allowed: src.is_allowed(f.def_line, Rule::H3.id()),
-            p2_allowed: src.is_allowed(f.def_line, Rule::P2.id()),
             calls: f.calls.clone(),
             sources: sources
                 .iter()
@@ -389,11 +298,6 @@ pub fn analyze_file(src: &SourceFile, config: &Config) -> FileSummary {
                 .iter()
                 .filter(|(idx, _)| *idx == i)
                 .map(|(_, s)| s.clone())
-                .collect(),
-            locks: locks
-                .iter()
-                .filter(|(idx, _)| *idx == i)
-                .map(|(_, l)| l.clone())
                 .collect(),
         })
         .collect();
@@ -409,9 +313,8 @@ pub fn analyze_file(src: &SourceFile, config: &Config) -> FileSummary {
     }
 }
 
-/// Runs the global phases (C1/U1 budgets, D4 taint, H2/H3/P2 hot-path
-/// cost, L1 lock order) over per-file summaries and assembles the
-/// sorted report.
+/// Runs the global phases (C1/U1 budgets, D4 taint, H2/H3 hot-path
+/// cost) over per-file summaries and assembles the sorted report.
 /// `summaries` must be path-sorted for deterministic chain rendering.
 pub fn finalize(summaries: &[FileSummary], config: &Config) -> Report {
     let mut report = Report {
@@ -425,12 +328,10 @@ pub fn finalize(summaries: &[FileSummary], config: &Config) -> Report {
             .entry(s.crate_name.clone())
             .or_insert(0) += s.unwrap_count;
     }
-    rules::check_unwrap_budgets(summaries, config, &mut report);
-    concurrency::check_unsafe_budgets(summaries, config, &mut report);
+    rules::check_budgets(summaries, config, &mut report);
     let graph = CallGraph::build(summaries, &config.crate_deps);
     taint::check_taint(&graph, summaries, &mut report);
     hotpath::check_hot_paths(&graph, summaries, config, &mut report);
-    concurrency::check_lock_order(&graph, summaries, &mut report);
     report.violations.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -439,68 +340,30 @@ pub fn finalize(summaries: &[FileSummary], config: &Config) -> Report {
 
 /// Lints pre-parsed sources (the in-memory entry point self-tests use).
 pub fn lint_sources(sources: &[SourceFile], config: &Config) -> Report {
-    let mut summaries: Vec<FileSummary> = sources.iter().map(|s| analyze_file(s, config)).collect();
+    let mut summaries: Vec<FileSummary> = sources.iter().map(analyze_file).collect();
     summaries.sort_by(|a, b| a.path.cmp(&b.path));
     finalize(&summaries, config)
 }
 
-/// Lints every workspace source under `root` with `config`.
-///
-/// Reads the crate dependency graph from the workspace `Cargo.toml`s
-/// when `config.crate_deps` is empty, and (with `use_cache`) reuses
-/// per-file summaries from `target/` for unchanged files.
-///
-/// # Errors
-///
-/// Returns an error when the tree cannot be walked or a file cannot be
-/// read. Cache read/write failures are non-fatal (cold run).
-pub fn lint_workspace_cached(
-    root: &Path,
-    config: &Config,
-    use_cache: bool,
-) -> std::io::Result<Report> {
-    let mut config = config.clone();
-    if config.crate_deps.is_empty() {
-        config.crate_deps = parse_crate_deps(root);
-    }
-    let mut paths = collect_workspace_sources(root)?;
-    paths.sort();
-    let cached = if use_cache {
-        load_cache(root, &config)
-    } else {
-        BTreeMap::new()
-    };
-    let mut summaries = Vec::with_capacity(paths.len());
-    let mut entries = Vec::with_capacity(paths.len());
-    for path in paths {
-        let abs = root.join(&path);
-        let stamp = cache::file_stamp(&abs)?;
-        if let Some((entry_stamp, summary)) = cached.get(&path) {
-            if cache::stamp_fresh(entry_stamp, &stamp, &abs)? {
-                entries.push((path, entry_stamp.clone(), summary.clone()));
-                summaries.push(summary.clone());
-                continue;
-            }
-        }
-        let text = std::fs::read_to_string(&abs)?;
-        let stamp = cache::full_stamp(stamp, &text);
-        let summary = analyze_file(&SourceFile::parse(path.clone(), &text), &config);
-        entries.push((path, stamp, summary.clone()));
-        summaries.push(summary);
-    }
-    if use_cache {
-        // Best-effort: a read-only target/ just means cold runs.
-        let _ = store_cache(root, &config, &entries);
-    }
-    Ok(finalize(&summaries, &config))
-}
-
-/// Lints every workspace source under `root` with `config` (no cache).
+/// Lints every workspace source under `root` with `config`, reading
+/// the crate dependency graph from the workspace `Cargo.toml`s when
+/// `config.crate_deps` is empty.
 ///
 /// # Errors
 ///
 /// Returns an error when the tree cannot be walked or a file cannot be
 /// read.
 pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
-    lint_workspace_cached(root, config, false)
+    let mut config = config.clone();
+    if config.crate_deps.is_empty() {
+        config.crate_deps = parse_crate_deps(root);
+    }
+    let mut paths = collect_workspace_sources(root)?;
+    paths.sort();
+    let mut summaries = Vec::with_capacity(paths.len());
+    for path in paths {
+        let text = std::fs::read_to_string(root.join(&path))?;
+        summaries.push(analyze_file(&SourceFile::parse(path, &text)));
+    }
+    Ok(finalize(&summaries, &config))
 }

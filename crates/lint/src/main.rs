@@ -4,12 +4,10 @@
 //!
 //! ```text
 //! cargo run -p magellan-lint                         # lint, exit 1 on findings
-//! cargo run -p magellan-lint -- --format json        # stable machine report
 //! cargo run -p magellan-lint -- --format sarif --output lint.sarif
-//! cargo run -p magellan-lint -- --write-baseline     # grandfather current findings
 //! cargo run -p magellan-lint -- --counts             # per-crate unwrap counts
 //! cargo run -p magellan-lint -- --list-rules
-//! cargo run -p magellan-lint -- --explain L1         # rationale + fix guidance
+//! cargo run -p magellan-lint -- --explain D4         # rationale + fix guidance
 //! ```
 
 #![forbid(unsafe_code)]
@@ -19,26 +17,22 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use magellan_lint::{
-    find_workspace_root, lint_workspace_cached, load_baseline, render_human, render_json,
-    render_sarif, Baseline, Config, BASELINE_FILE, RULES,
+    find_workspace_root, lint_workspace, render_human, render_sarif, Config, RULES,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Human,
-    Json,
     Sarif,
 }
 
+#[derive(Debug)]
 struct Cli {
     format: Format,
     output: Option<PathBuf>,
     counts: bool,
     list_rules: bool,
     explain: Option<String>,
-    no_baseline: bool,
-    write_baseline: bool,
-    no_cache: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
@@ -48,9 +42,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         counts: false,
         list_rules: false,
         explain: None,
-        no_baseline: false,
-        write_baseline: false,
-        no_cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -59,17 +50,13 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--counts" => cli.counts = true,
             "--list-rules" => cli.list_rules = true,
             "--explain" => {
-                let value = it.next().ok_or("--explain needs a rule id (e.g. L1)")?;
+                let value = it.next().ok_or("--explain needs a rule id (e.g. D4)")?;
                 cli.explain = Some(value.clone());
             }
-            "--no-baseline" => cli.no_baseline = true,
-            "--write-baseline" => cli.write_baseline = true,
-            "--no-cache" => cli.no_cache = true,
             "--format" => {
                 let value = it.next().ok_or("--format needs a value")?;
                 cli.format = match value.as_str() {
                     "human" => Format::Human,
-                    "json" => Format::Json,
                     "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 };
@@ -129,7 +116,7 @@ fn main() -> ExitCode {
     };
 
     let config = Config::default();
-    let mut report = match lint_workspace_cached(&root, &config, !cli.no_cache) {
+    let report = match lint_workspace(&root, &config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("magellan-lint: walk failed: {e}");
@@ -146,34 +133,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if cli.write_baseline {
-        let path = root.join(BASELINE_FILE);
-        if let Err(e) = magellan_lint::atomic_write(&path, Baseline::render(&report).as_bytes()) {
-            eprintln!("magellan-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "magellan-lint: baselined {} finding(s) into {}",
-            report.violations.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if !cli.no_baseline {
-        load_baseline(&root).apply(&mut report);
-    }
-
     let rendered = match cli.format {
         Format::Human => render_human(&report, &root),
-        Format::Json => render_json(&report),
         Format::Sarif => render_sarif(&report),
     };
     match &cli.output {
         Some(path) => {
             // Write the machine report to the file and keep the human
             // view on stdout, so one CI invocation does both jobs.
-            if let Err(e) = magellan_lint::atomic_write(path, rendered.as_bytes()) {
+            if let Err(e) = std::fs::write(path, rendered) {
                 eprintln!("magellan-lint: cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
@@ -202,22 +170,76 @@ fn print_help() {
          \x20   magellan-lint [OPTIONS]\n\
          \n\
          OPTIONS:\n\
-         \x20   --format <human|json|sarif>  report format (default human)\n\
-         \x20   --output <path>              write the report to a file, keep human\n\
-         \x20                                output on stdout\n\
-         \x20   --no-baseline                ignore {baseline}\n\
-         \x20   --write-baseline             grandfather all current findings\n\
-         \x20   --no-cache                   ignore and skip the incremental cache\n\
-         \x20   --counts                     dump per-crate unwrap counts (C1 budgets)\n\
-         \x20   --list-rules                 print the rule table\n\
-         \x20   --explain <RULE>             print one rule's rationale + fix guidance\n\
-         \x20   --help                       this text\n\
+         \x20   --format <human|sarif>  report format (default human)\n\
+         \x20   --output <path>         write the report to a file, keep human\n\
+         \x20                           output on stdout\n\
+         \x20   --counts                dump per-crate unwrap counts (C1 budgets)\n\
+         \x20   --list-rules            print the rule table\n\
+         \x20   --explain <RULE>        print one rule's rationale + fix guidance\n\
+         \x20   --help                  this text\n\
          \n\
-         Exits 0 when the workspace is clean, 1 when violations are found.\n\
-         Waive a finding with `// lint:allow(<rule>): <justification>` on the\n\
-         offending line or the line above it. Mark a hot entry point for the\n\
-         H2/H3/P2 hot-path cost pass with `// lint:hot` on or above its `fn`\n\
-         line; the built-in registry seeds the tick/sample surface regardless.",
-        baseline = BASELINE_FILE
+         Exits 0 when the workspace is clean, 1 when violations are found or\n\
+         an argument is not understood. Waive a finding with\n\
+         `// lint:allow(<rule>): <justification>` on the offending line or the\n\
+         line above it. Mark a hot entry point for the H2/H3 hot-path cost pass\n\
+         with `// lint:hot` on or above its `fn` line; the built-in registry\n\
+         seeds the tick/sample surface regardless."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Cli>, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn surviving_flags_parse() {
+        let cli = parse(&[]).expect("no args").expect("a run, not help");
+        assert_eq!(cli.format, Format::Human);
+        assert!(cli.output.is_none() && !cli.counts && !cli.list_rules);
+        assert!(cli.explain.is_none());
+
+        let cli = parse(&[
+            "--format",
+            "sarif",
+            "--output",
+            "target/lint.sarif",
+            "--counts",
+            "--list-rules",
+            "--explain",
+            "h2",
+        ])
+        .expect("valid flags")
+        .expect("a run, not help");
+        assert_eq!(cli.format, Format::Sarif);
+        assert_eq!(cli.output, Some(PathBuf::from("target/lint.sarif")));
+        assert!(cli.counts && cli.list_rules);
+        assert_eq!(cli.explain.as_deref(), Some("h2"));
+
+        let human = parse(&["--format", "human"]).expect("human").expect("run");
+        assert_eq!(human.format, Format::Human);
+        assert!(parse(&["--help"]).expect("help").is_none());
+        assert!(parse(&["-h"]).expect("help").is_none());
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in ["--format", "--output", "--explain"] {
+            assert!(parse(&[flag]).is_err(), "{flag} without a value");
+        }
+    }
+
+    #[test]
+    fn retired_flags_are_unknown() {
+        for flag in ["--no-cache", "--write-baseline", "--no-baseline"] {
+            let err = parse(&[flag]).expect_err(flag);
+            assert_eq!(err, format!("unknown argument `{flag}`"));
+        }
+        let err = parse(&["--format", "json"]).expect_err("json format");
+        assert_eq!(err, "unknown format `json`");
+    }
 }

@@ -1,91 +1,13 @@
-//! Report rendering (human / JSON / SARIF) and the baseline file.
+//! Report rendering: human text and SARIF.
 //!
-//! Both machine formats are emitted by hand (the workspace vendors no
-//! JSON library) with a fixed field order and no timestamps, so two
-//! runs over the same tree produce byte-identical output — a property
-//! the golden-file tests assert. The JSON schema is versioned as
-//! `magellan-lint-report/1`; SARIF follows the 2.1.0 schema that
-//! GitHub code scanning ingests.
-//!
-//! The baseline file (`.magellan-lint-baseline` at the workspace root)
-//! grandfathers known findings: one fingerprint per line, where a
-//! fingerprint is the FNV-1a 64 hash of `rule|file|message` (line
-//! numbers are deliberately excluded so unrelated edits above a
-//! finding do not invalidate it). Suppressed findings are counted in
-//! [`Report::suppressed_baseline`], never silently dropped from the
-//! totals.
+//! SARIF is emitted by hand (the workspace vendors no JSON library)
+//! with a fixed field order and no timestamps, so two runs over the
+//! same tree produce byte-identical output — a property the golden-file
+//! tests assert. It follows the 2.1.0 schema that GitHub code scanning
+//! ingests.
 
-use crate::{Report, Violation, RULES};
+use crate::{Report, RULES};
 use std::path::Path;
-
-/// Baseline file name, resolved against the workspace root.
-pub const BASELINE_FILE: &str = ".magellan-lint-baseline";
-
-/// FNV-1a 64-bit — tiny, stable, dependency-free.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The stable fingerprint of one violation for baseline matching.
-pub fn violation_fingerprint(v: &Violation) -> String {
-    let key = format!("{}|{}|{}", v.rule.id(), v.file.display(), v.message);
-    format!("{:016x}", fnv64(key.as_bytes()))
-}
-
-/// A loaded set of grandfathered finding fingerprints.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    /// Fingerprints from the baseline file, in file order.
-    pub entries: Vec<String>,
-}
-
-impl Baseline {
-    /// Removes baselined findings from `report.violations`, counting
-    /// them in `report.suppressed_baseline`.
-    pub fn apply(&self, report: &mut Report) {
-        if self.entries.is_empty() {
-            return;
-        }
-        let before = report.violations.len();
-        report
-            .violations
-            .retain(|v| !self.entries.iter().any(|e| *e == violation_fingerprint(v)));
-        report.suppressed_baseline += before - report.violations.len();
-    }
-
-    /// Renders a baseline file covering every violation in `report`,
-    /// with the human-readable finding as a trailing comment.
-    pub fn render(report: &Report) -> String {
-        let mut out = String::from(
-            "# magellan-lint baseline — grandfathered findings, one fingerprint per line.\n\
-             # Regenerate with `magellan-lint --write-baseline`; shrink it, never grow it.\n",
-        );
-        for v in &report.violations {
-            out.push_str(&format!("{}  # {v}\n", violation_fingerprint(v)));
-        }
-        out
-    }
-}
-
-/// Loads the baseline at `root/.magellan-lint-baseline`. A missing
-/// file is an empty baseline; `#` comments and blank lines are
-/// ignored, and inline `# …` trailers are stripped.
-pub fn load_baseline(root: &Path) -> Baseline {
-    let Ok(text) = std::fs::read_to_string(root.join(BASELINE_FILE)) else {
-        return Baseline::default();
-    };
-    let entries = text
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim().to_owned())
-        .filter(|l| !l.is_empty())
-        .collect();
-    Baseline { entries }
-}
 
 /// Renders the human report body (one violation per line plus the
 /// summary trailer main() prints today).
@@ -97,17 +19,10 @@ pub fn render_human(report: &Report, root: &Path) -> String {
     }
     if report.is_clean() {
         out.push_str(&format!(
-            "magellan-lint: {} files clean ({})",
+            "magellan-lint: {} files clean ({})\n",
             report.files_scanned,
             root.display()
         ));
-        if report.suppressed_baseline > 0 {
-            out.push_str(&format!(
-                " [{} baselined finding(s) suppressed]",
-                report.suppressed_baseline
-            ));
-        }
-        out.push('\n');
     }
     out
 }
@@ -133,44 +48,6 @@ fn json_escape(s: &str) -> String {
 fn json_path(p: &Path) -> String {
     let s = p.display().to_string();
     json_escape(&s.replace('\\', "/"))
-}
-
-/// Renders the stable JSON report (schema `magellan-lint-report/1`).
-///
-/// Field order, indentation, and ordering of violations are all fixed;
-/// the output carries no timestamps or absolute paths, so consecutive
-/// runs over the same tree are byte-identical.
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"magellan-lint-report/1\",\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!(
-        "  \"suppressed_baseline\": {},\n",
-        report.suppressed_baseline
-    ));
-    out.push_str("  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"file\": \"{}\",\n", json_path(&v.file)));
-        out.push_str(&format!("      \"line\": {},\n", v.line));
-        out.push_str(&format!("      \"rule\": \"{}\",\n", v.rule.id()));
-        out.push_str(&format!(
-            "      \"message\": \"{}\"\n",
-            json_escape(&v.message)
-        ));
-        out.push_str("    }");
-    }
-    if report.violations.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Renders a SARIF 2.1.0 log (the subset GitHub code scanning loads):
@@ -250,7 +127,7 @@ pub fn render_sarif(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rule;
+    use crate::{Rule, Violation};
     use std::path::PathBuf;
 
     fn sample_report() -> Report {
@@ -271,19 +148,7 @@ mod tests {
             ],
             files_scanned: 2,
             unwrap_counts: Default::default(),
-            suppressed_baseline: 0,
         }
-    }
-
-    #[test]
-    fn json_is_stable_and_escaped() {
-        let r = sample_report();
-        let a = render_json(&r);
-        let b = render_json(&r);
-        assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"magellan-lint-report/1\""));
-        assert!(a.contains("say \\\"no\\\""), "{a}");
-        assert!(a.ends_with("}\n"));
     }
 
     #[test]
@@ -292,8 +157,6 @@ mod tests {
             files_scanned: 5,
             ..Report::default()
         };
-        let j = render_json(&r);
-        assert!(j.contains("\"violations\": []"), "{j}");
         let s = render_sarif(&r);
         assert!(s.contains("\"results\": []"), "{s}");
     }
@@ -313,31 +176,6 @@ mod tests {
         assert!(s.contains("\"uri\": \"crates/overlay/src/a.rs\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("\"ruleId\": \"D1\""));
-    }
-
-    #[test]
-    fn baseline_roundtrip_suppresses() {
-        let mut r = sample_report();
-        let rendered = Baseline::render(&r);
-        let entries: Vec<String> = rendered
-            .lines()
-            .map(|l| l.split('#').next().unwrap_or("").trim().to_owned())
-            .filter(|l| !l.is_empty())
-            .collect();
-        assert_eq!(entries.len(), 2);
-        let baseline = Baseline { entries };
-        baseline.apply(&mut r);
-        assert!(r.violations.is_empty());
-        assert_eq!(r.suppressed_baseline, 2);
-    }
-
-    #[test]
-    fn fingerprint_ignores_line_numbers() {
-        let mut v = sample_report().violations[0].clone();
-        let a = violation_fingerprint(&v);
-        v.line = 99;
-        assert_eq!(a, violation_fingerprint(&v));
-        v.message.push('!');
-        assert_ne!(a, violation_fingerprint(&v));
+        assert!(s.contains("say \\\"no\\\""), "{s}");
     }
 }

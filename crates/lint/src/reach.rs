@@ -1,6 +1,6 @@
 //! Reusable workspace call-graph reachability.
 //!
-//! Rule D4 (determinism taint) and the hot-path cost rules (H2/H3/P2)
+//! Rule D4 (determinism taint) and the hot-path cost rules (H2/H3)
 //! ask the same structural question with opposite orientations: which
 //! functions can reach / be reached from a seed set, and by what
 //! chain? This module owns the shared machinery — building the
@@ -90,7 +90,7 @@ pub enum Direction {
     /// Toward callers: "who can reach the seeds?" (rule D4 walks from
     /// nondeterminism sources up to public entry points).
     Callers,
-    /// Toward callees: "what do the seeds reach?" (rules H2/H3/P2 walk
+    /// Toward callees: "what do the seeds reach?" (rules H2/H3 walk
     /// from hot entry points down to cost sinks).
     Callees,
 }

@@ -1,8 +1,9 @@
 //! The rule set: what each rule scans for and where it applies.
 
-use crate::source::{allow_of, SourceFile, TargetKind};
+use crate::source::{allow_of, justified, SourceFile, TargetKind};
 use crate::{Config, FileSummary, Report, Violation};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// Identifier and metadata for one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -17,12 +18,6 @@ pub enum Rule {
     D4,
     /// Shared-state concurrency primitives outside `magellan-par`.
     P1,
-    /// Lock/channel machinery reachable from a hot entry point.
-    P2,
-    /// Cycle in the static lock-acquisition-order graph.
-    L1,
-    /// Unsound type or guard crossing the `magellan-par` pool boundary.
-    S1,
     /// `unwrap()`/`expect(` beyond the per-crate budget.
     C1,
     /// Float `==`/`!=` comparisons in metric code.
@@ -45,15 +40,12 @@ pub enum Rule {
 }
 
 /// Every rule, in reporting order.
-pub const RULES: [Rule; 17] = [
+pub const RULES: [Rule; 14] = [
     Rule::D1,
     Rule::D2,
     Rule::D3,
     Rule::D4,
     Rule::P1,
-    Rule::P2,
-    Rule::L1,
-    Rule::S1,
     Rule::C1,
     Rule::C2,
     Rule::C3,
@@ -65,13 +57,6 @@ pub const RULES: [Rule; 17] = [
     Rule::M1,
 ];
 
-/// Semantic version of the rule *internals* (needle sets, the hot
-/// entry-point registry, chain rendering). Folded into the cache
-/// fingerprint so a warm cache never silently applies a stale rule
-/// set — adding a rule id already busts the cache, but tightening an
-/// existing rule would not without this. Bump on any behavior change.
-pub const RULES_VERSION: u32 = 9;
-
 impl Rule {
     /// The short id used in reports and `lint:allow(...)`.
     pub fn id(self) -> &'static str {
@@ -81,9 +66,6 @@ impl Rule {
             Rule::D3 => "D3",
             Rule::D4 => "D4",
             Rule::P1 => "P1",
-            Rule::P2 => "P2",
-            Rule::L1 => "L1",
-            Rule::S1 => "S1",
             Rule::C1 => "C1",
             Rule::C2 => "C2",
             Rule::C3 => "C3",
@@ -112,30 +94,13 @@ impl Rule {
                  break parallel equivalence; use magellan-par's deterministic primitives"
             }
             Rule::D4 => {
-                "public entry point in overlay/netsim/workload/graph/analysis that transitively \
-                 reaches a nondeterminism source through the workspace call graph; the violation \
+                "public entry point in overlay/netsim/workload/graph/analysis/trace that \
+                 transitively reaches a nondeterminism source through the workspace call graph; the violation \
                  prints the full call chain"
             }
             Rule::P1 => {
                 "locks, channels, or non-SeqCst atomic orderings in simulation/metric crates: \
                  shared-state concurrency belongs in magellan-par's order-preserving primitives"
-            }
-            Rule::P2 => {
-                "lock acquisition or channel machinery transitively reachable from a hot entry \
-                 point (lint:hot marker or built-in registry); fires even when the site itself \
-                 carries lint:allow(P1) — a justified lock is still a per-tick cost"
-            }
-            Rule::L1 => {
-                "cycle in the static lock-acquisition-order graph: some function acquires lock \
-                 class B while a guard of class A is held (directly or through the workspace \
-                 call graph) and some other path acquires A while holding B — a potential \
-                 deadlock; the violation prints both full chains"
-            }
-            Rule::S1 => {
-                "unsound surface at the magellan-par pool boundary: a manual `unsafe impl \
-                 Send/Sync`, an interior-mutability type (Cell/RefCell/UnsafeCell) in a \
-                 function that dispatches to the pool, or a lock guard held across a pool \
-                 call (a panicking chunk would poison or deadlock under the guard)"
             }
             Rule::C1 => {
                 "unwrap()/expect( in non-test library code beyond the per-crate budget: \
@@ -200,23 +165,6 @@ impl Rule {
             Rule::P1 => {
                 "Move the shared state behind magellan-par's primitives, or keep the lock \
                  and write lint:allow(P1): <why the interleaving cannot reach an output>."
-            }
-            Rule::P2 => {
-                "Move the lock/channel off the hot path (hoist it out of the per-tick \
-                 subtree), or justify the per-tick cost with lint:allow(P2): <why>."
-            }
-            Rule::L1 => {
-                "Make every path acquire the two lock classes in the same order (usually by \
-                 narrowing the first guard's scope with drop(guard) or a block before taking \
-                 the second), or merge the locks. If the cycle is a false positive from \
-                 conflated receiver names, rename one lock or waive the acquisition site \
-                 with lint:allow(L1): <why the order is safe>."
-            }
-            Rule::S1 => {
-                "Drop the guard before dispatching to the pool (clone the data out or use a \
-                 block scope); replace Cell/RefCell near the boundary with owned values per \
-                 chunk; delete the manual Send/Sync impl or justify its invariant with \
-                 lint:allow(S1): <why>."
             }
             Rule::C1 => {
                 "Return a typed error (TransferError, SimError, GraphError) instead of \
@@ -341,8 +289,8 @@ fn push(report: &mut Report, src: &SourceFile, line: usize, rule: Rule, message:
     });
 }
 
-/// Runs every per-file rule over `src`.
-pub fn check_file(src: &SourceFile, config: &Config, report: &mut Report) {
+/// Runs every line-local rule over `src`.
+pub fn check_file(src: &SourceFile, report: &mut Report) {
     check_allow_annotations(src, report);
     check_hash_iteration(src, report);
     check_wall_clock_and_entropy(src, report);
@@ -352,7 +300,6 @@ pub fn check_file(src: &SourceFile, config: &Config, report: &mut Report) {
     check_lossy_casts(src, report);
     check_index_arithmetic(src, report);
     check_crate_headers(src, report);
-    count_unwraps(src, config, report);
 }
 
 /// M1: every `lint:allow` must name a known rule and justify itself.
@@ -755,11 +702,9 @@ fn check_crate_headers(src: &SourceFile, report: &mut Report) {
     }
 }
 
-/// C1 phase 1: count non-test, non-allowed unwraps per crate.
-fn count_unwraps(src: &SourceFile, _config: &Config, report: &mut Report) {
-    if src.kind != TargetKind::Lib {
-        return;
-    }
+/// C1 input: the non-test, non-allowed `unwrap()`/`expect(` count of
+/// one library file.
+pub fn count_unwraps(src: &SourceFile) -> usize {
     let mut n = 0usize;
     for (idx, line) in src.code.iter().enumerate() {
         if src.in_test_module[idx] {
@@ -770,37 +715,173 @@ fn count_unwraps(src: &SourceFile, _config: &Config, report: &mut Report) {
             n += hits;
         }
     }
-    *report
-        .unwrap_counts
-        .entry(src.crate_name.clone())
-        .or_insert(0) += n;
+    n
 }
 
-/// C1 phase 2: compare the counts against the budgets.
-pub fn check_unwrap_budgets(summaries: &[FileSummary], config: &Config, report: &mut Report) {
-    for (crate_name, &count) in &report.unwrap_counts.clone() {
-        let budget = config.unwrap_budgets.get(crate_name).copied().unwrap_or(0);
-        if count > budget {
-            // Anchor the violation at the crate root for a stable path.
-            let anchor = summaries
-                .iter()
-                .find(|s| {
-                    s.crate_name == *crate_name && s.path.file_name().is_some_and(|f| f == "lib.rs")
-                })
-                .map(|s| s.path.clone())
-                .unwrap_or_else(|| std::path::PathBuf::from(crate_name.clone()));
-            report.violations.push(Violation {
-                file: anchor,
-                line: 1,
-                rule: Rule::C1,
-                message: format!(
-                    "{crate_name} has {count} unwrap()/expect( calls in non-test library \
-                     code, over its budget of {budget} — convert to typed errors or \
-                     annotate invariant-guarding sites with lint:allow(C1)"
-                ),
-            });
+/// U1 per-site pass: every `unsafe` block, `unsafe impl`, and `unsafe
+/// fn` in non-test library code needs a written contract — a `//
+/// SAFETY: <invariant>` on the site or in the contiguous comment block
+/// above it (an `unsafe fn` may use a `# Safety` doc section instead).
+/// Returns the number of non-test, non-allowed unsafe sites (the
+/// crate-budget input).
+pub fn check_unsafe_contracts(src: &SourceFile, report: &mut Report) -> usize {
+    let mut count = 0usize;
+    for (idx, line) in src.code.iter().enumerate() {
+        if src.in_test_module[idx] || !contains_ident(line, "unsafe") {
+            continue;
+        }
+        let lineno = idx + 1;
+        if src.is_allowed(lineno, Rule::U1.id()) {
+            continue;
+        }
+        count += 1;
+        let is_fn = line.contains("unsafe fn");
+        let what = if line.contains("unsafe impl") {
+            "`unsafe impl`"
+        } else if is_fn {
+            "`unsafe fn`"
+        } else {
+            "`unsafe` block"
+        };
+        let message = match safety_contract(src, idx, is_fn) {
+            Contract::Named => continue,
+            Contract::Empty => format!(
+                "{what} has an empty SAFETY: contract — name the invariant the \
+                 unsafe code relies on (an empty contract is a suppressed \
+                 obligation, not an audit)"
+            ),
+            Contract::Missing => format!(
+                "{what} without a safety contract — write `// SAFETY: <invariant>` \
+                 on or directly above the site{}",
+                if is_fn {
+                    " (or a `# Safety` doc section)"
+                } else {
+                    ""
+                }
+            ),
+        };
+        report.violations.push(Violation {
+            file: src.path.clone(),
+            line: lineno,
+            rule: Rule::U1,
+            message,
+        });
+    }
+    count
+}
+
+/// Outcome of looking for a safety contract on an unsafe site.
+enum Contract {
+    /// A contract naming a non-empty invariant.
+    Named,
+    /// A `SAFETY:` marker with no invariant after it.
+    Empty,
+    /// No contract at all.
+    Missing,
+}
+
+/// Looks for a `SAFETY:` contract on 0-based line `idx` or in the
+/// contiguous comment/attribute block directly above it; `unsafe fn`
+/// sites may carry a `# Safety` doc section instead.
+fn safety_contract(src: &SourceFile, idx: usize, is_fn: bool) -> Contract {
+    let mut best = Contract::Missing;
+    let mut consider = |comment: &str| {
+        if let Some(pos) = comment.find("SAFETY:") {
+            if justified(&comment[pos + "SAFETY:".len()..]) {
+                best = Contract::Named;
+            } else if matches!(best, Contract::Missing) {
+                best = Contract::Empty;
+            }
+        }
+        if is_fn && comment.contains("# Safety") {
+            best = Contract::Named;
+        }
+    };
+    if let Some(comment) = src.comments.get(idx) {
+        consider(comment);
+    }
+    let mut above = idx;
+    while above > 0 {
+        above -= 1;
+        let raw = src.raw.get(above).map(|l| l.trim_start()).unwrap_or("");
+        // The contract may sit anywhere in the contiguous run of
+        // comment-only (or attribute) lines directly above the site.
+        if !(raw.starts_with("//") || raw.starts_with("#[")) {
+            break;
+        }
+        if let Some(comment) = src.comments.get(above) {
+            consider(comment);
         }
     }
+    best
+}
+
+/// The per-crate ratchet shared by C1, H2, and U1: every crate whose
+/// count exceeds its budget (unlisted crates have budget 0), mapped to
+/// `(count, budget)`.
+pub(crate) fn over_budget<'a>(
+    counts: &'a BTreeMap<String, usize>,
+    budgets: &BTreeMap<String, usize>,
+) -> BTreeMap<&'a str, (usize, usize)> {
+    counts
+        .iter()
+        .filter_map(|(name, &count)| {
+            let budget = budgets.get(name).copied().unwrap_or(0);
+            (count > budget).then_some((name.as_str(), (count, budget)))
+        })
+        .collect()
+}
+
+/// The C1 and U1 budget phases: per-crate counts against the audited
+/// ratchets. C1 anchors at the crate root, U1 at the first file in the
+/// crate holding an unsafe site.
+pub fn check_budgets(summaries: &[FileSummary], config: &Config, report: &mut Report) {
+    for (crate_name, (count, budget)) in over_budget(&report.unwrap_counts, &config.unwrap_budgets)
+    {
+        report.violations.push(Violation {
+            file: anchor(summaries, crate_name, |s| {
+                s.path.file_name().is_some_and(|f| f == "lib.rs")
+            }),
+            line: 1,
+            rule: Rule::C1,
+            message: format!(
+                "{crate_name} has {count} unwrap()/expect( calls in non-test library \
+                 code, over its budget of {budget} — convert to typed errors or \
+                 annotate invariant-guarding sites with lint:allow(C1)"
+            ),
+        });
+    }
+    let mut unsafe_counts: BTreeMap<String, usize> = BTreeMap::new();
+    for s in summaries {
+        *unsafe_counts.entry(s.crate_name.clone()).or_insert(0) += s.unsafe_count;
+    }
+    for (crate_name, (count, budget)) in over_budget(&unsafe_counts, &config.unsafe_budgets) {
+        report.violations.push(Violation {
+            file: anchor(summaries, crate_name, |s| s.unsafe_count > 0),
+            line: 1,
+            rule: Rule::U1,
+            message: format!(
+                "{crate_name} has {count} unsafe site(s) in non-test library code, over \
+                 its audited budget of {budget} — the workspace is safe Rust by \
+                 construction; remove the site or consciously raise \
+                 default_unsafe_budgets after an audit"
+            ),
+        });
+    }
+}
+
+/// The first file of `crate_name` matching `pick`, for a stable
+/// budget-finding path (the bare crate name when none matches).
+fn anchor(
+    summaries: &[FileSummary],
+    crate_name: &str,
+    pick: impl Fn(&FileSummary) -> bool,
+) -> PathBuf {
+    summaries
+        .iter()
+        .find(|s| s.crate_name == crate_name && pick(s))
+        .map(|s| s.path.clone())
+        .unwrap_or_else(|| PathBuf::from(crate_name))
 }
 
 fn metric_crate(name: &str) -> bool {

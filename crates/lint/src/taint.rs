@@ -345,7 +345,7 @@ mod tests {
 
     fn summarize(path: &str, text: &str) -> FileSummary {
         let src = SourceFile::parse(PathBuf::from(path), text);
-        crate::analyze_file(&src, &crate::Config::default())
+        crate::analyze_file(&src)
     }
 
     fn d4_with(files: &[FileSummary], deps: &BTreeMap<String, BTreeSet<String>>) -> Vec<Violation> {

@@ -8,11 +8,3 @@ pub fn pump() -> bool {
     let shared: Mutex<u32> = Mutex::new(7);
     shared.lock().is_ok()
 }
-
-/// Hot dispatch: the justified lock below is exactly what P2 exists
-/// to keep visible — P1 is silenced, the per-tick cost is not.
-// lint:hot
-pub fn dispatch() -> bool {
-    // lint:allow(P1): harness-side counter, never taken on the sim thread
-    Mutex::new(1).lock().is_ok()
-}

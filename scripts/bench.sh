@@ -7,8 +7,8 @@
 # The file records ns/op for each Csr kernel at three graph scales and
 # 1 vs 8 workers, the legacy DiGraph-walk baselines the kernels
 # replaced, the magellan-traced ingest throughput (reports/sec through
-# one shard's sans-I/O admission path), cold/warm wall time of the
-# magellan-lint gate, end-to-end study latency per sample instant, and
+# one shard's sans-I/O admission path), the wall time of one
+# magellan-lint gate pass, end-to-end study latency per sample instant, and
 # host_cores (thread scaling is only physically possible when the
 # measuring box has >1 core).
 set -euo pipefail
@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release -p magellan-bench -p magellan-lint" >&2
-# The lint binary is benched too (cold/warm gate wall time). Built as
+# The lint binary is benched too (gate wall time). Built as
 # a separate invocation: `--bin bench_metrics` filters the target list
 # across *every* selected package, so a combined command would skip
 # the magellan-lint binary and time whatever stale build was lying

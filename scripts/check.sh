@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate for the Magellan workspace: formatting, clippy with
 # warnings denied, the magellan-lint pass (line rules, D4 taint, the
-# H2/H3/P2 hot-path cost analysis, and the L1/S1/U1 concurrency
-# pass), the test suite, the pipeline-benchmark smoke, the release
+# H2/H3 hot-path cost analysis, and the U1 unsafe contracts), the
+# test suite, the pipeline-benchmark smoke, the release
 # default-scale findings, a loom smoke over the worker pool, and the
 # end-to-end smokes: fault schedule,
 # crash recovery, the multi-process loopback-ingest drill against
@@ -64,7 +64,7 @@ cargo clippy --offline --manifest-path "${BENCH_MANIFEST}" --all-targets -- \
 
 stage "magellan-lint"
 # Full pass — line rules plus both call-graph analyses (D4 backward
-# taint, H2/H3/P2 forward hot-path cost). Human report on stdout;
+# taint, H2/H3 forward hot-path cost). Human report on stdout;
 # SARIF written for the CI code-scanning artifact (target/ is
 # gitignored, so local runs stay clean).
 mkdir -p target
