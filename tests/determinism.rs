@@ -381,3 +381,101 @@ fn boundary_fan_out_matches_one_lane_and_archive_replay() {
         "archive replay diverged from the live study"
     );
 }
+
+/// FNV-1a over everything [`study_series_digest`] leaves out: Fig. 1B's
+/// daily counts, Fig. 2's share bits, every Fig. 4 capture (label,
+/// time, coverage, the three histograms and the partner power-law
+/// fit) and the session summary. Paired with the capture count.
+fn study_tail_digest(cfg: StudyConfig) -> (u64, usize) {
+    let r = MagellanStudy::new(cfg).run();
+    let mut bytes = Vec::new();
+    let mut put = |x: u64| bytes.extend_from_slice(&x.to_le_bytes());
+    assert!(!r.fig1b.total.is_empty(), "Fig. 1B is empty: pins nothing");
+    for &(day, n) in r.fig1b.total.iter().chain(&r.fig1b.stable) {
+        put(day);
+        put(n);
+    }
+    assert!(!r.fig2.shares.is_empty(), "Fig. 2 is empty: pins nothing");
+    for &(isp, share) in &r.fig2.shares {
+        put(isp.index() as u64);
+        put(share.to_bits());
+    }
+    for s in &r.fig4.snapshots {
+        put(s.label.len() as u64);
+        for b in s.label.bytes() {
+            put(u64::from(b));
+        }
+        put(s.time.as_millis());
+        put(s.coverage.to_bits());
+        for h in [&s.partners, &s.indegree, &s.outdegree] {
+            put(h.total());
+            let max = h.max_degree().unwrap_or(0);
+            put(max as u64);
+            for d in 0..=max {
+                put(h.count_at(d));
+            }
+        }
+        match s.partner_powerlaw {
+            None => put(0),
+            Some(v) => {
+                put(1);
+                put(v.fit.alpha.to_bits());
+                put(v.fit.xmin as u64);
+                put(v.fit.ks.to_bits());
+                put(v.fit.n_tail as u64);
+                put(v.threshold.to_bits());
+                put(u64::from(v.plausible));
+            }
+        }
+    }
+    let s = r.sessions.expect("a day of reports closes sessions");
+    put(s.sessions as u64);
+    put(s.mean_mins.to_bits());
+    put(s.median_mins.to_bits());
+    put(s.p90_mins.to_bits());
+    (fnv1a(&bytes), r.fig4.snapshots.len())
+}
+
+#[test]
+fn study_tail_bits_are_pinned() {
+    // The companion of `study_series_bits_are_pinned` for the figures
+    // that are not evolution series. Fig. 2 folds each boundary's ISP
+    // counts and Fig. 4 histograms each capture's stable set, so a
+    // restructured boundary measurement must leave these bits alone
+    // too. Captures sit on and off the sample grid, and in the
+    // stressed run inside the day-1 server outage.
+    let day = StudyConfig {
+        seed: 2006,
+        scale: 0.005,
+        window_days: 1,
+        sample_every: SimDuration::from_mins(10),
+        degree_captures: vec![
+            ("on-grid 9am d0".into(), SimTime::at(0, 9, 0)),
+            ("off-grid 9:05pm d0".into(), SimTime::at(0, 21, 5)),
+        ],
+        ..StudyConfig::default()
+    };
+    let stressed = StudyConfig {
+        scale: 0.002,
+        window_days: 2,
+        degree_captures: vec![
+            ("on-grid 12:30 d1".into(), SimTime::at(1, 12, 30)),
+            ("off-grid 13:05 d1".into(), SimTime::at(1, 13, 5)),
+        ],
+        faults: FaultPlan::combined_stress(1),
+        ..day.clone()
+    };
+    for threads in [1, 8] {
+        magellan::par::set_threads(threads);
+        let got = [
+            study_tail_digest(day.clone()),
+            study_tail_digest(stressed.clone()),
+        ];
+        magellan::par::set_threads(0);
+        assert_eq!(
+            got,
+            [(0x767b_f207_a1ac_11d8, 2), (0x8f7a_31e6_ed22_4e41, 2)],
+            "Fig. 1B/2/4 or session bits moved at {threads} worker(s): {got:#x?}"
+        );
+    }
+}
