@@ -12,11 +12,18 @@
 //! Edges point in the direction of data flow: an active *supplying*
 //! partner contributes an edge toward the reporter, an active
 //! *receiving* partner an edge away from it.
+//!
+//! [`SnapshotTable`] builds the all-known topology in one pass together
+//! with the population and degree statistics the study samples beside
+//! it; [`active_link_graph`] is the keyed [`DiGraph`] form of the same
+//! build, in either scope.
 
 use crate::classify::{classify, PartnerClass};
-use magellan_graph::{subgraph, DiGraph};
+use magellan_graph::{subgraph, DiGraph, NodeId};
 use magellan_netsim::{Isp, IspDatabase, PeerAddr};
 use magellan_trace::PeerReport;
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 /// Which peers become graph nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +34,195 @@ pub enum NodeScope {
     /// Every address in the trace at this instant — reporters and
     /// their partners. Fig. 8's reciprocity topology.
     AllKnown,
+}
+
+/// One snapshot's stable set, measured in a single pass over its
+/// partner lists: an address table with one entry — and one ISP lookup
+/// — per distinct address, and everything the per-snapshot figures
+/// read from it.
+///
+/// * Figs. 1a/2: [`SnapshotTable::known`] and
+///   [`SnapshotTable::isp_counts`] count every address visible —
+///   reporters and all their partners, active or not — once.
+/// * Figs. 5/6: [`SnapshotTable::degrees`].
+/// * Figs. 7/8: the all-known active-link topology as a node table
+///   ([`SnapshotTable::nodes`], [`SnapshotTable::node_isps`]) and an
+///   edge list ([`SnapshotTable::edges`]) that
+///   [`magellan_graph::Csr::from_edges`] flattens.
+///
+/// Node ids follow the keyed build of [`active_link_graph`]: reporter
+/// `i` is node `i`, then each partner takes the next id at its first
+/// *active* record, a partner listing its own reporter excepted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotTable {
+    /// Node addresses by [`NodeId::index`].
+    pub nodes: Vec<PeerAddr>,
+    /// Node ISPs by [`NodeId::index`].
+    pub node_isps: Vec<Isp>,
+    /// The directed active links `(from, to, segments)` in record
+    /// order; a link reported from both ends appears twice, and
+    /// [`magellan_graph::Csr::from_edges`] sums the two weights.
+    pub edges: Vec<(NodeId, NodeId, u64)>,
+    /// Number of reporters: nodes `0..reporters` are the stable-peer
+    /// graph's nodes.
+    pub reporters: usize,
+    /// Distinct addresses visible (Fig. 1a's total).
+    pub known: usize,
+    /// [`SnapshotTable::known`] split by [`Isp::index`] (Fig. 2).
+    pub isp_counts: [u64; 7],
+    /// Figs. 5 and 6.
+    pub degrees: DegreeStats,
+}
+
+/// The degree statistics of Figs. 5 and 6 over one stable set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DegreeStats {
+    /// Summed (partners, active indegree, active outdegree) — the
+    /// per-report [`crate::classify::degree_triple`]s added up.
+    pub sums: (usize, usize, usize),
+    /// Fig. 6: the average fraction of each reporter's active
+    /// indegree inside its own ISP, over reporters with a nonzero
+    /// indegree (0.0 when there are none).
+    pub intra_in: f64,
+    /// Fig. 6: the same for active outdegree.
+    pub intra_out: f64,
+    /// The average fraction of each reporter's *whole partner list*
+    /// (active or not) inside its own ISP, over reporters with
+    /// partners. Not a curve of the paper's Fig. 6 — which uses active
+    /// degrees — but the quantity a locality-aware tracker directly
+    /// controls, so the extension analyses track it alongside.
+    pub pool: f64,
+}
+
+/// One distinct address of a [`SnapshotTable`] scan.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    isp: Isp,
+    /// Its node id, once a reporter or an active link made it a node.
+    node: Option<NodeId>,
+}
+
+impl SnapshotTable {
+    /// Measures `reporters`, one report per stable peer in ascending
+    /// address order (what a snapshot or the study's frozen stable set
+    /// holds).
+    pub fn build<R: Borrow<PeerReport>>(reporters: &[R], db: &IspDatabase) -> SnapshotTable {
+        Self::scan(reporters, |addr| db.lookup(addr))
+    }
+
+    /// The one pass behind [`SnapshotTable::build`], with the ISP of
+    /// each distinct address from `isp_of`.
+    fn scan<R, F>(reporters: &[R], mut isp_of: F) -> SnapshotTable
+    where
+        R: Borrow<PeerReport>,
+        F: FnMut(PeerAddr) -> Isp,
+    {
+        debug_assert!(
+            reporters
+                .windows(2)
+                .all(|w| w[0].borrow().addr < w[1].borrow().addr),
+            "reporters must be distinct and in address order"
+        );
+        let r = reporters.len();
+        let records: usize = reporters.iter().map(|x| x.borrow().partners.len()).sum();
+        // The map is only ever probed, never iterated: its order cannot
+        // reach a figure. The default keyed hasher keeps a crafted
+        // address set from degrading the probes. Live snapshots show
+        // about four distinct addresses per reporter.
+        let mut slots: HashMap<PeerAddr, Slot> = HashMap::with_capacity(4 * r);
+        let mut t = SnapshotTable {
+            nodes: Vec::with_capacity(4 * r),
+            node_isps: Vec::with_capacity(4 * r),
+            edges: Vec::with_capacity(records),
+            reporters: r,
+            known: 0,
+            isp_counts: [0; 7],
+            degrees: DegreeStats {
+                sums: (0, 0, 0),
+                intra_in: 0.0,
+                intra_out: 0.0,
+                pool: 0.0,
+            },
+        };
+        let mut new_slot = |addr: PeerAddr, t: &mut SnapshotTable| {
+            let isp = isp_of(addr);
+            t.known += 1;
+            t.isp_counts[isp.index()] += 1;
+            Slot { isp, node: None }
+        };
+        // Reporters first, so reporter `i` is node `i`.
+        for rep in reporters {
+            let addr = rep.borrow().addr;
+            let mut slot = new_slot(addr, &mut t);
+            slot.node = Some(NodeId::from_index(t.nodes.len()));
+            slots.insert(addr, slot);
+            t.nodes.push(addr);
+            t.node_isps.push(slot.isp);
+        }
+        let (mut in_sum, mut in_n, mut out_sum, mut out_n) = (0.0, 0usize, 0.0, 0usize);
+        let (mut pool_sum, mut pool_n) = (0.0, 0usize);
+        for (me, rep) in reporters.iter().map(Borrow::borrow).enumerate() {
+            let (me, my_isp) = (NodeId::from_index(me), t.node_isps[me]);
+            let (mut in_total, mut in_same, mut out_total, mut out_same) = (0u32, 0u32, 0u32, 0u32);
+            let mut pool_same = 0u32;
+            for rec in &rep.partners {
+                let slot = slots
+                    .entry(rec.addr)
+                    .or_insert_with(|| new_slot(rec.addr, &mut t));
+                let same = u32::from(slot.isp == my_isp);
+                pool_same += same;
+                let (supplies, receives) = match classify(rec) {
+                    PartnerClass::ActiveSupplier => (true, false),
+                    PartnerClass::ActiveReceiver => (false, true),
+                    PartnerClass::ActiveBoth => (true, true),
+                    PartnerClass::NonActive => continue,
+                };
+                if supplies {
+                    in_total += 1;
+                    in_same += same;
+                }
+                if receives {
+                    out_total += 1;
+                    out_same += same;
+                }
+                if rec.addr == rep.addr {
+                    continue;
+                }
+                let partner = *slot.node.get_or_insert_with(|| {
+                    t.nodes.push(rec.addr);
+                    t.node_isps.push(slot.isp);
+                    NodeId::from_index(t.nodes.len() - 1)
+                });
+                if supplies {
+                    t.edges.push((partner, me, rec.segments_received));
+                }
+                if receives {
+                    t.edges.push((me, partner, rec.segments_sent));
+                }
+            }
+            let sums = &mut t.degrees.sums;
+            sums.0 += rep.partners.len();
+            sums.1 += in_total as usize;
+            sums.2 += out_total as usize;
+            if in_total > 0 {
+                in_sum += in_same as f64 / in_total as f64;
+                in_n += 1;
+            }
+            if out_total > 0 {
+                out_sum += out_same as f64 / out_total as f64;
+                out_n += 1;
+            }
+            if !rep.partners.is_empty() {
+                pool_sum += pool_same as f64 / rep.partners.len() as f64;
+                pool_n += 1;
+            }
+        }
+        let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { 0.0 };
+        t.degrees.intra_in = mean(in_sum, in_n);
+        t.degrees.intra_out = mean(out_sum, out_n);
+        t.degrees.pool = mean(pool_sum, pool_n);
+        t
+    }
 }
 
 /// Builds the directed active-link graph from a snapshot's reports.
@@ -41,8 +237,8 @@ pub enum NodeScope {
 /// the first `r` nodes of the [`NodeScope::AllKnown`] graph (`r`
 /// distinct reporters) are the nodes of the [`NodeScope::StableOnly`]
 /// graph under the same ids, and the subgraph they induce *is* that
-/// graph, weights included: one `AllKnown` build serves both (the
-/// study takes the prefix with [`magellan_graph::Csr::induced`]).
+/// graph, weights included. The keyed form of a [`SnapshotTable`]'s
+/// topology, for callers that look nodes up by address.
 pub fn active_link_graph<'a, I>(reports: I, scope: NodeScope) -> DiGraph<PeerAddr>
 where
     I: IntoIterator<Item = &'a PeerReport>,
@@ -50,58 +246,37 @@ where
     // One report per reporter: keep the freshest, with a content-based
     // tie-break so the choice never depends on input order (snapshots
     // provide one report per peer; raw streams may not).
-    let mut sorted: Vec<&PeerReport> = reports.into_iter().collect(); // lint:allow(H2): materializes the report window once per figure sample, bounded by the stable set
+    let mut sorted: Vec<&PeerReport> = reports.into_iter().collect();
     sorted.sort_by_key(|r| (r.addr, r.time, r.partners.len()));
     let mut deduped: Vec<&PeerReport> = Vec::with_capacity(sorted.len());
     for r in sorted {
-        match deduped.last() {
-            Some(last) if last.addr == r.addr => {
-                *deduped.last_mut().expect("non-empty") = r;
-            }
+        match deduped.last_mut() {
+            Some(last) if last.addr == r.addr => *last = r,
             _ => deduped.push(r),
         }
     }
-    let sorted = deduped;
-    let mut g: DiGraph<PeerAddr> = DiGraph::new();
-    // Intern stable peers first so even isolated reporters are nodes;
-    // reporter `i` of the sorted list is node `i`.
-    for r in &sorted {
-        g.intern(r.addr);
+    // No ISP field is read here, so every address gets one label.
+    let t = SnapshotTable::scan(&deduped, |_| Isp::Oversea);
+    // In the stable scope only reporters are nodes.
+    let n = match scope {
+        NodeScope::AllKnown => t.nodes.len(),
+        NodeScope::StableOnly => t.reporters,
+    };
+    let mut g: DiGraph<PeerAddr> = DiGraph::with_capacity(n);
+    for &addr in &t.nodes[..n] {
+        g.intern(addr);
     }
-    for (me, r) in g.node_ids().zip(&sorted) {
-        for rec in &r.partners {
-            if rec.addr == r.addr {
-                continue;
-            }
-            let (supplies, receives) = match classify(rec) {
-                PartnerClass::ActiveSupplier => (true, false),
-                PartnerClass::ActiveReceiver => (false, true),
-                PartnerClass::ActiveBoth => (true, true),
-                PartnerClass::NonActive => continue,
-            };
-            // In the stable scope only reporters ever become nodes, so
-            // "is a node" is "is stable".
-            let partner = match scope {
-                NodeScope::AllKnown => g.intern(rec.addr),
-                NodeScope::StableOnly => match g.node_id(&rec.addr) {
-                    Some(id) => id,
-                    None => continue,
-                },
-            };
-            if supplies {
-                g.add_edge(partner, me, rec.segments_received);
-            }
-            if receives {
-                g.add_edge(me, partner, rec.segments_sent);
-            }
+    for &(from, to, w) in &t.edges {
+        if from.index() < n && to.index() < n {
+            g.add_edge(from, to, w);
         }
     }
     g
 }
 
-/// ISO of every node, indexed by [`NodeId::index`].
+/// The ISP of every node, indexed by [`NodeId::index`].
 pub fn node_isps(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> Vec<Isp> {
-    g.node_ids().map(|id| db.lookup(*g.key(id))).collect() // lint:allow(H2): one label vector per boundary, shared by the Fig. 7B and Fig. 8B panels
+    g.node_ids().map(|id| db.lookup(*g.key(id))).collect()
 }
 
 /// The subgraph induced by the peers of one ISP (Fig. 7B).
@@ -123,92 +298,6 @@ pub fn inter_isp_link_graph(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> DiGraph<
     subgraph::filtered_by_edges(g, |g, e| {
         db.lookup(*g.key(e.from)) != db.lookup(*g.key(e.to))
     })
-}
-
-/// Average fractions of each stable peer's active degree that stays
-/// inside its own ISP: `(indegree fraction, outdegree fraction)` —
-/// the two curves of Fig. 6. Peers with zero active degree in a
-/// direction are excluded from that average, matching the per-peer
-/// proportion the paper defines.
-pub fn intra_isp_degree_fractions<'a, I>(reports: I, db: &IspDatabase) -> (f64, f64)
-where
-    I: IntoIterator<Item = &'a PeerReport>,
-{
-    let mut in_sum = 0.0;
-    let mut in_n = 0usize;
-    let mut out_sum = 0.0;
-    let mut out_n = 0usize;
-    for r in reports {
-        let my_isp = db.lookup(r.addr);
-        let (mut in_total, mut in_same, mut out_total, mut out_same) = (0u32, 0u32, 0u32, 0u32);
-        for rec in &r.partners {
-            let same = db.lookup(rec.addr) == my_isp;
-            match classify(rec) {
-                PartnerClass::ActiveSupplier => {
-                    in_total += 1;
-                    in_same += same as u32;
-                }
-                PartnerClass::ActiveReceiver => {
-                    out_total += 1;
-                    out_same += same as u32;
-                }
-                PartnerClass::ActiveBoth => {
-                    in_total += 1;
-                    in_same += same as u32;
-                    out_total += 1;
-                    out_same += same as u32;
-                }
-                PartnerClass::NonActive => {}
-            }
-        }
-        if in_total > 0 {
-            in_sum += in_same as f64 / in_total as f64;
-            in_n += 1;
-        }
-        if out_total > 0 {
-            out_sum += out_same as f64 / out_total as f64;
-            out_n += 1;
-        }
-    }
-    (
-        if in_n > 0 { in_sum / in_n as f64 } else { 0.0 },
-        if out_n > 0 {
-            out_sum / out_n as f64
-        } else {
-            0.0
-        },
-    )
-}
-
-/// Average fraction of each stable peer's *whole partner list*
-/// (active or not) inside its own ISP. Not a curve of the paper's
-/// Fig. 6 — which uses active degrees — but the quantity a
-/// locality-aware tracker directly controls, so the extension
-/// analyses track it alongside.
-pub fn intra_isp_pool_fraction<'a, I>(reports: I, db: &IspDatabase) -> f64
-where
-    I: IntoIterator<Item = &'a PeerReport>,
-{
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for r in reports {
-        if r.partners.is_empty() {
-            continue;
-        }
-        let my_isp = db.lookup(r.addr);
-        let same = r
-            .partners
-            .iter()
-            .filter(|p| db.lookup(p.addr) == my_isp)
-            .count();
-        sum += same as f64 / r.partners.len() as f64;
-        n += 1;
-    }
-    if n > 0 {
-        sum / n as f64
-    } else {
-        0.0
-    }
 }
 
 /// Small-world panels for every China ISP with at least `min_nodes`
@@ -369,11 +458,40 @@ mod tests {
         let me = addr(telecom[0].0);
         let same = addr(telecom[0].0 + 1);
         let other = addr(netcom[0].0);
-        // Indegree: 1 same + 1 other = 0.5; outdegree: only same = 1.0.
-        let reports = vec![report(me, vec![(same, 50, 50), (other, 0, 50)])];
-        let (fin, fout) = intra_isp_degree_fractions(&reports, &db);
-        assert!((fin - 0.5).abs() < 1e-12);
-        assert!((fout - 1.0).abs() < 1e-12);
+        // Indegree: 1 same + 1 other = 0.5; outdegree: only same = 1.0;
+        // pool: 1 of 3 records in-ISP (the lazy one counts).
+        let lazy = addr(netcom[0].0 + 1);
+        let reports = vec![report(
+            me,
+            vec![(same, 50, 50), (other, 0, 50), (lazy, 1, 1)],
+        )];
+        let d = SnapshotTable::build(&reports, &db).degrees;
+        assert_eq!(d.sums, (3, 2, 1));
+        assert!((d.intra_in - 0.5).abs() < 1e-12);
+        assert!((d.intra_out - 1.0).abs() < 1e-12);
+        assert!((d.pool - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_counts_every_address_once_and_numbers_active_partners_late() {
+        let db = IspDatabase::synthetic(IspShares::default());
+        // Reporter 1 lists 9 lazily, then itself; reporter 2 lists 1
+        // and 9 actively. 9 becomes a node only at its active record.
+        let reports = vec![
+            report(addr(1), vec![(addr(9), 1, 1), (addr(1), 50, 50)]),
+            report(addr(2), vec![(addr(1), 0, 50), (addr(9), 50, 0)]),
+        ];
+        let t = SnapshotTable::build(&reports, &db);
+        assert_eq!(t.known, 3);
+        assert_eq!(t.isp_counts.iter().sum::<u64>(), 3);
+        assert_eq!(t.nodes, vec![addr(1), addr(2), addr(9)]);
+        let (n1, n2, n9) = (
+            NodeId::from_index(0),
+            NodeId::from_index(1),
+            NodeId::from_index(2),
+        );
+        assert_eq!(t.edges, vec![(n1, n2, 50), (n2, n9, 50)]);
+        assert_eq!(t.degrees.sums, (4, 2, 2), "the self record still counts");
     }
 
     #[test]

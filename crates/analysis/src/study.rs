@@ -7,15 +7,14 @@
 //! paper's trace server kept 120 GB; we keep a rolling window). At
 //! every sample instant it freezes the stable-peer set; the frozen
 //! boundaries are measured side by side on the worker pool — each from
-//! scratch, at a cost proportional to its own snapshot, with one
-//! active-link topology build — and their points are appended to each
-//! figure's series in boundary order (DESIGN.md §10).
+//! scratch, at a cost proportional to its own snapshot, with one pass
+//! over its partner lists that yields the population counts, the
+//! degree statistics and the active-link topology at once — and their
+//! points are appended to each figure's series in boundary order
+//! (DESIGN.md §10).
 
 use crate::figures::{DegreeSnapshot, PartialSample, StudyReport};
-use crate::graphs::{
-    active_link_graph, intra_isp_degree_fractions, intra_isp_pool_fraction, isp_share_baseline,
-    node_isps, NodeScope,
-};
+use crate::graphs::{isp_share_baseline, DegreeStats, SnapshotTable};
 use crate::timeseries::Series;
 use magellan_graph::paths::PathSampling;
 use magellan_graph::powerlaw;
@@ -260,18 +259,9 @@ struct SampleValues {
     /// `(viewers, satisfied viewers)` of CCTV1, then CCTV4 (Fig. 3).
     quality: [(usize, usize); 2],
     /// Figs. 5/6; `None` for an empty stable set.
-    degrees: Option<DegreeValues>,
+    degrees: Option<DegreeStats>,
     /// Figs. 7/8; `None` below `min_graph_nodes`.
     graph: Option<GraphValues>,
-}
-
-/// Fig. 5's summed degree triple and Fig. 6's three fractions.
-struct DegreeValues {
-    /// Summed (partners, active indegree, active outdegree).
-    sums: (usize, usize, usize),
-    intra_in: f64,
-    intra_out: f64,
-    pool: f64,
 }
 
 /// Fig. 7A, Fig. 7B (when the panel ISP is large enough), and Fig. 8's
@@ -573,18 +563,20 @@ impl Sampler {
     fn measure(&self, p: &Pending) -> Measured {
         let (at, stable) = (p.boundary.time, p.stable.as_slice());
         let sample = (p.boundary.sample && !p.is_partial()).then(|| {
-            let (known, isp_counts) = self.population(stable);
+            // One pass over the stable set feeds Figs. 1a/2, 5/6 and
+            // the topology of Figs. 7/8.
+            let table = SnapshotTable::build(stable, &self.db);
             SampleValues {
                 stable: stable.len(),
-                known,
-                isp_counts,
+                known: table.known,
+                isp_counts: table.isp_counts,
                 quality: [
                     self.quality(stable, ChannelId::CCTV1),
                     self.quality(stable, ChannelId::CCTV4),
                 ],
-                degrees: (!stable.is_empty()).then(|| self.degrees(stable)),
+                degrees: (!stable.is_empty()).then_some(table.degrees),
                 graph: (stable.len() >= self.cfg.min_graph_nodes)
-                    .then(|| self.graph_metrics(stable)),
+                    .then(|| self.graph_metrics(table)),
             }
         });
         let capture = p
@@ -673,25 +665,6 @@ impl Sampler {
         }
     }
 
-    /// Figs. 1a/2: every address visible at the boundary — reporters
-    /// and all of their partners, active or not — counted once, and
-    /// that population split by ISP.
-    fn population(&self, stable: &[Arc<PeerReport>]) -> (usize, [u64; 7]) {
-        let mut known: Vec<PeerAddr> =
-            Vec::with_capacity(stable.iter().map(|r| 1 + r.partners.len()).sum::<usize>());
-        for r in stable {
-            known.push(r.addr);
-            known.extend(r.partners.iter().map(|p| p.addr));
-        }
-        known.sort_unstable();
-        known.dedup();
-        let mut counts = [0u64; 7];
-        for addr in &known {
-            counts[self.db.lookup(*addr).index()] += 1;
-        }
-        (known.len(), counts)
-    }
-
     /// Fig. 3: `(viewers, satisfied viewers)` of one channel.
     fn quality(&self, stable: &[Arc<PeerReport>], channel: ChannelId) -> (usize, usize) {
         let (mut viewers, mut good) = (0usize, 0usize);
@@ -702,27 +675,9 @@ impl Sampler {
         (viewers, good)
     }
 
-    /// Figs. 5/6 over a non-empty stable set.
-    fn degrees(&self, stable: &[Arc<PeerReport>]) -> DegreeValues {
-        let mut sums = (0usize, 0usize, 0usize);
-        for r in stable {
-            let (p, i, o) = crate::classify::degree_triple(r);
-            sums.0 += p;
-            sums.1 += i;
-            sums.2 += o;
-        }
-        let (intra_in, intra_out) =
-            intra_isp_degree_fractions(stable.iter().map(Arc::as_ref), &self.db);
-        DegreeValues {
-            sums,
-            intra_in,
-            intra_out,
-            pool: intra_isp_pool_fraction(stable.iter().map(Arc::as_ref), &self.db),
-        }
-    }
-
-    /// Figs. 7/8 over a stable set of at least `min_graph_nodes`.
-    fn graph_metrics(&self, stable: &[Arc<PeerReport>]) -> GraphValues {
+    /// Figs. 7/8 over the table of a stable set of at least
+    /// `min_graph_nodes`.
+    fn graph_metrics(&self, table: SnapshotTable) -> GraphValues {
         let sw_cfg = |n: usize| SmallWorldConfig {
             // Exact metrics below 1500 nodes; sampled above.
             path_sampling: if n <= 1500 {
@@ -739,14 +694,20 @@ impl Sampler {
 
         // One build of the all-known topology serves both figures: the
         // stable-peer graph of Fig. 7 is its prefix (reporters are
-        // interned first, one per stable report), and the ISP panels
-        // of Figs. 7B and 8B read one per-node ISP vector. The keyed
-        // build is dropped once flattened, before the kernels allocate.
-        let (full, isps) = {
-            let g = active_link_graph(stable.iter().map(Arc::as_ref), NodeScope::AllKnown);
-            (Csr::from_digraph(&g), node_isps(&g, &self.db))
-        };
-        let stable_graph = full.induced(|id| id.index() < stable.len());
+        // numbered first, one per stable report), and the ISP panels
+        // of Figs. 7B and 8B read the table's per-node ISP vector. The
+        // edge list is dropped once flattened, before the kernels
+        // allocate.
+        let SnapshotTable {
+            nodes,
+            node_isps: isps,
+            edges,
+            reporters,
+            ..
+        } = table;
+        let full = Csr::from_edges(nodes.len(), &edges);
+        drop((nodes, edges));
+        let stable_graph = full.induced(|id| id.index() < reporters);
 
         let isp_panel = self.cfg.isp_panel;
         let min_graph_nodes = self.cfg.min_graph_nodes;

@@ -1,11 +1,11 @@
 //! Fig. 6 — intra-ISP fractions of active degrees.
 //!
 //! Prints the regenerated intra-ISP in/outdegree fraction curve, then
-//! times the per-snapshot fraction computation (two ISP lookups per
-//! partner record).
+//! times the per-snapshot table pass that computes it (one ISP lookup
+//! per distinct address).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use magellan_analysis::graphs::{intra_isp_degree_fractions, isp_share_baseline};
+use magellan_analysis::graphs::{isp_share_baseline, SnapshotTable};
 use magellan_bench::{bench_trace, peak_snapshot, sample_instants};
 use magellan_trace::SnapshotBuilder;
 use std::hint::black_box;
@@ -19,8 +19,11 @@ fn print_figure() {
     for &t in &sample_instants() {
         let snap = SnapshotBuilder::new(&trace.store).at(t);
         let reports: Vec<_> = snap.reports().collect();
-        let (fin, fout) = intra_isp_degree_fractions(reports.iter().copied(), &trace.db);
-        println!("{t}: indegree {fin:.3}  outdegree {fout:.3}");
+        let d = SnapshotTable::build(&reports, &trace.db).degrees;
+        println!(
+            "{t}: indegree {:.3}  outdegree {:.3}",
+            d.intra_in, d.intra_out
+        );
     }
 }
 
@@ -31,8 +34,8 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fig6_intra_isp");
     g.sample_size(50);
-    g.bench_function("fraction_computation", |b| {
-        b.iter(|| black_box(intra_isp_degree_fractions(black_box(&reports), &trace.db)))
+    g.bench_function("snapshot_table", |b| {
+        b.iter(|| black_box(SnapshotTable::build(black_box(&reports), &trace.db)))
     });
     g.finish();
 }

@@ -9,7 +9,7 @@ use magellan_graph::reciprocity::{
     garlaschelli_reciprocity, label_split_link_counts_csr, simple_reciprocity,
 };
 use magellan_graph::subgraph::{filtered_by_edges, induced_by_nodes};
-use magellan_graph::{Csr, DegreeHistogram, DiGraph};
+use magellan_graph::{Csr, DegreeHistogram, DiGraph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a directed graph on up to 12 nodes from an arbitrary edge
@@ -26,7 +26,52 @@ fn arb_graph() -> impl Strategy<Value = DiGraph<u8>> {
     })
 }
 
+/// Strategy: a node count in `0..12` and an unsorted edge list over
+/// it with repeats, self-loops, and weights that are either small or
+/// close enough to `u64::MAX` that two repeats saturate.
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, u64)>)> {
+    (
+        0usize..12,
+        proptest::collection::vec((0usize..12, 0usize..12, any::<bool>(), 0u64..100), 0..80),
+    )
+        .prop_map(|(n, raw)| {
+            let edges = raw
+                .into_iter()
+                .filter(|_| n > 0)
+                .map(|(u, v, near_max, w)| {
+                    let w = if near_max { u64::MAX - w } else { w };
+                    (NodeId::from_index(u % n), NodeId::from_index(v % n), w)
+                })
+                .collect();
+            (n, edges)
+        })
+}
+
 proptest! {
+    #[test]
+    fn csr_from_edges_matches_digraph_with_the_same_add_edge_calls(
+        (n, edges) in arb_edge_list()
+    ) {
+        // Reference: a keyed graph on nodes 0..n (isolated ones
+        // included) fed the same edges in the same order; self-loops,
+        // which `add_edge` rejects, are the ones `from_edges` drops.
+        let mut g: DiGraph<usize> = DiGraph::with_capacity(n);
+        for k in 0..n {
+            g.intern(k);
+        }
+        for &(u, v, w) in &edges {
+            if u != v {
+                g.add_edge(u, v, w);
+            }
+        }
+        let flat = Csr::from_edges(n, &edges);
+        prop_assert_eq!(&flat, &Csr::from_digraph(&g));
+        // Input order is irrelevant.
+        let mut reversed = edges.clone();
+        reversed.reverse();
+        prop_assert_eq!(&Csr::from_edges(n, &reversed), &flat);
+    }
+
     #[test]
     fn degree_sums_equal_edge_count(g in arb_graph()) {
         let out_sum: usize = degree_sequence(&g, DegreeKind::Out).into_iter().sum();
