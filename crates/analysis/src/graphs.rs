@@ -19,7 +19,7 @@
 //! build, in either scope.
 
 use crate::classify::{classify, PartnerClass};
-use magellan_graph::{subgraph, DiGraph, NodeId};
+use magellan_graph::{DiGraph, NodeId};
 use magellan_netsim::{Isp, IspDatabase, PeerAddr};
 use magellan_trace::PeerReport;
 use std::borrow::Borrow;
@@ -279,51 +279,6 @@ pub fn node_isps(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> Vec<Isp> {
     g.node_ids().map(|id| db.lookup(*g.key(id))).collect()
 }
 
-/// The subgraph induced by the peers of one ISP (Fig. 7B).
-pub fn isp_subgraph(g: &DiGraph<PeerAddr>, db: &IspDatabase, isp: Isp) -> DiGraph<PeerAddr> {
-    subgraph::induced_by_nodes(g, |_, addr| db.lookup(*addr) == isp)
-}
-
-/// The sub-topology of intra-ISP links and their incident peers
-/// (Fig. 8B, "links among peers in the same ISPs").
-pub fn intra_isp_link_graph(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> DiGraph<PeerAddr> {
-    subgraph::filtered_by_edges(g, |g, e| {
-        db.lookup(*g.key(e.from)) == db.lookup(*g.key(e.to))
-    })
-}
-
-/// The sub-topology of inter-ISP links and their incident peers
-/// (Fig. 8B, "links across different ISPs").
-pub fn inter_isp_link_graph(g: &DiGraph<PeerAddr>, db: &IspDatabase) -> DiGraph<PeerAddr> {
-    subgraph::filtered_by_edges(g, |g, e| {
-        db.lookup(*g.key(e.from)) != db.lookup(*g.key(e.to))
-    })
-}
-
-/// Small-world panels for every China ISP with at least `min_nodes`
-/// stable peers in the snapshot — the paper's remark that "similar
-/// properties were observed for sub topologies for other ISPs as
-/// well" (§4.3), made checkable.
-pub fn per_isp_smallworld(
-    g: &DiGraph<PeerAddr>,
-    db: &IspDatabase,
-    min_nodes: usize,
-) -> Vec<(Isp, magellan_graph::smallworld::SmallWorldReport)> {
-    use magellan_graph::smallworld::{assess, SmallWorldConfig};
-    let mut out = Vec::new();
-    for isp in Isp::ALL {
-        if !isp.is_china() {
-            continue;
-        }
-        let sub = isp_subgraph(g, db, isp);
-        if sub.node_count() < min_nodes {
-            continue;
-        }
-        out.push((isp, assess(&sub, &SmallWorldConfig::default())));
-    }
-    out
-}
-
 /// The random-mixing baseline for Fig. 6: if partners were chosen
 /// with no quality gradient, the expected intra-ISP fraction is the
 /// sum of squared ISP shares.
@@ -430,7 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn isp_machinery_partitions_edges() {
+    fn isp_labels_split_and_induce_the_table_topology() {
+        use magellan_graph::reciprocity::label_split_link_counts_csr;
+        use magellan_graph::Csr;
         let db = IspDatabase::synthetic(IspShares::default());
         // Two addresses in the same ISP range + one in a different one.
         let telecom = db.ranges_of(Isp::Telecom);
@@ -439,13 +396,13 @@ mod tests {
         let b = addr(telecom[0].0 + 1);
         let c = addr(netcom[0].0);
         let reports = vec![report(a, vec![(b, 50, 50), (c, 50, 50)])];
-        let g = active_link_graph(&reports, NodeScope::AllKnown);
-        let intra = intra_isp_link_graph(&g, &db);
-        let inter = inter_isp_link_graph(&g, &db);
-        assert_eq!(intra.edge_count(), 2); // a<->b
-        assert_eq!(inter.edge_count(), 2); // a<->c
-        assert_eq!(intra.edge_count() + inter.edge_count(), g.edge_count());
-        let telecom_sub = isp_subgraph(&g, &db, Isp::Telecom);
+        let t = SnapshotTable::build(&reports, &db);
+        let g = Csr::from_edges(t.nodes.len(), &t.edges);
+        let (intra, inter) = label_split_link_counts_csr(&g, &t.node_isps);
+        assert_eq!(intra.edges, 2); // a<->b
+        assert_eq!(inter.edges, 2); // a<->c
+        assert_eq!(intra.edges + inter.edges, g.edge_count());
+        let telecom_sub = g.induced(|id| t.node_isps[id.index()] == Isp::Telecom);
         assert_eq!(telecom_sub.node_count(), 2);
         assert_eq!(telecom_sub.edge_count(), 2);
     }
@@ -505,27 +462,37 @@ mod tests {
     }
 
     #[test]
-    fn per_isp_panels_cover_populated_isps_only() {
+    fn isp_panel_is_the_induced_stable_subgraph() {
+        use magellan_graph::smallworld::{assess_csr, SmallWorldConfig};
+        use magellan_graph::Csr;
         let db = IspDatabase::synthetic(IspShares::default());
         let telecom = db.ranges_of(Isp::Telecom);
         let netcom = db.ranges_of(Isp::Netcom);
         // Three telecom peers in a reciprocal triangle; one isolated
-        // netcom reporter.
+        // netcom reporter; a lazy non-reporting partner.
         let a = addr(telecom[0].0);
         let b = addr(telecom[0].0 + 1);
         let c = addr(telecom[0].0 + 2);
         let d = addr(netcom[0].0);
-        let reports = vec![
+        let mut reports = vec![
             report(a, vec![(b, 50, 50), (c, 50, 50)]),
-            report(b, vec![(a, 50, 50), (c, 50, 50)]),
+            report(
+                b,
+                vec![(a, 50, 50), (c, 50, 50), (addr(telecom[0].0 + 9), 0, 50)],
+            ),
             report(c, vec![(a, 50, 50), (b, 50, 50)]),
             report(d, vec![]),
         ];
-        let g = active_link_graph(&reports, NodeScope::StableOnly);
-        let panels = per_isp_smallworld(&g, &db, 2);
-        assert_eq!(panels.len(), 1, "only Telecom has >= 2 nodes");
-        let (isp, r) = &panels[0];
-        assert_eq!(*isp, Isp::Telecom);
+        reports.sort_by_key(|r| r.addr);
+        // The study's route: the table's topology, its reporter prefix,
+        // then one ISP's induced subgraph.
+        let t = SnapshotTable::build(&reports, &db);
+        let full = Csr::from_edges(t.nodes.len(), &t.edges);
+        let stable = full.induced(|id| id.index() < t.reporters);
+        assert_eq!(stable.node_count(), 4);
+        let panel = |isp: Isp| stable.induced(|id| t.node_isps[id.index()] == isp);
+        assert_eq!(panel(Isp::Netcom).node_count(), 1);
+        let r = assess_csr(&panel(Isp::Telecom), &SmallWorldConfig::default());
         assert_eq!(r.n, 3);
         assert!((r.c - 1.0).abs() < 1e-9, "triangle C = {}", r.c);
     }

@@ -2,10 +2,9 @@
 //! arbitrary report sets and series invariants.
 
 use magellan_analysis::classify::{classify, degree_triple, PartnerClass};
-use magellan_analysis::graphs::{
-    active_link_graph, inter_isp_link_graph, intra_isp_link_graph, NodeScope, SnapshotTable,
-};
+use magellan_analysis::graphs::{active_link_graph, NodeScope, SnapshotTable};
 use magellan_analysis::timeseries::{to_csv, Series};
+use magellan_graph::reciprocity::label_split_link_counts_csr;
 use magellan_graph::{Csr, DiGraph, NodeId};
 use magellan_netsim::{Isp, IspDatabase, PeerAddr, SimDuration, SimTime};
 use magellan_trace::{BufferMap, PartnerRecord, PeerReport};
@@ -306,12 +305,13 @@ proptest! {
     }
 
     #[test]
-    fn isp_split_partitions_edges(reports in proptest::collection::vec(arb_report(), 0..25)) {
+    fn isp_split_partitions_edges(reports in arb_stable_set()) {
         let db = IspDatabase::default();
-        let g = active_link_graph(&reports, NodeScope::AllKnown);
-        let intra = intra_isp_link_graph(&g, &db);
-        let inter = inter_isp_link_graph(&g, &db);
-        prop_assert_eq!(intra.edge_count() + inter.edge_count(), g.edge_count());
+        let t = SnapshotTable::build(&reports, &db);
+        let g = Csr::from_edges(t.nodes.len(), &t.edges);
+        let (intra, inter) = label_split_link_counts_csr(&g, &t.node_isps);
+        prop_assert_eq!(intra.edges + inter.edges, g.edge_count());
+        prop_assert!(intra.nodes <= g.node_count() && inter.nodes <= g.node_count());
     }
 
     #[test]

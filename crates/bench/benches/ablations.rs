@@ -11,11 +11,12 @@
 //!    population-estimate fidelity.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use magellan_analysis::graphs::{active_link_graph, NodeScope};
+use magellan_analysis::graphs::SnapshotTable;
 use magellan_analysis::study::MagellanStudy;
-use magellan_bench::{peak_snapshot, quick_study};
-use magellan_graph::clustering::{clustering_coefficient, sampled_clustering};
-use magellan_graph::paths::{average_path_length, PathSampling, PathTreatment};
+use magellan_bench::{bench_trace, peak_snapshot, quick_study};
+use magellan_graph::clustering::{clustering_coefficient_csr, sampled_clustering_csr};
+use magellan_graph::paths::{average_path_length_csr, PathSampling, PathTreatment};
+use magellan_graph::Csr;
 use std::hint::black_box;
 
 fn ablation_selection_and_volunteer() {
@@ -65,12 +66,15 @@ fn ablation_selection_and_volunteer() {
 }
 
 fn ablation_estimators(c: &mut Criterion) {
-    let reports = peak_snapshot();
-    let g = active_link_graph(&reports, NodeScope::StableOnly);
-    let c_exact = clustering_coefficient(&g);
-    let c_sampled = sampled_clustering(&g, 64, 9);
-    let l_exact = average_path_length(&g, PathTreatment::Undirected, PathSampling::Exact);
-    let l_sampled = average_path_length(
+    // The study's stable-peer graph: the reporter prefix of the
+    // snapshot's all-known topology.
+    let table = SnapshotTable::build(&peak_snapshot(), &bench_trace().db);
+    let g =
+        Csr::from_edges(table.nodes.len(), &table.edges).induced(|id| id.index() < table.reporters);
+    let c_exact = clustering_coefficient_csr(&g);
+    let c_sampled = sampled_clustering_csr(&g, 64, 9);
+    let l_exact = average_path_length_csr(&g, PathTreatment::Undirected, PathSampling::Exact);
+    let l_sampled = average_path_length_csr(
         &g,
         PathTreatment::Undirected,
         PathSampling::Sources { count: 32, seed: 9 },
@@ -86,14 +90,14 @@ fn ablation_estimators(c: &mut Criterion) {
     let mut grp = c.benchmark_group("ablation_estimators");
     grp.sample_size(20);
     grp.bench_function("clustering_exact", |b| {
-        b.iter(|| black_box(clustering_coefficient(black_box(&g))))
+        b.iter(|| black_box(clustering_coefficient_csr(black_box(&g))))
     });
     grp.bench_function("clustering_sampled_64", |b| {
-        b.iter(|| black_box(sampled_clustering(black_box(&g), 64, 9)))
+        b.iter(|| black_box(sampled_clustering_csr(black_box(&g), 64, 9)))
     });
     grp.bench_function("paths_exact", |b| {
         b.iter(|| {
-            black_box(average_path_length(
+            black_box(average_path_length_csr(
                 black_box(&g),
                 PathTreatment::Undirected,
                 PathSampling::Exact,
@@ -102,7 +106,7 @@ fn ablation_estimators(c: &mut Criterion) {
     });
     grp.bench_function("paths_sampled_32", |b| {
         b.iter(|| {
-            black_box(average_path_length(
+            black_box(average_path_length_csr(
                 black_box(&g),
                 PathTreatment::Undirected,
                 PathSampling::Sources { count: 32, seed: 9 },

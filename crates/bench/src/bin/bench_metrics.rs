@@ -82,6 +82,21 @@ fn legacy_clustering(g: &DiGraph<u32>) -> f64 {
     sum / n as f64
 }
 
+/// A keyed graph with node `k` keyed `k`, filled from `csr`'s rows:
+/// the input of the `csr_build` row and the legacy walks.
+fn keyed_graph(csr: &Csr) -> DiGraph<u32> {
+    let mut g = DiGraph::with_capacity(csr.node_count());
+    for u in csr.node_ids() {
+        g.intern(u.index() as u32);
+    }
+    for u in csr.node_ids() {
+        for (&v, &w) in csr.out(u).iter().zip(csr.out_weights(u)) {
+            g.add_edge(u, v, w);
+        }
+    }
+    g
+}
+
 /// The legacy per-source BFS: VecDeque over `DiGraph::undirected_neighbors`
 /// (one Vec allocation per visited node).
 fn legacy_bfs(g: &DiGraph<u32>, src: NodeId) -> Vec<u32> {
@@ -118,8 +133,8 @@ fn main() {
 
     for &n in &scales {
         eprintln!("measuring n = {n} ...");
-        let g = watts_strogatz(n, 8, 0.1, 1);
-        let csr = Csr::from_digraph(&g);
+        let csr = watts_strogatz(n, 8, 0.1, 1);
+        let g = keyed_graph(&csr);
 
         rows.push(Row {
             name: "csr_build",

@@ -13,17 +13,13 @@
 //! `O(k²)` intersections, far more than the reciprocity merges, so the
 //! quota is correspondingly smaller); the per-node values come back in
 //! node order and are summed left-to-right, keeping every coefficient
-//! bit-identical for any thread count. For repeated
-//! single-node queries build the [`Csr`] once and pass it to
-//! [`local_clustering_csr`] — the one-shot [`local_clustering`]
-//! rebuilds all neighborhoods (`O(n + m)`) on every call.
+//! bit-identical for any thread count.
 
 use crate::csr::Csr;
-use crate::{DiGraph, NodeId};
+use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::hash::Hash;
 
 /// Per-worker node quota for the clustering kernels: each node's `C_i`
 /// runs `k` sorted-row intersections over its neighborhood, so a few
@@ -63,33 +59,17 @@ fn local_from_csr(csr: &Csr, id: NodeId) -> f64 {
     twice_links as f64 / (k * (k - 1)) as f64
 }
 
-/// The local clustering coefficient `C_i` of one node on a prebuilt
-/// [`Csr`] snapshot — the reusable-handle form of
-/// [`local_clustering`]: build the view once, query many nodes for
-/// free.
+/// The local clustering coefficient `C_i` of one node, on the
+/// undirected projection: `0.0` for nodes with fewer than 2 neighbors.
+/// Build the [`Csr`] once and query as many nodes as needed.
 pub fn local_clustering_csr(csr: &Csr, id: NodeId) -> f64 {
     local_from_csr(csr, id)
 }
 
-/// The local clustering coefficient `C_i` of one node, on the
-/// undirected projection. `0.0` for nodes with fewer than 2 neighbors.
-///
-/// Convenience one-shot: rebuilds every neighborhood (`O(n + m)`) per
-/// call. Querying more than one node? Build a [`Csr`] once and use
-/// [`local_clustering_csr`].
-pub fn local_clustering<N: Eq + Hash + Clone>(g: &DiGraph<N>, id: NodeId) -> f64 {
-    local_from_csr(&Csr::from_digraph(g), id)
-}
-
-/// The graph clustering coefficient `C_g = (1/n) Σ C_i`.
+/// The graph clustering coefficient `C_g = (1/n) Σ C_i`, fanning the
+/// per-node coefficients across cores.
 ///
 /// Returns `0.0` on an empty graph.
-pub fn clustering_coefficient<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
-    clustering_coefficient_csr(&Csr::from_digraph(g))
-}
-
-/// [`clustering_coefficient`] over a prebuilt [`Csr`] snapshot,
-/// fanning the per-node coefficients across cores.
 pub fn clustering_coefficient_csr(csr: &Csr) -> f64 {
     let n = csr.node_count();
     if n == 0 {
@@ -103,15 +83,11 @@ pub fn clustering_coefficient_csr(csr: &Csr) -> f64 {
 
 /// Estimates the clustering coefficient from a uniform sample of
 /// `samples` nodes (without replacement), deterministic in `seed`.
+/// The sample is drawn before the fan-out, so the estimate is
+/// identical for every thread count.
 ///
-/// Falls back to the exact value when `samples >= node_count`.
-pub fn sampled_clustering<N: Eq + Hash + Clone>(g: &DiGraph<N>, samples: usize, seed: u64) -> f64 {
-    sampled_clustering_csr(&Csr::from_digraph(g), samples, seed)
-}
-
-/// [`sampled_clustering`] over a prebuilt [`Csr`] snapshot. The sample
-/// is drawn (seeded) before the fan-out, so the estimate is identical
-/// for every thread count.
+/// Falls back to the exact value when `samples >= node_count`; a
+/// zero-node sample estimates `0.0`, as an empty graph does.
 pub fn sampled_clustering_csr(csr: &Csr, samples: usize, seed: u64) -> f64 {
     let n = csr.node_count();
     if n == 0 {
@@ -127,188 +103,117 @@ pub fn sampled_clustering_csr(csr: &Csr, samples: usize, seed: u64) -> f64 {
     let locals = magellan_par::par_map_collect_grained(ids.len(), CLUSTERING_GRAIN, |k| {
         local_from_csr(csr, ids[k])
     });
-    locals.iter().sum::<f64>() / samples as f64
-}
-
-/// Global transitivity: `3 × triangles / connected triples`, an
-/// alternative clustering notion useful for cross-checking `C_g`.
-///
-/// Returns `0.0` when the graph has no connected triple.
-pub fn transitivity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
-    transitivity_csr(&Csr::from_digraph(g))
-}
-
-/// [`transitivity`] over a prebuilt [`Csr`] snapshot, fanning the
-/// per-node triple/link counts across cores (integer partials, summed
-/// in node order).
-pub fn transitivity_csr(csr: &Csr) -> f64 {
-    let partials: Vec<(u64, u64)> =
-        magellan_par::par_map_collect_grained(csr.node_count(), CLUSTERING_GRAIN, |i| {
-            let hood = csr.und(NodeId::from_index(i));
-            let k = hood.len() as u64;
-            if k < 2 {
-                return (0, 0);
-            }
-            let mut twice_links = 0usize;
-            for &u in hood {
-                twice_links += intersection_size(csr.und(u), hood);
-            }
-            (twice_links as u64, k * (k - 1))
-        });
-    let mut closed = 0u64; // ordered pairs of neighbors that are linked
-    let mut triples = 0u64; // ordered pairs of neighbors
-    for &(c, t) in &partials {
-        closed += c;
-        triples += t;
-    }
-    if triples == 0 {
-        return 0.0;
-    }
-    closed as f64 / triples as f64
+    locals.iter().sum::<f64>() / samples.max(1) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn path3() -> DiGraph<u32> {
-        // 0 - 1 - 2 (undirected path via directed edges)
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..3u32).map(|k| g.intern(k)).collect();
-        g.add_edge(ids[0], ids[1], 1);
-        g.add_edge(ids[1], ids[2], 1);
-        g
+    fn graph(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b)| (NodeId::from_index(a), NodeId::from_index(b), 1))
+            .collect();
+        Csr::from_edges(n, &edges)
     }
 
-    fn triangle() -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..3u32).map(|k| g.intern(k)).collect();
-        g.add_edge(ids[0], ids[1], 1);
-        g.add_edge(ids[1], ids[2], 1);
-        g.add_edge(ids[2], ids[0], 1);
-        g
-    }
+    /// 0 - 1 - 2 (undirected path via directed edges).
+    const PATH3: &[(usize, usize)] = &[(0, 1), (1, 2)];
+    const TRIANGLE: &[(usize, usize)] = &[(0, 1), (1, 2), (2, 0)];
+    /// Triangle 0-1-2 plus pendant 3 attached to 0.
+    const PAW: &[(usize, usize)] = &[(0, 1), (1, 2), (2, 0), (0, 3)];
 
     /// K4 built from one direction per pair.
-    fn k4() -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..4u32).map(|k| g.intern(k)).collect();
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                g.add_edge(ids[i], ids[j], 1);
-            }
-        }
-        g
+    fn k4() -> Csr {
+        let pairs: Vec<_> = (0..4)
+            .flat_map(|i| ((i + 1)..4).map(move |j| (i, j)))
+            .collect();
+        graph(4, &pairs)
     }
 
     #[test]
     fn triangle_is_fully_clustered() {
-        let g = triangle();
-        assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-        assert!((transitivity(&g) - 1.0).abs() < 1e-12);
+        let g = graph(3, TRIANGLE);
+        assert!((clustering_coefficient_csr(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn path_has_zero_clustering() {
-        let g = path3();
-        assert_eq!(clustering_coefficient(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
+        assert_eq!(clustering_coefficient_csr(&graph(3, PATH3)), 0.0);
     }
 
     #[test]
     fn complete_graph_is_fully_clustered() {
-        let g = k4();
-        assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
+        assert!((clustering_coefficient_csr(&k4()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn local_values_on_paw_graph() {
-        // Triangle 0-1-2 plus pendant 3 attached to 0.
-        let mut g = triangle();
-        let n3 = g.intern(3);
-        let n0 = g.node_id(&0).unwrap();
-        g.add_edge(n0, n3, 1);
+        let g = graph(4, PAW);
+        let id = NodeId::from_index;
         // Node 0 has neighbors {1, 2, 3}; one of the 3 possible edges
         // among them exists.
-        assert!((local_clustering(&g, n0) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((local_clustering_csr(&g, id(0)) - 1.0 / 3.0).abs() < 1e-12);
         // Node 1 has neighbors {0, 2}; the edge 0-2 exists.
-        let n1 = g.node_id(&1).unwrap();
-        assert!((local_clustering(&g, n1) - 1.0).abs() < 1e-12);
+        assert!((local_clustering_csr(&g, id(1)) - 1.0).abs() < 1e-12);
         // Pendant has one neighbor: zero by convention.
-        assert_eq!(local_clustering(&g, n3), 0.0);
+        assert_eq!(local_clustering_csr(&g, id(3)), 0.0);
         // Graph coefficient = (1/3 + 1 + 1 + 0) / 4.
         let expect = (1.0 / 3.0 + 1.0 + 1.0) / 4.0;
-        assert!((clustering_coefficient(&g) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reusable_csr_handle_matches_one_shot_queries() {
-        let mut g = triangle();
-        let n3 = g.intern(3);
-        let n0 = g.node_id(&0).unwrap();
-        g.add_edge(n0, n3, 1);
-        // One view, many queries — the satellite-fix API: no O(n + m)
-        // neighborhood rebuild per node.
-        let csr = Csr::from_digraph(&g);
-        for id in g.node_ids() {
-            assert_eq!(
-                local_clustering_csr(&csr, id).to_bits(),
-                local_clustering(&g, id).to_bits(),
-                "node {id}"
-            );
-        }
+        assert!((clustering_coefficient_csr(&g) - expect).abs() < 1e-12);
     }
 
     #[test]
     fn reciprocal_edges_do_not_double_count() {
         // Triangle with every edge bidirectional must still give C = 1.
-        let mut g = triangle();
-        let ids: Vec<_> = (0..3u32).map(|k| g.node_id(&k).unwrap()).collect();
-        g.add_edge(ids[1], ids[0], 1);
-        g.add_edge(ids[2], ids[1], 1);
-        g.add_edge(ids[0], ids[2], 1);
-        assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
+        let g = graph(3, &[(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]);
+        assert!((clustering_coefficient_csr(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph_is_zero() {
-        let g: DiGraph<u32> = DiGraph::new();
-        assert_eq!(clustering_coefficient(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
-        assert_eq!(sampled_clustering(&g, 10, 1), 0.0);
+        let g = graph(0, &[]);
+        assert_eq!(clustering_coefficient_csr(&g), 0.0);
+        assert_eq!(sampled_clustering_csr(&g, 10, 1), 0.0);
+    }
+
+    #[test]
+    fn zero_samples_estimate_zero_not_nan() {
+        // An empty sample must not divide by zero: NaN would poison
+        // `c_ratio` and the small-world verdict.
+        for g in [k4(), graph(4, PAW)] {
+            assert_eq!(sampled_clustering_csr(&g, 0, 3), 0.0);
+        }
     }
 
     #[test]
     fn sampling_full_population_equals_exact() {
         let g = k4();
-        let exact = clustering_coefficient(&g);
-        assert!((sampled_clustering(&g, 100, 7) - exact).abs() < 1e-12);
+        let exact = clustering_coefficient_csr(&g);
+        assert!((sampled_clustering_csr(&g, 100, 7) - exact).abs() < 1e-12);
     }
 
     #[test]
     fn sampling_is_deterministic_in_seed() {
         let g = k4();
-        let a = sampled_clustering(&g, 2, 42);
-        let b = sampled_clustering(&g, 2, 42);
+        let a = sampled_clustering_csr(&g, 2, 42);
+        let b = sampled_clustering_csr(&g, 2, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_and_sequential_runs_are_bit_identical() {
         // A graph big enough to cross the par cutoff.
-        let g = crate::random::watts_strogatz(300, 6, 0.2, 11);
-        let csr = Csr::from_digraph(&g);
+        let csr = crate::random::watts_strogatz(300, 6, 0.2, 11);
         magellan_par::set_threads(1);
         let seq = clustering_coefficient_csr(&csr);
-        let seq_t = transitivity_csr(&csr);
         let seq_s = sampled_clustering_csr(&csr, 128, 5);
         magellan_par::set_threads(8);
         let par = clustering_coefficient_csr(&csr);
-        let par_t = transitivity_csr(&csr);
         let par_s = sampled_clustering_csr(&csr, 128, 5);
         magellan_par::set_threads(0);
         assert_eq!(seq.to_bits(), par.to_bits());
-        assert_eq!(seq_t.to_bits(), par_t.to_bits());
         assert_eq!(seq_s.to_bits(), par_s.to_bits());
     }
 }

@@ -254,10 +254,9 @@ impl Csr {
     /// The subgraph induced by the nodes `keep` accepts, as a flat
     /// view of its own: kept nodes are renumbered densely in ascending
     /// id order and every edge with both endpoints kept survives with
-    /// its weight — what [`crate::subgraph::induced_by_nodes`]
-    /// followed by [`Csr::from_digraph`] yields, without the keyed
-    /// intermediate graph. `O(n + m)`; renumbering is monotone, so
-    /// rows stay sorted.
+    /// its weight — what [`Csr::from_edges`] of the kept nodes and
+    /// their surviving edges yields, without the intermediate edge
+    /// list. `O(n + m)`; renumbering is monotone, so rows stay sorted.
     pub fn induced(&self, mut keep: impl FnMut(NodeId) -> bool) -> Csr {
         let mut new_id: Vec<Option<NodeId>> = Vec::with_capacity(self.n);
         let mut kept = 0usize;
@@ -459,15 +458,26 @@ mod tests {
     }
 
     #[test]
-    fn induced_view_matches_the_keyed_subgraph_route() {
+    fn induced_view_matches_the_edge_list_route() {
         let g = sample();
         let c = Csr::from_digraph(&g);
         for mask in 0u32..16 {
             let keep = |id: NodeId| mask & (1 << id.index()) != 0;
-            let keyed = crate::subgraph::induced_by_nodes(&g, |id, _| keep(id));
+            // Reference: renumber the kept nodes densely in id order
+            // and rebuild from the surviving edges.
+            let mut new_id = vec![None; c.node_count()];
+            let mut kept = 0;
+            for u in c.node_ids().filter(|&u| keep(u)) {
+                new_id[u.index()] = Some(NodeId::from_index(kept));
+                kept += 1;
+            }
+            let edges: Vec<_> = g
+                .edges()
+                .filter_map(|e| Some((new_id[e.from.index()]?, new_id[e.to.index()]?, e.weight)))
+                .collect();
             assert_eq!(
                 c.induced(keep),
-                Csr::from_digraph(&keyed),
+                Csr::from_edges(kept, &edges),
                 "mask {mask:04b}"
             );
         }

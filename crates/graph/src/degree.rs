@@ -1,16 +1,16 @@
-//! Degree metrics over a [`DiGraph`].
+//! Degree metrics over a [`Csr`] snapshot.
 //!
 //! The Magellan study distinguishes three degree notions per peer
 //! (§4.2): *indegree* (active supplying partners), *outdegree* (active
 //! receiving partners), and the *total partner count*. The first two
-//! map onto the directed graph's in/out degrees; the partner count is
-//! carried by the trace layer (it includes non-active partners and so
-//! is not derivable from the active-link graph alone) but the same
-//! histogram machinery applies.
+//! are the row lengths of the active-link graph's in- and out-rows;
+//! the partner count is carried by the trace layer (it includes
+//! non-active partners and so is not derivable from the active-link
+//! graph alone) but the same histogram machinery applies.
 
+use crate::csr::Csr;
 use crate::histogram::DegreeHistogram;
-use crate::{DiGraph, NodeId};
-use std::hash::Hash;
+use crate::NodeId;
 
 /// Which degree of a directed graph to measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,31 +24,31 @@ pub enum DegreeKind {
 }
 
 /// The degree of one node under `kind`.
-pub fn degree_of<N: Eq + Hash + Clone>(g: &DiGraph<N>, id: NodeId, kind: DegreeKind) -> usize {
+pub fn degree_of(csr: &Csr, id: NodeId, kind: DegreeKind) -> usize {
     match kind {
-        DegreeKind::In => g.in_degree(id),
-        DegreeKind::Out => g.out_degree(id),
-        DegreeKind::Undirected => g.undirected_degree(id),
+        DegreeKind::In => csr.in_degree(id),
+        DegreeKind::Out => csr.out_degree(id),
+        DegreeKind::Undirected => csr.und_degree(id),
     }
 }
 
 /// All node degrees under `kind`, indexed by [`NodeId::index`].
-pub fn degree_sequence<N: Eq + Hash + Clone>(g: &DiGraph<N>, kind: DegreeKind) -> Vec<usize> {
-    g.node_ids().map(|id| degree_of(g, id, kind)).collect()
+pub fn degree_sequence(csr: &Csr, kind: DegreeKind) -> Vec<usize> {
+    csr.node_ids().map(|id| degree_of(csr, id, kind)).collect()
 }
 
 /// Histogram of node degrees under `kind`.
-pub fn degree_histogram<N: Eq + Hash + Clone>(g: &DiGraph<N>, kind: DegreeKind) -> DegreeHistogram {
-    degree_sequence(g, kind).into_iter().collect()
+pub fn degree_histogram(csr: &Csr, kind: DegreeKind) -> DegreeHistogram {
+    degree_sequence(csr, kind).into_iter().collect()
 }
 
 /// Average degree under `kind` (0.0 on an empty graph).
-pub fn average_degree<N: Eq + Hash + Clone>(g: &DiGraph<N>, kind: DegreeKind) -> f64 {
-    if g.node_count() == 0 {
+pub fn average_degree(csr: &Csr, kind: DegreeKind) -> f64 {
+    if csr.node_count() == 0 {
         return 0.0;
     }
-    let sum: usize = degree_sequence(g, kind).into_iter().sum();
-    sum as f64 / g.node_count() as f64
+    let sum: usize = degree_sequence(csr, kind).into_iter().sum();
+    sum as f64 / csr.node_count() as f64
 }
 
 /// Summary statistics of a degree sequence, as reported in Fig. 5.
@@ -67,14 +67,11 @@ pub struct DegreeSummary {
 /// Computes [`DegreeSummary`] for `kind`.
 ///
 /// Returns `None` on an empty graph.
-pub fn degree_summary<N: Eq + Hash + Clone>(
-    g: &DiGraph<N>,
-    kind: DegreeKind,
-) -> Option<DegreeSummary> {
-    if g.node_count() == 0 {
+pub fn degree_summary(csr: &Csr, kind: DegreeKind) -> Option<DegreeSummary> {
+    if csr.node_count() == 0 {
         return None;
     }
-    let h = degree_histogram(g, kind);
+    let h = degree_histogram(csr, kind);
     Some(DegreeSummary {
         mean: h.mean(),
         max: h.max_degree().unwrap_or(0),
@@ -88,20 +85,23 @@ mod tests {
     use super::*;
 
     /// Star: hub 0 -> {1, 2, 3}, plus 1 -> 0.
-    fn star() -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..4u32).map(|k| g.intern(k)).collect();
-        g.add_edge(ids[0], ids[1], 1);
-        g.add_edge(ids[0], ids[2], 1);
-        g.add_edge(ids[0], ids[3], 1);
-        g.add_edge(ids[1], ids[0], 1);
-        g
+    fn star() -> Csr {
+        let id = NodeId::from_index;
+        Csr::from_edges(
+            4,
+            &[
+                (id(0), id(1), 1),
+                (id(0), id(2), 1),
+                (id(0), id(3), 1),
+                (id(1), id(0), 1),
+            ],
+        )
     }
 
     #[test]
     fn degree_of_each_kind() {
         let g = star();
-        let hub = g.node_id(&0).unwrap();
+        let hub = NodeId::from_index(0);
         assert_eq!(degree_of(&g, hub, DegreeKind::Out), 3);
         assert_eq!(degree_of(&g, hub, DegreeKind::In), 1);
         assert_eq!(degree_of(&g, hub, DegreeKind::Undirected), 3);
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn summary_empty_graph_is_none() {
-        let g: DiGraph<u32> = DiGraph::new();
+        let g = Csr::from_edges(0, &[]);
         assert!(degree_summary(&g, DegreeKind::In).is_none());
         assert_eq!(average_degree(&g, DegreeKind::In), 0.0);
     }

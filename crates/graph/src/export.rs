@@ -2,14 +2,13 @@
 //!
 //! Topology snapshots are most useful when they can leave the
 //! process: [`to_edge_list`] writes the whitespace format every graph
-//! toolkit ingests (networkx, igraph, SNAP), [`to_dot`] writes
-//! Graphviz DOT with optional node grouping (e.g. color by ISP), and
-//! [`from_edge_list`] reads the former back for round-trips.
+//! toolkit ingests (networkx, igraph, SNAP), and [`to_dot`] writes
+//! Graphviz DOT with optional node grouping (e.g. color by ISP). Both
+//! print node keys, so they take the keyed [`DiGraph`].
 
 use crate::{DiGraph, NodeId};
 use std::fmt::Display;
 use std::hash::Hash;
-use std::str::FromStr;
 
 /// Serializes the graph as `source target weight` lines, one edge per
 /// line, using the `Display` form of the node keys.
@@ -19,50 +18,6 @@ pub fn to_edge_list<N: Eq + Hash + Clone + Display>(g: &DiGraph<N>) -> String {
         out.push_str(&format!("{} {} {}\n", g.key(e.from), g.key(e.to), e.weight));
     }
     out
-}
-
-/// Parses an edge list produced by [`to_edge_list`].
-///
-/// Empty lines and `#` comments are skipped. A missing weight column
-/// defaults to 1. Self-loops are skipped (the graph type rejects
-/// them).
-///
-/// # Errors
-///
-/// Returns a message naming the offending 1-based line on malformed
-/// input.
-pub fn from_edge_list<N>(text: &str) -> Result<DiGraph<N>, String>
-where
-    N: Eq + Hash + Clone + FromStr,
-{
-    let mut g = DiGraph::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let a = parts
-            .next()
-            .ok_or_else(|| format!("line {}: missing source", i + 1))?;
-        let b = parts
-            .next()
-            .ok_or_else(|| format!("line {}: missing target", i + 1))?;
-        let w: u64 = match parts.next() {
-            Some(w) => w
-                .parse()
-                .map_err(|_| format!("line {}: bad weight '{w}'", i + 1))?,
-            None => 1,
-        };
-        let a: N = a
-            .parse()
-            .map_err(|_| format!("line {}: bad source '{a}'", i + 1))?;
-        let b: N = b
-            .parse()
-            .map_err(|_| format!("line {}: bad target '{b}'", i + 1))?;
-        g.add_edge_by_key(a, b, w);
-    }
-    Ok(g)
 }
 
 /// Serializes the graph as Graphviz DOT. `group_of` assigns each node
@@ -133,41 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_roundtrip() {
-        let g = sample();
-        let text = to_edge_list(&g);
-        let back: DiGraph<u32> = from_edge_list(&text).unwrap();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        for e in g.edges() {
-            let f = back.node_id(g.key(e.from)).unwrap();
-            let t = back.node_id(g.key(e.to)).unwrap();
-            assert_eq!(back.edge_weight(f, t), Some(e.weight));
-        }
-    }
-
-    #[test]
-    fn edge_list_defaults_weight_and_skips_comments() {
-        let text = "# a comment\n1 2\n\n2 3 9\n";
-        let g: DiGraph<u32> = from_edge_list(text).unwrap();
-        assert_eq!(g.edge_count(), 2);
-        let a = g.node_id(&1).unwrap();
-        let b = g.node_id(&2).unwrap();
-        assert_eq!(g.edge_weight(a, b), Some(1));
-    }
-
-    #[test]
-    fn edge_list_errors_name_the_line() {
-        let err = from_edge_list::<u32>("1 2\nbroken\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        let err = from_edge_list::<u32>("1 2 notaweight\n").unwrap_err();
-        assert!(err.contains("bad weight"), "{err}");
-    }
-
-    #[test]
-    fn edge_list_skips_self_loops() {
-        let g: DiGraph<u32> = from_edge_list("1 1 3\n1 2 1\n").unwrap();
-        assert_eq!(g.edge_count(), 1);
+    fn edge_list_prints_keys_and_weights() {
+        assert_eq!(to_edge_list(&sample()), "1 2 5\n2 3 1\n3 1 7\n");
     }
 
     #[test]
@@ -198,7 +120,5 @@ mod tests {
         assert_eq!(to_edge_list(&g), "");
         let dot = to_dot(&g, "empty", |_, _| None);
         assert!(dot.contains("digraph"));
-        let back: DiGraph<u32> = from_edge_list("").unwrap();
-        assert!(back.is_empty());
     }
 }

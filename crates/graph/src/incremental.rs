@@ -763,8 +763,11 @@ mod tests {
     fn ws_snapshot(n: usize, seed: u64) -> Snapshot {
         let g = crate::random::watts_strogatz(n, 6, 0.2, seed);
         let edges: Vec<(u32, u32, u64)> = g
-            .edges()
-            .map(|e| (e.from.index() as u32, e.to.index() as u32, e.weight.max(1)))
+            .node_ids()
+            .flat_map(|u| {
+                let row = g.out(u).iter().zip(g.out_weights(u));
+                row.map(move |(v, &w)| (u.0, v.0, w.max(1)))
+            })
             .collect();
         snapshot((0..n as u32).collect(), edges)
     }

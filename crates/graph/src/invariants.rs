@@ -1,4 +1,4 @@
-//! Runtime invariant checks over [`DiGraph`] and its metrics.
+//! Runtime invariant checks over a [`Csr`] snapshot and its metrics.
 //!
 //! The metric functions in this crate are trusted by every layer above
 //! it — the measurement replayer, the analysis studies, the archival
@@ -22,16 +22,13 @@
 //!
 //! Each check returns `Result<(), InvariantViolation>` so test
 //! harnesses (including `magellan-lint`'s self-test and the proptest
-//! suite) can assert on the exact failure. [`debug_check_all`] wraps
-//! [`check_all`] in a `debug_assert!`, making the whole layer free in
-//! release builds while still tripping loudly under `cargo test`.
+//! suite) can assert on the exact failure.
 
 use crate::clustering::{clustering_coefficient_csr, local_clustering_csr};
-use crate::kcore::{core_decomposition, CoreDecomposition};
+use crate::kcore::{core_decomposition_csr, CoreDecomposition};
 use crate::reciprocity::simple_reciprocity_checked_csr;
-use crate::{Csr, DiGraph, NodeId};
+use crate::{Csr, NodeId};
 use std::fmt;
-use std::hash::Hash;
 
 /// A broken mathematical contract, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,17 +128,15 @@ impl std::error::Error for InvariantViolation {}
 ///
 /// Every directed edge contributes exactly one in-degree and one
 /// out-degree, so all three sums must be equal. A mismatch means the
-/// adjacency lists and the reverse-adjacency lists have diverged.
-pub fn check_degree_balance<N: Eq + Hash + Clone>(
-    g: &DiGraph<N>,
-) -> Result<(), InvariantViolation> {
+/// out-rows and the in-rows have diverged.
+pub fn check_degree_balance(csr: &Csr) -> Result<(), InvariantViolation> {
     let mut in_sum = 0usize;
     let mut out_sum = 0usize;
-    for id in g.node_ids() {
-        in_sum += g.in_degree(id);
-        out_sum += g.out_degree(id);
+    for id in csr.node_ids() {
+        in_sum += csr.in_degree(id);
+        out_sum += csr.out_degree(id);
     }
-    let edges = g.edge_count();
+    let edges = csr.edge_count();
     if in_sum != edges || out_sum != edges {
         return Err(InvariantViolation::DegreeBalance {
             in_sum,
@@ -166,14 +161,14 @@ pub fn check_unit_interval(metric: &'static str, value: f64) -> Result<(), Invar
 /// * `|k-core| >= |(k+1)-core|` for every `k` up to the degeneracy;
 /// * every coreness is `<=` the node's undirected degree;
 /// * every coreness is `<=` the reported degeneracy.
-pub fn check_core_monotonicity<N: Eq + Hash + Clone>(
-    g: &DiGraph<N>,
+pub fn check_core_monotonicity(
+    csr: &Csr,
     cores: &CoreDecomposition,
 ) -> Result<(), InvariantViolation> {
     let degeneracy = cores.degeneracy();
-    for id in g.node_ids() {
+    for id in csr.node_ids() {
         let core = cores.core_of(id);
-        let degree = g.undirected_degree(id);
+        let degree = csr.und_degree(id);
         if core as usize > degree {
             return Err(InvariantViolation::CorenessExceedsDegree {
                 node: id,
@@ -203,63 +198,54 @@ pub fn check_core_monotonicity<N: Eq + Hash + Clone>(
     Ok(())
 }
 
-/// Evaluates the fraction-valued metrics on `g` and checks their
+/// Evaluates the fraction-valued metrics on `csr` and checks their
 /// ranges: simple reciprocity, the graph-level clustering coefficient,
 /// and every node's local clustering.
-pub fn check_metric_ranges<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<(), InvariantViolation> {
-    // One snapshot view for every query below: the per-node loop used
-    // to rebuild all neighborhoods per node, turning this check into
-    // O(n·(n + m)).
-    let csr = Csr::from_digraph(g);
+pub fn check_metric_ranges(csr: &Csr) -> Result<(), InvariantViolation> {
     check_unit_interval(
         "simple_reciprocity",
-        simple_reciprocity_checked_csr(&csr).unwrap_or(0.0),
+        simple_reciprocity_checked_csr(csr).unwrap_or(0.0),
     )?;
-    check_unit_interval("clustering_coefficient", clustering_coefficient_csr(&csr))?;
-    for id in g.node_ids() {
-        check_unit_interval("local_clustering", local_clustering_csr(&csr, id))?;
+    check_unit_interval("clustering_coefficient", clustering_coefficient_csr(csr))?;
+    for id in csr.node_ids() {
+        check_unit_interval("local_clustering", local_clustering_csr(csr, id))?;
     }
     Ok(())
 }
 
-/// Runs the full invariant suite against `g`: degree balance, metric
+/// Runs the full invariant suite against `csr`: degree balance, metric
 /// ranges, and k-core monotonicity (computing a fresh decomposition).
-pub fn check_all<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<(), InvariantViolation> {
-    check_degree_balance(g)?;
-    check_metric_ranges(g)?;
-    check_core_monotonicity(g, &core_decomposition(g))?;
+pub fn check_all(csr: &Csr) -> Result<(), InvariantViolation> {
+    check_degree_balance(csr)?;
+    check_metric_ranges(csr)?;
+    check_core_monotonicity(csr, &core_decomposition_csr(csr))?;
     Ok(())
-}
-
-/// [`check_all`] behind a `debug_assert!`: free in release builds, a
-/// loud panic with the violation's message under `cargo test`.
-pub fn debug_check_all<N: Eq + Hash + Clone>(g: &DiGraph<N>) {
-    if cfg!(debug_assertions) {
-        if let Err(v) = check_all(g) {
-            debug_assert!(false, "graph invariant violated: {v}");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ring(n: u32) -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<NodeId> = (0..n).map(|i| g.intern(i)).collect();
-        for i in 0..n as usize {
-            g.add_edge(ids[i], ids[(i + 1) % n as usize], 1);
-            g.add_edge(ids[(i + 1) % n as usize], ids[i], 1);
-        }
-        g
+    fn graph(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b)| (NodeId::from_index(a), NodeId::from_index(b), 1))
+            .collect();
+        Csr::from_edges(n, &edges)
+    }
+
+    /// A bidirectional ring on `n` nodes (`n == 0` is the empty graph).
+    fn ring(n: usize) -> Csr {
+        let pairs: Vec<_> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), ((i + 1) % n, i)])
+            .collect();
+        graph(n, &pairs)
     }
 
     #[test]
     fn healthy_graphs_pass_everything() {
-        for g in [DiGraph::<u32>::new(), ring(3), ring(10)] {
+        for g in [ring(0), ring(3), ring(10)] {
             check_all(&g).expect("ring graphs satisfy all invariants");
-            debug_check_all(&g);
         }
     }
 
@@ -276,20 +262,14 @@ mod tests {
 
     #[test]
     fn degree_balance_holds_on_asymmetric_graphs() {
-        let mut g = DiGraph::new();
-        let a = g.intern("a");
-        let b = g.intern("b");
-        let c = g.intern("c");
-        g.add_edge(a, b, 1);
-        g.add_edge(a, c, 1);
-        g.add_edge(b, c, 1);
+        let g = graph(3, &[(0, 1), (0, 2), (1, 2)]);
         check_degree_balance(&g).expect("adjacency lists are consistent");
     }
 
     #[test]
     fn core_checks_accept_a_real_decomposition() {
         let g = ring(6);
-        let cores = core_decomposition(&g);
+        let cores = core_decomposition_csr(&g);
         check_core_monotonicity(&g, &cores).expect("ring decomposition is monotone");
     }
 

@@ -15,8 +15,7 @@
 //! kernel gains from the layout, not from threads.
 
 use crate::csr::Csr;
-use crate::{DiGraph, NodeId};
-use std::hash::Hash;
+use crate::NodeId;
 
 /// Core numbers indexed by [`NodeId::index`], plus summary accessors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +51,6 @@ impl CoreDecomposition {
 }
 
 /// Computes the k-core decomposition of the undirected projection.
-pub fn core_decomposition<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> CoreDecomposition {
-    core_decomposition_csr(&Csr::from_digraph(g))
-}
-
-/// [`core_decomposition`] over a prebuilt [`Csr`] snapshot.
 pub fn core_decomposition_csr(csr: &Csr) -> CoreDecomposition {
     let n = csr.node_count();
     let mut degree: Vec<usize> = (0..n)
@@ -116,19 +110,18 @@ mod tests {
     use super::*;
     use crate::random::{barabasi_albert, watts_strogatz};
 
-    fn graph(n: u32, edges: &[(u32, u32)]) -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<NodeId> = (0..n).map(|k| g.intern(k)).collect();
-        for &(a, b) in edges {
-            g.add_edge(ids[a as usize], ids[b as usize], 1);
-        }
-        g
+    fn graph(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b)| (NodeId::from_index(a), NodeId::from_index(b), 1))
+            .collect();
+        Csr::from_edges(n, &edges)
     }
 
     #[test]
     fn empty_graph() {
-        let g: DiGraph<u32> = DiGraph::new();
-        let d = core_decomposition(&g);
+        let g = graph(0, &[]);
+        let d = core_decomposition_csr(&g);
         assert_eq!(d.degeneracy(), 0);
         assert_eq!(d.core_size(1), 0);
     }
@@ -136,7 +129,7 @@ mod tests {
     #[test]
     fn path_is_one_core() {
         let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         assert!(d.cores().iter().all(|&c| c == 1));
         assert_eq!(d.degeneracy(), 1);
     }
@@ -145,7 +138,7 @@ mod tests {
     fn triangle_with_pendant() {
         // Triangle 0-1-2, pendant 3 on 0: triangle is 2-core, pendant 1-core.
         let g = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 3)]);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         assert_eq!(d.core_of(NodeId::from_index(0)), 2);
         assert_eq!(d.core_of(NodeId::from_index(1)), 2);
         assert_eq!(d.core_of(NodeId::from_index(2)), 2);
@@ -156,26 +149,20 @@ mod tests {
 
     #[test]
     fn complete_graph_core_is_n_minus_one() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let ids: Vec<NodeId> = (0..6u32).map(|k| g.intern(k)).collect();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                g.add_edge(ids[i], ids[j], 1);
-            }
-        }
-        let d = core_decomposition(&g);
+        let pairs: Vec<_> = (0..6)
+            .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
+            .collect();
+        let g = graph(6, &pairs);
+        let d = core_decomposition_csr(&g);
         assert!(d.cores().iter().all(|&c| c == 5));
     }
 
     #[test]
     fn star_sheds_to_one_core() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let hub = g.intern(0);
-        for k in 1..=20u32 {
-            let leaf = g.intern(k);
-            g.add_edge(hub, leaf, 1);
-        }
-        let d = core_decomposition(&g);
+        let spokes: Vec<_> = (1..=20).map(|k| (0, k)).collect();
+        let g = graph(21, &spokes);
+        let hub = NodeId::from_index(0);
+        let d = core_decomposition_csr(&g);
         assert_eq!(d.degeneracy(), 1);
         assert_eq!(d.core_of(hub), 1);
     }
@@ -184,7 +171,7 @@ mod tests {
     fn reciprocal_edges_do_not_inflate_cores() {
         // A bidirectional path still has undirected degree ≤ 2.
         let g = graph(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         assert_eq!(d.degeneracy(), 1);
     }
 
@@ -202,7 +189,7 @@ mod tests {
         // invariant that matters: uniform cores on a vertex-transitive
         // graph.
         let g = watts_strogatz(40, 6, 0.0, 1);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         let first = d.cores()[0];
         assert!(d.cores().iter().all(|&c| c == first), "non-uniform cores");
         assert!(first >= 3, "ring-lattice core {first} too shallow");
@@ -211,7 +198,7 @@ mod tests {
     #[test]
     fn ba_core_structure_is_deep() {
         let g = barabasi_albert(500, 3, 5);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         // Preferential attachment with m = 3 yields degeneracy exactly 3
         // (each new node arrives with 3 edges).
         assert_eq!(d.degeneracy(), 3);
@@ -221,7 +208,7 @@ mod tests {
     #[test]
     fn core_monotone_in_k() {
         let g = barabasi_albert(200, 2, 9);
-        let d = core_decomposition(&g);
+        let d = core_decomposition_csr(&g);
         for k in 0..d.degeneracy() {
             assert!(d.core_size(k) >= d.core_size(k + 1));
         }

@@ -1,30 +1,33 @@
 //! # magellan-graph
 //!
-//! Directed-graph data structure and the topology metrics used by the
-//! Magellan study of large-scale P2P live streaming overlays (Wu, Li &
-//! Zhao, ICDCS 2007): degree distributions, Watts–Strogatz clustering,
-//! average shortest-path lengths, Erdős–Rényi baselines, simple and
+//! Graph snapshots and the topology metrics used by the Magellan study
+//! of large-scale P2P live streaming overlays (Wu, Li & Zhao, ICDCS
+//! 2007): degree distributions, Watts–Strogatz clustering, average
+//! shortest-path lengths, Erdős–Rényi baselines, simple and
 //! Garlaschelli–Loffredo edge reciprocity, power-law fitting, and
 //! small-world assessment.
 //!
-//! The central type is [`DiGraph`], a weighted directed graph with
-//! interned node keys. All metrics are free functions (or thin structs)
-//! over `&DiGraph<N>` so that they compose with the subgraph extractors
-//! in [`subgraph`].
+//! The central type is [`Csr`], an immutable compressed-sparse-row
+//! view of one directed, weighted snapshot on nodes `0..n`. Callers
+//! number their own nodes and hand [`Csr::from_edges`] an edge list;
+//! [`Csr::induced`] restricts a view to a node subset. Every metric,
+//! generator and invariant check is a free function over `&Csr`.
 //!
 //! ## Example
 //!
 //! ```
-//! use magellan_graph::{DiGraph, reciprocity};
+//! use magellan_graph::{reciprocity, Csr, NodeId};
 //!
-//! let mut g: DiGraph<&str> = DiGraph::new();
-//! let a = g.intern("a");
-//! let b = g.intern("b");
-//! let c = g.intern("c");
-//! g.add_edge(a, b, 1);
-//! g.add_edge(b, a, 1); // reciprocal pair
-//! g.add_edge(b, c, 1); // one-way
-//! let r = reciprocity::simple_reciprocity(&g);
+//! let (a, b, c) = (NodeId::from_index(0), NodeId::from_index(1), NodeId::from_index(2));
+//! let g = Csr::from_edges(
+//!     3,
+//!     &[
+//!         (a, b, 1),
+//!         (b, a, 1), // reciprocal pair
+//!         (b, c, 1), // one-way
+//!     ],
+//! );
+//! let r = reciprocity::simple_reciprocity_checked_csr(&g).unwrap();
 //! assert!((r - 2.0 / 3.0).abs() < 1e-12);
 //! ```
 
@@ -34,7 +37,6 @@
 mod digraph;
 mod histogram;
 
-pub mod assortativity;
 pub mod clustering;
 pub mod csr;
 pub mod degree;
@@ -47,7 +49,6 @@ pub mod powerlaw;
 pub mod random;
 pub mod reciprocity;
 pub mod smallworld;
-pub mod subgraph;
 
 pub use csr::Csr;
 pub use digraph::{DiGraph, EdgeRef, NodeId};

@@ -1,6 +1,5 @@
 //! Shortest-path metrics: BFS distances, average pairwise path length
-//! (exact or source-sampled), diameter bounds, and connected
-//! components.
+//! (exact or source-sampled), and diameter bounds.
 //!
 //! Magellan reports the average pairwise shortest path length `L_g` of
 //! stable-peer graphs and compares it with the random-graph baseline
@@ -8,8 +7,8 @@
 //! all-pairs BFS a seeded source-sampling estimator is provided; the
 //! `ablation_estimators` bench quantifies the accuracy/cost trade-off.
 //!
-//! The hot kernels traverse a flat [`Csr`] snapshot view instead of
-//! the `DiGraph`'s nested rows. [`average_path_length_csr`] packs its
+//! The kernels traverse a flat [`Csr`] snapshot view.
+//! [`average_path_length_csr`] packs its
 //! sources into 64-wide batches and advances all wavefronts of a batch
 //! simultaneously with the bit-parallel [`bfs_multi64_csr`] kernel —
 //! one traversal per 64 sources instead of 64 — then fans the batches
@@ -20,12 +19,10 @@
 //! *and* for every batching of the same source list.
 
 use crate::csr::Csr;
-use crate::{DiGraph, NodeId};
+use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::hash::Hash;
 
 /// Marker for unreachable nodes in a distance vector.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -69,19 +66,6 @@ pub struct PathLengthStats {
     pub sources: usize,
     /// Whether this is the exact value (all sources).
     pub exact: bool,
-}
-
-/// BFS distances from `src` to every node.
-///
-/// Unreachable nodes get [`UNREACHABLE`]. Builds a one-shot [`Csr`]
-/// view; callers running many BFS passes over the same graph should
-/// build the view once and call [`bfs_distances_csr`].
-pub fn bfs_distances<N: Eq + Hash + Clone>(
-    g: &DiGraph<N>,
-    src: NodeId,
-    treatment: PathTreatment,
-) -> Vec<u32> {
-    bfs_distances_csr(&Csr::from_digraph(g), src, treatment)
 }
 
 /// BFS distances from `src` over a prebuilt [`Csr`] snapshot.
@@ -213,15 +197,6 @@ pub fn bfs_multi64_csr(csr: &Csr, sources: &[NodeId], treatment: PathTreatment) 
 /// which matches the usual convention for graphs that are not fully
 /// connected. Returns `None` when no pair is reachable (empty or
 /// edgeless graph).
-pub fn average_path_length<N: Eq + Hash + Clone>(
-    g: &DiGraph<N>,
-    treatment: PathTreatment,
-    sampling: PathSampling,
-) -> Option<PathLengthStats> {
-    average_path_length_csr(&Csr::from_digraph(g), treatment, sampling)
-}
-
-/// [`average_path_length`] over a prebuilt [`Csr`] snapshot.
 ///
 /// Sources are packed into 64-wide bit-parallel batches
 /// ([`bfs_multi64_csr`]) and the batches fan out across cores — with a
@@ -281,76 +256,33 @@ pub fn average_path_length_csr(
     })
 }
 
-/// Weakly connected components, each as a sorted list of node ids.
-/// Components are ordered by descending size (ties by smallest id).
-pub fn weakly_connected_components<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Vec<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut seen = vec![false; n];
-    let mut comps: Vec<Vec<NodeId>> = Vec::new();
-    for start in g.node_ids() {
-        if seen[start.index()] {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[start.index()] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for v in g.out_neighbors(u).chain(g.in_neighbors(u)) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        comp.sort();
-        comps.push(comp);
-    }
-    comps.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    comps
-}
-
-/// Node ids of the largest weakly connected component (empty for an
-/// empty graph).
-pub fn largest_component<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Vec<NodeId> {
-    weakly_connected_components(g)
-        .into_iter()
-        .next()
-        .unwrap_or_default()
-}
-
-/// Fraction of nodes inside the largest weakly connected component.
-pub fn largest_component_fraction<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    largest_component(g).len() as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `n` nodes and a directed path through each `(first, last)` run
+    /// of node ids.
+    fn chains(n: usize, runs: &[(usize, usize)]) -> Csr {
+        let edges: Vec<_> = runs
+            .iter()
+            .flat_map(|&(first, last)| first..last)
+            .map(|k| (NodeId::from_index(k), NodeId::from_index(k + 1), 1))
+            .collect();
+        Csr::from_edges(n, &edges)
+    }
+
     /// Directed path 0 -> 1 -> 2 -> 3.
-    fn path4() -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..4u32).map(|k| g.intern(k)).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1], 1);
-        }
-        g
+    fn path4() -> Csr {
+        chains(4, &[(0, 3)])
     }
 
     #[test]
     fn bfs_directed_respects_direction() {
         let g = path4();
-        let src = g.node_id(&0).unwrap();
-        let d = bfs_distances(&g, src, PathTreatment::Directed);
+        let d = bfs_distances_csr(&g, NodeId::from_index(0), PathTreatment::Directed);
         assert_eq!(d, vec![0, 1, 2, 3]);
-        let end = g.node_id(&3).unwrap();
-        let d2 = bfs_distances(&g, end, PathTreatment::Directed);
+        let end = NodeId::from_index(3);
+        let d2 = bfs_distances_csr(&g, end, PathTreatment::Directed);
         assert_eq!(d2[0], UNREACHABLE);
         assert_eq!(d2[3], 0);
     }
@@ -358,8 +290,8 @@ mod tests {
     #[test]
     fn bfs_undirected_ignores_direction() {
         let g = path4();
-        let end = g.node_id(&3).unwrap();
-        let d = bfs_distances(&g, end, PathTreatment::Undirected);
+        let end = NodeId::from_index(3);
+        let d = bfs_distances_csr(&g, end, PathTreatment::Undirected);
         assert_eq!(d, vec![3, 2, 1, 0]);
     }
 
@@ -369,7 +301,8 @@ mod tests {
         // Ordered reachable pairs: distances 1,2,3 each appear twice,
         // distance 1 appears 2*3? Enumerate: pairs (i,j), i!=j, |i-j| sums:
         // sum over ordered pairs of |i-j| = 2*(1*3 + 2*2 + 3*1) = 20; pairs = 12.
-        let s = average_path_length(&g, PathTreatment::Undirected, PathSampling::Exact).unwrap();
+        let s =
+            average_path_length_csr(&g, PathTreatment::Undirected, PathSampling::Exact).unwrap();
         assert!((s.mean - 20.0 / 12.0).abs() < 1e-12);
         assert_eq!(s.diameter_lower_bound, 3);
         assert_eq!(s.reachable_pairs, 12);
@@ -379,7 +312,7 @@ mod tests {
     #[test]
     fn directed_average_counts_only_reachable() {
         let g = path4();
-        let s = average_path_length(&g, PathTreatment::Directed, PathSampling::Exact).unwrap();
+        let s = average_path_length_csr(&g, PathTreatment::Directed, PathSampling::Exact).unwrap();
         // Reachable ordered pairs: (0,1)(0,2)(0,3)(1,2)(1,3)(2,3): 1+2+3+1+2+1 = 10 over 6.
         assert!((s.mean - 10.0 / 6.0).abs() < 1e-12);
         assert_eq!(s.reachable_pairs, 6);
@@ -387,23 +320,24 @@ mod tests {
 
     #[test]
     fn no_edges_means_none() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        g.intern(0);
-        g.intern(1);
-        assert!(average_path_length(&g, PathTreatment::Undirected, PathSampling::Exact).is_none());
+        let g = chains(2, &[]);
+        assert!(
+            average_path_length_csr(&g, PathTreatment::Undirected, PathSampling::Exact).is_none()
+        );
     }
 
     #[test]
     fn single_node_means_none() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        g.intern(0);
-        assert!(average_path_length(&g, PathTreatment::Undirected, PathSampling::Exact).is_none());
+        let g = chains(1, &[]);
+        assert!(
+            average_path_length_csr(&g, PathTreatment::Undirected, PathSampling::Exact).is_none()
+        );
     }
 
     #[test]
     fn sampling_with_enough_sources_is_exact() {
         let g = path4();
-        let s = average_path_length(
+        let s = average_path_length_csr(
             &g,
             PathTreatment::Undirected,
             PathSampling::Sources { count: 10, seed: 3 },
@@ -416,13 +350,13 @@ mod tests {
     #[test]
     fn sampling_is_deterministic() {
         let g = path4();
-        let a = average_path_length(
+        let a = average_path_length_csr(
             &g,
             PathTreatment::Undirected,
             PathSampling::Sources { count: 2, seed: 9 },
         )
         .unwrap();
-        let b = average_path_length(
+        let b = average_path_length_csr(
             &g,
             PathTreatment::Undirected,
             PathSampling::Sources { count: 2, seed: 9 },
@@ -453,8 +387,7 @@ mod tests {
     #[test]
     fn multi64_matches_scalar_bfs_on_random_graphs() {
         for (seed, beta) in [(1u64, 0.1), (7, 0.4)] {
-            let g = crate::random::watts_strogatz(300, 6, beta, seed);
-            let csr = Csr::from_digraph(&g);
+            let csr = crate::random::watts_strogatz(300, 6, beta, seed);
             let sources: Vec<NodeId> = csr.node_ids().take(64).collect();
             for treatment in [PathTreatment::Undirected, PathTreatment::Directed] {
                 let batch = bfs_multi64_csr(&csr, &sources, treatment);
@@ -466,15 +399,7 @@ mod tests {
 
     #[test]
     fn multi64_matches_scalar_on_disconnected_graph() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let ids: Vec<_> = (0..9u32).map(|k| g.intern(k)).collect();
-        for w in ids[..4].windows(2) {
-            g.add_edge(w[0], w[1], 1);
-        }
-        for w in ids[4..].windows(2) {
-            g.add_edge(w[0], w[1], 1);
-        }
-        let csr = Csr::from_digraph(&g);
+        let csr = chains(9, &[(0, 3), (4, 8)]);
         let sources: Vec<NodeId> = csr.node_ids().collect();
         for treatment in [PathTreatment::Undirected, PathTreatment::Directed] {
             let batch = bfs_multi64_csr(&csr, &sources, treatment);
@@ -485,8 +410,7 @@ mod tests {
 
     #[test]
     fn multi64_handles_partial_and_duplicate_batches() {
-        let g = crate::random::watts_strogatz(100, 4, 0.2, 3);
-        let csr = Csr::from_digraph(&g);
+        let csr = crate::random::watts_strogatz(100, 4, 0.2, 3);
         let few: Vec<NodeId> = csr.node_ids().take(5).collect();
         let batch = bfs_multi64_csr(&csr, &few, PathTreatment::Undirected);
         assert_eq!(batch, scalar_stats(&csr, &few, PathTreatment::Undirected));
@@ -505,8 +429,7 @@ mod tests {
     fn multi64_batched_exact_apl_matches_scalar_accumulation() {
         // More nodes than one batch: exercises the chunked reduction in
         // average_path_length_csr against the scalar per-source totals.
-        let g = crate::random::watts_strogatz(150, 4, 0.15, 11);
-        let csr = Csr::from_digraph(&g);
+        let csr = crate::random::watts_strogatz(150, 4, 0.15, 11);
         let sources: Vec<NodeId> = csr.node_ids().collect();
         let (sum, pairs, far) = scalar_stats(&csr, &sources, PathTreatment::Undirected);
         let s = average_path_length_csr(&csr, PathTreatment::Undirected, PathSampling::Exact)
@@ -515,28 +438,5 @@ mod tests {
         assert_eq!(s.diameter_lower_bound, far);
         assert_eq!(s.mean.to_bits(), (sum as f64 / pairs as f64).to_bits());
         assert!(s.exact);
-    }
-
-    #[test]
-    fn components_split_and_order() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let ids: Vec<_> = (0..5u32).map(|k| g.intern(k)).collect();
-        g.add_edge(ids[0], ids[1], 1);
-        g.add_edge(ids[1], ids[2], 1);
-        g.add_edge(ids[3], ids[4], 1);
-        let comps = weakly_connected_components(&g);
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0], vec![ids[0], ids[1], ids[2]]);
-        assert_eq!(comps[1], vec![ids[3], ids[4]]);
-        assert_eq!(largest_component(&g).len(), 3);
-        assert!((largest_component_fraction(&g) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_graph_components() {
-        let g: DiGraph<u32> = DiGraph::new();
-        assert!(weakly_connected_components(&g).is_empty());
-        assert!(largest_component(&g).is_empty());
-        assert_eq!(largest_component_fraction(&g), 0.0);
     }
 }

@@ -2,19 +2,18 @@
 //!
 //! Two measures are provided:
 //!
-//! * [`simple_reciprocity`] — Eq. (1) of the paper: the fraction of
-//!   directed edges whose reverse edge also exists,
+//! * [`simple_reciprocity_checked_csr`] — Eq. (1) of the paper: the
+//!   fraction of directed edges whose reverse edge also exists,
 //!   `r = Σ_{i≠j} a_ij a_ji / M`.
-//! * [`garlaschelli_reciprocity`] — Eq. (2), the Garlaschelli–Loffredo
-//!   correlation `ρ = (r − ā) / (1 − ā)` where `ā = M / (N(N−1))` is
-//!   the link density. `ρ > 0` means *reciprocal* (more bilateral
-//!   links than a random graph of the same density), `ρ < 0`
-//!   *antireciprocal* (e.g. a tree-like feeding structure), `ρ ≈ 0`
-//!   uncorrelated.
+//! * [`garlaschelli_reciprocity_csr`] — Eq. (2), the
+//!   Garlaschelli–Loffredo correlation `ρ = (r − ā) / (1 − ā)` where
+//!   `ā = M / (N(N−1))` is the link density. `ρ > 0` means
+//!   *reciprocal* (more bilateral links than a random graph of the
+//!   same density), `ρ < 0` *antireciprocal* (e.g. a tree-like feeding
+//!   structure), `ρ ≈ 0` uncorrelated.
 
 use crate::csr::Csr;
-use crate::{DiGraph, GraphError, NodeId};
-use std::hash::Hash;
+use crate::{GraphError, NodeId};
 
 /// Per-worker node quota for the reciprocity kernels. A node costs one
 /// sorted-row merge (a few ns), so a worker needs thousands of nodes
@@ -26,11 +25,6 @@ const RECIPROCITY_GRAIN: usize = 8192;
 
 /// Number of directed edges whose reverse also exists (each bilateral
 /// pair contributes 2, matching `Σ_{i≠j} a_ij a_ji`).
-pub fn bilateral_edge_count<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> usize {
-    bilateral_edge_count_csr(&Csr::from_digraph(g))
-}
-
-/// [`bilateral_edge_count`] over a prebuilt [`Csr`] snapshot.
 ///
 /// An edge `u -> v` is bilateral iff `v` also appears in `u`'s
 /// in-row, so the count is `Σ_u |out(u) ∩ in(u)|` — one linear merge
@@ -66,28 +60,11 @@ pub fn bilateral_edge_count_csr(csr: &Csr) -> usize {
 /// # Errors
 ///
 /// Returns [`GraphError::EmptyGraph`] when the graph has no edges.
-pub fn simple_reciprocity_checked<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<f64, GraphError> {
-    simple_reciprocity_checked_csr(&Csr::from_digraph(g))
-}
-
-/// [`simple_reciprocity_checked`] over a prebuilt [`Csr`] snapshot.
-///
-/// # Errors
-///
-/// Returns [`GraphError::EmptyGraph`] when the graph has no edges.
 pub fn simple_reciprocity_checked_csr(csr: &Csr) -> Result<f64, GraphError> {
     if csr.edge_count() == 0 {
         return Err(GraphError::EmptyGraph);
     }
     Ok(bilateral_edge_count_csr(csr) as f64 / csr.edge_count() as f64)
-}
-
-/// Simple reciprocity `r`, returning `0.0` for an edgeless graph.
-///
-/// Prefer [`simple_reciprocity_checked`] when the empty case must be
-/// distinguished.
-pub fn simple_reciprocity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
-    simple_reciprocity_checked(g).unwrap_or(0.0)
 }
 
 /// Garlaschelli–Loffredo edge reciprocity `ρ` (Eq. 2).
@@ -97,15 +74,6 @@ pub fn simple_reciprocity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
 /// Returns [`GraphError::EmptyGraph`] when the graph has no edges and
 /// [`GraphError::CompleteGraph`] when every possible directed edge is
 /// present (`ā = 1` makes `ρ` undefined).
-pub fn garlaschelli_reciprocity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<f64, GraphError> {
-    garlaschelli_reciprocity_csr(&Csr::from_digraph(g))
-}
-
-/// [`garlaschelli_reciprocity`] over a prebuilt [`Csr`] snapshot.
-///
-/// # Errors
-///
-/// Same contract as [`garlaschelli_reciprocity`].
 pub fn garlaschelli_reciprocity_csr(csr: &Csr) -> Result<f64, GraphError> {
     LinkCounts {
         nodes: csr.node_count(),
@@ -134,7 +102,7 @@ impl LinkCounts {
     ///
     /// # Errors
     ///
-    /// Same contract as [`garlaschelli_reciprocity`].
+    /// Same contract as [`garlaschelli_reciprocity_csr`].
     pub fn garlaschelli(self) -> Result<f64, GraphError> {
         if self.edges == 0 {
             return Err(GraphError::EmptyGraph);
@@ -152,9 +120,10 @@ impl LinkCounts {
 /// same label and counts both sub-topologies in one sweep: returns
 /// `(same, cross)`, the [`LinkCounts`] of the same-label edges with
 /// their incident nodes and of the cross-label edges with theirs —
-/// what two [`crate::subgraph::filtered_by_edges`] graphs would
-/// measure, without building either (the paper's intra-/inter-ISP
-/// link topologies of Fig. 8B, with ISPs as labels).
+/// what the two edge-filtered sub-topologies (each kept edge plus the
+/// nodes it touches) would measure, without building either (the
+/// paper's intra-/inter-ISP link topologies of Fig. 8B, with ISPs as
+/// labels).
 ///
 /// A node's class memberships depend only on its own rows, and an
 /// edge's reverse always falls in the same class, so one merge of each
@@ -207,24 +176,14 @@ pub fn label_split_link_counts_csr<L: PartialEq>(
 /// (Squartini–Garlaschelli's weighted analogue). On Magellan traces
 /// the weights are segment counts, so this measures how much of the
 /// *traffic* flows over two-way relationships, not just how many
-/// links do.
+/// links do. Per-node `(total, matched)` weight partials are fanned
+/// across cores (at [`RECIPROCITY_GRAIN`] nodes per worker minimum)
+/// and summed in node order.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::EmptyGraph`] when the graph has no edges or
 /// zero total weight.
-pub fn weighted_reciprocity<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> Result<f64, GraphError> {
-    weighted_reciprocity_csr(&Csr::from_digraph(g))
-}
-
-/// [`weighted_reciprocity`] over a prebuilt [`Csr`] snapshot. Per-node
-/// `(total, matched)` weight partials are fanned across cores (at
-/// [`RECIPROCITY_GRAIN`] nodes per worker minimum) and summed in node
-/// order.
-///
-/// # Errors
-///
-/// Same contract as [`weighted_reciprocity`].
 pub fn weighted_reciprocity_csr(csr: &Csr) -> Result<f64, GraphError> {
     if csr.edge_count() == 0 {
         return Err(GraphError::EmptyGraph);
@@ -260,16 +219,8 @@ pub fn weighted_reciprocity_csr(csr: &Csr) -> Result<f64, GraphError> {
 ///
 /// The paper uses this to argue that tree-like propagation would show
 /// up as negative measured reciprocity.
-pub fn tree_baseline<N: Eq + Hash + Clone>(g: &DiGraph<N>) -> f64 {
-    tree_baseline_from_density(g.density())
-}
-
-/// [`tree_baseline`] over a prebuilt [`Csr`] snapshot.
 pub fn tree_baseline_csr(csr: &Csr) -> f64 {
-    tree_baseline_from_density(csr.density())
-}
-
-fn tree_baseline_from_density(a_bar: f64) -> f64 {
+    let a_bar = csr.density();
     if a_bar >= 1.0 {
         return f64::NEG_INFINITY;
     }
@@ -279,43 +230,50 @@ fn tree_baseline_from_density(a_bar: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
 
-    fn graph(n: u32, edges: &[(u32, u32)]) -> DiGraph<u32> {
-        let mut g = DiGraph::new();
-        let ids: Vec<NodeId> = (0..n).map(|k| g.intern(k)).collect();
-        for &(a, b) in edges {
-            g.add_edge(ids[a as usize], ids[b as usize], 1);
-        }
-        g
+    fn weighted(n: usize, edges: &[(usize, usize, u64)]) -> Csr {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b, w)| (NodeId::from_index(a), NodeId::from_index(b), w))
+            .collect();
+        Csr::from_edges(n, &edges)
+    }
+
+    fn graph(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let edges: Vec<_> = edges.iter().map(|&(a, b)| (a, b, 1)).collect();
+        weighted(n, &edges)
+    }
+
+    fn simple(g: &Csr) -> f64 {
+        simple_reciprocity_checked_csr(g).unwrap_or(0.0)
     }
 
     #[test]
     fn fully_bilateral_graph_has_r_one_and_rho_one() {
         let g = graph(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
-        assert!((simple_reciprocity(&g) - 1.0).abs() < 1e-12);
-        let rho = garlaschelli_reciprocity(&g).unwrap();
+        assert!((simple(&g) - 1.0).abs() < 1e-12);
+        let rho = garlaschelli_reciprocity_csr(&g).unwrap();
         assert!((rho - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn tree_has_r_zero_and_negative_rho() {
         let g = graph(4, &[(0, 1), (0, 2), (1, 3)]);
-        assert_eq!(simple_reciprocity(&g), 0.0);
-        let rho = garlaschelli_reciprocity(&g).unwrap();
+        assert_eq!(simple(&g), 0.0);
+        let rho = garlaschelli_reciprocity_csr(&g).unwrap();
         assert!(rho < 0.0);
-        assert!((rho - tree_baseline(&g)).abs() < 1e-12);
+        assert!((rho - tree_baseline_csr(&g)).abs() < 1e-12);
     }
 
     #[test]
     fn mixed_graph_matches_hand_computation() {
         // Edges: 0->1, 1->0 (bilateral pair), 1->2 (one way). N = 3, M = 3.
         let g = graph(3, &[(0, 1), (1, 0), (1, 2)]);
-        let r = simple_reciprocity(&g);
+        let r = simple(&g);
         assert!((r - 2.0 / 3.0).abs() < 1e-12);
         let a_bar = 3.0 / 6.0;
         let expect = (r - a_bar) / (1.0 - a_bar);
-        let rho = garlaschelli_reciprocity(&g).unwrap();
+        let rho = garlaschelli_reciprocity_csr(&g).unwrap();
         assert!((rho - expect).abs() < 1e-12);
         assert!(rho > 0.0);
     }
@@ -323,23 +281,32 @@ mod tests {
     #[test]
     fn bilateral_count_counts_both_directions() {
         let g = graph(3, &[(0, 1), (1, 0), (1, 2)]);
-        assert_eq!(bilateral_edge_count(&g), 2);
+        assert_eq!(bilateral_edge_count_csr(&g), 2);
     }
 
     #[test]
     fn empty_graph_errors() {
         let g = graph(2, &[]);
-        assert_eq!(simple_reciprocity_checked(&g), Err(GraphError::EmptyGraph));
-        assert_eq!(garlaschelli_reciprocity(&g), Err(GraphError::EmptyGraph));
-        assert_eq!(simple_reciprocity(&g), 0.0);
+        assert_eq!(
+            simple_reciprocity_checked_csr(&g),
+            Err(GraphError::EmptyGraph)
+        );
+        assert_eq!(
+            garlaschelli_reciprocity_csr(&g),
+            Err(GraphError::EmptyGraph)
+        );
+        assert_eq!(simple(&g), 0.0);
     }
 
     #[test]
     fn complete_graph_errors_for_rho() {
         let g = graph(2, &[(0, 1), (1, 0)]);
-        assert_eq!(garlaschelli_reciprocity(&g), Err(GraphError::CompleteGraph));
+        assert_eq!(
+            garlaschelli_reciprocity_csr(&g),
+            Err(GraphError::CompleteGraph)
+        );
         // r is still fine.
-        assert!((simple_reciprocity(&g) - 1.0).abs() < 1e-12);
+        assert!((simple(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -348,7 +315,7 @@ mod tests {
         // Same-label: 0<->1, 2->3. Cross-label: 1->2, 3->0, 0->3.
         let g = graph(5, &[(0, 1), (1, 0), (2, 3), (1, 2), (3, 0), (0, 3)]);
         let labels = ['a', 'a', 'b', 'b', 'c'];
-        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &labels);
+        let (same, cross) = label_split_link_counts_csr(&g, &labels);
         let counts = |nodes, edges, bilateral| LinkCounts {
             nodes,
             edges,
@@ -357,7 +324,10 @@ mod tests {
         assert_eq!(same, counts(4, 3, 2));
         assert_eq!(cross, counts(4, 3, 2));
         // The whole-graph ρ is the same arithmetic over whole-graph counts.
-        assert_eq!(counts(5, 6, 4).garlaschelli(), garlaschelli_reciprocity(&g));
+        assert_eq!(
+            counts(5, 6, 4).garlaschelli(),
+            garlaschelli_reciprocity_csr(&g)
+        );
     }
 
     #[test]
@@ -365,12 +335,12 @@ mod tests {
         // One bilateral same-label pair and one cross-label edge: the
         // same-label sub-topology is a complete 2-node graph.
         let g = graph(3, &[(0, 1), (1, 0), (1, 2)]);
-        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &[0, 0, 1]);
+        let (same, cross) = label_split_link_counts_csr(&g, &[0, 0, 1]);
         assert_eq!(same.garlaschelli(), Err(GraphError::CompleteGraph));
         assert!(cross.garlaschelli().is_ok());
         // A single label leaves no cross-label link at all.
-        let (same, cross) = label_split_link_counts_csr(&Csr::from_digraph(&g), &[7, 7, 7]);
-        assert_eq!(same.garlaschelli(), garlaschelli_reciprocity(&g));
+        let (same, cross) = label_split_link_counts_csr(&g, &[7, 7, 7]);
+        assert_eq!(same.garlaschelli(), garlaschelli_reciprocity_csr(&g));
         assert_eq!(cross, LinkCounts::default());
         assert_eq!(cross.garlaschelli(), Err(GraphError::EmptyGraph));
     }
@@ -378,14 +348,10 @@ mod tests {
     #[test]
     fn weighted_reciprocity_weighs_traffic_not_links() {
         // One heavy one-way edge dominates two light bilateral ones.
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let ids: Vec<NodeId> = (0..3u32).map(|k| g.intern(k)).collect();
-        g.add_edge(ids[0], ids[1], 10);
-        g.add_edge(ids[1], ids[0], 10);
-        g.add_edge(ids[1], ids[2], 80);
+        let g = weighted(3, &[(0, 1, 10), (1, 0, 10), (1, 2, 80)]);
         // Links: 2 of 3 bilateral (r = 2/3); weight: 20 of 100 matched.
-        assert!((simple_reciprocity(&g) - 2.0 / 3.0).abs() < 1e-12);
-        let rw = weighted_reciprocity(&g).unwrap();
+        assert!((simple(&g) - 2.0 / 3.0).abs() < 1e-12);
+        let rw = weighted_reciprocity_csr(&g).unwrap();
         assert!((rw - 0.2).abs() < 1e-12, "rw = {rw}");
     }
 
@@ -393,15 +359,8 @@ mod tests {
     fn weighted_reciprocity_asymmetric_pair() {
         // Bilateral link with asymmetric volume: only the min is
         // reciprocated.
-        let g = {
-            let mut g: DiGraph<u32> = DiGraph::new();
-            let a = g.intern(0);
-            let b = g.intern(1);
-            g.add_edge(a, b, 30);
-            g.add_edge(b, a, 10);
-            g
-        };
-        let rw = weighted_reciprocity(&g).unwrap();
+        let g = weighted(2, &[(0, 1, 30), (1, 0, 10)]);
+        let rw = weighted_reciprocity_csr(&g).unwrap();
         // matched = min(30,10) + min(10,30) = 20; total = 40.
         assert!((rw - 0.5).abs() < 1e-12);
     }
@@ -410,7 +369,7 @@ mod tests {
     fn weighted_reciprocity_empty_errors() {
         let g = graph(2, &[]);
         assert!(matches!(
-            weighted_reciprocity(&g),
+            weighted_reciprocity_csr(&g),
             Err(GraphError::EmptyGraph)
         ));
     }
@@ -420,7 +379,7 @@ mod tests {
         // A 4-cycle: r = 0, ā = 4/12 = 1/3, ρ = -0.5. Confirms the sign
         // convention on a directed ring (no bilateral links).
         let g = graph(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let rho = garlaschelli_reciprocity(&g).unwrap();
+        let rho = garlaschelli_reciprocity_csr(&g).unwrap();
         assert!((rho - (-0.5)).abs() < 1e-12);
     }
 }

@@ -7,11 +7,10 @@
 //! — than `C_rand`. The "corresponding random graph" has the same
 //! number of vertices and undirected links.
 
+use crate::clustering;
 use crate::csr::Csr;
 use crate::paths::{average_path_length_csr, PathSampling, PathTreatment};
 use crate::random::RandomBaseline;
-use crate::{clustering, DiGraph};
-use std::hash::Hash;
 
 /// Tunables for the small-world assessment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,16 +62,8 @@ pub struct SmallWorldReport {
 }
 
 /// Measures `C`, `L`, their random baselines, and renders the
-/// small-world verdict.
-///
-/// Builds one [`Csr`] snapshot and shares it between the clustering
-/// and path-length kernels; call [`assess_csr`] directly to reuse a
-/// view you already built.
-pub fn assess<N: Eq + Hash + Clone>(g: &DiGraph<N>, cfg: &SmallWorldConfig) -> SmallWorldReport {
-    assess_csr(&Csr::from_digraph(g), cfg)
-}
-
-/// [`assess`] over a prebuilt [`Csr`] snapshot.
+/// small-world verdict. One [`Csr`] serves both the clustering and the
+/// path-length kernels.
 pub fn assess_csr(csr: &Csr, cfg: &SmallWorldConfig) -> SmallWorldReport {
     let c = match cfg.clustering_samples {
         Some(k) => clustering::sampled_clustering_csr(csr, k, cfg.seed),
@@ -114,7 +105,7 @@ mod tests {
     #[test]
     fn watts_strogatz_mid_beta_is_small_world() {
         let g = watts_strogatz(400, 8, 0.1, 21);
-        let report = assess(&g, &SmallWorldConfig::default());
+        let report = assess_csr(&g, &SmallWorldConfig::default());
         assert!(
             report.is_small_world,
             "WS(400, 8, 0.1) should be small world: {report:?}"
@@ -125,7 +116,7 @@ mod tests {
     #[test]
     fn random_graph_is_not_small_world() {
         let g = gnm_undirected(400, 1600, 3);
-        let report = assess(&g, &SmallWorldConfig::default());
+        let report = assess_csr(&g, &SmallWorldConfig::default());
         // ER clustering ≈ density, so the ratio hovers near 1.
         assert!(!report.is_small_world, "ER graph misclassified: {report:?}");
         assert!(report.c_ratio < 5.0, "c_ratio = {}", report.c_ratio);
@@ -135,7 +126,7 @@ mod tests {
     fn pure_lattice_fails_on_path_length() {
         // Beta = 0: highly clustered but L grows linearly -> not small world.
         let g = watts_strogatz(600, 4, 0.0, 1);
-        let report = assess(&g, &SmallWorldConfig::default());
+        let report = assess_csr(&g, &SmallWorldConfig::default());
         assert!(!report.is_small_world, "{report:?}");
         // It *is* highly clustered...
         assert!(report.c_ratio > 10.0);
@@ -147,8 +138,8 @@ mod tests {
 
     #[test]
     fn empty_graph_report_is_sane() {
-        let g: DiGraph<u32> = DiGraph::new();
-        let report = assess(&g, &SmallWorldConfig::default());
+        let g = Csr::from_edges(0, &[]);
+        let report = assess_csr(&g, &SmallWorldConfig::default());
         assert_eq!(report.n, 0);
         assert!(!report.is_small_world);
         assert_eq!(report.c_ratio, 0.0);
@@ -163,8 +154,8 @@ mod tests {
             clustering_samples: Some(50),
             ..SmallWorldConfig::default()
         };
-        let a = assess(&g, &cfg);
-        let b = assess(&g, &cfg);
+        let a = assess_csr(&g, &cfg);
+        let b = assess_csr(&g, &cfg);
         assert_eq!(a, b);
     }
 }

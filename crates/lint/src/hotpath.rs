@@ -56,13 +56,12 @@ const COST_GOVERNED: [&str; 6] = [
 /// Built-in hot entry points (`(crate, fn)`), independent of source
 /// markers: the per-tick driver, the per-sample study surface, and the
 /// Csr kernel surface the study fans out to via `magellan-par`.
-const HOT_REGISTRY: [(&str, &str); 22] = [
+const HOT_REGISTRY: [(&str, &str); 21] = [
     ("magellan-overlay", "tick_once"),
     ("magellan-analysis", "finalize_boundary"),
     ("magellan-graph", "local_clustering_csr"),
     ("magellan-graph", "clustering_coefficient_csr"),
     ("magellan-graph", "sampled_clustering_csr"),
-    ("magellan-graph", "transitivity_csr"),
     ("magellan-graph", "bfs_distances_csr"),
     ("magellan-graph", "bfs_multi64_csr"),
     ("magellan-graph", "average_path_length_csr"),
@@ -400,6 +399,28 @@ mod tests {
         let mut report = Report::default();
         check_hot_paths(&graph, files, &crate::Config::default(), &mut report);
         report.violations
+    }
+
+    #[test]
+    fn registry_entries_resolve_to_workspace_fns() {
+        // `is_hot_seed` matches the registry by name only, so a stale
+        // or renamed entry would silently guard nothing.
+        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::find_workspace_root(here).expect("runs inside the workspace");
+        let mut defined = std::collections::BTreeSet::new();
+        for path in crate::collect_workspace_sources(&root).expect("workspace walkable") {
+            let text = std::fs::read_to_string(root.join(&path)).expect("source readable");
+            let summary = crate::analyze_file(&SourceFile::parse(path, &text));
+            for f in summary.fns.iter().filter(|f| !f.in_test) {
+                defined.insert((summary.crate_name.clone(), f.name.clone()));
+            }
+        }
+        for (krate, name) in HOT_REGISTRY {
+            assert!(
+                defined.contains(&(krate.to_owned(), name.to_owned())),
+                "HOT_REGISTRY entry {krate}::{name} names no fn in the workspace"
+            );
+        }
     }
 
     #[test]

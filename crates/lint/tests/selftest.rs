@@ -6,9 +6,9 @@
 //!    in-memory — a lint that silently stops matching is worse than no
 //!    lint, because it keeps green-lighting regressions;
 //! 3. the runtime invariant layer in `magellan-graph` must hold on
-//!    generated topologies: the lint gate and the `debug_assert`
-//!    invariants are two halves of the same determinism policy, so the
-//!    gate's self-test exercises both.
+//!    generated topologies: the lint gate and the invariant checks are
+//!    two halves of the same determinism policy, so the gate's
+//!    self-test exercises both.
 
 use magellan_lint::{
     default_unsafe_budgets, default_unwrap_budgets, find_workspace_root, lint_sources,
@@ -328,7 +328,7 @@ mod graph_invariants {
 
     use magellan_graph::invariants::{check_all, check_unit_interval};
     use magellan_graph::random::{barabasi_albert, gnm_directed, watts_strogatz};
-    use magellan_graph::DiGraph;
+    use magellan_graph::{Csr, NodeId};
     use proptest::prelude::*;
 
     #[test]
@@ -350,15 +350,13 @@ mod graph_invariants {
         assert!(check_unit_interval("r", f64::NAN).is_err());
     }
 
-    fn arb_graph() -> impl Strategy<Value = DiGraph<u8>> {
-        proptest::collection::vec((0u8..16, 0u8..16, 1u64..50), 0..100).prop_map(|edges| {
-            let mut g = DiGraph::new();
-            for (a, b, w) in edges {
-                if a != b {
-                    g.add_edge_by_key(a, b, w);
-                }
-            }
-            g
+    fn arb_graph() -> impl Strategy<Value = Csr> {
+        proptest::collection::vec((0usize..16, 0usize..16, 1u64..50), 0..100).prop_map(|edges| {
+            let edges: Vec<_> = edges
+                .into_iter()
+                .map(|(a, b, w)| (NodeId::from_index(a), NodeId::from_index(b), w))
+                .collect();
+            Csr::from_edges(16, &edges)
         })
     }
 

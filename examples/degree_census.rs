@@ -13,6 +13,7 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::graph::degree::{degree_sequence, DegreeKind};
 use magellan::graph::powerlaw;
 use magellan::graph::random::barabasi_albert;
 use magellan::netsim::SimTime;
@@ -56,7 +57,7 @@ fn main() {
 
     // Control: the same test on a genuine power-law topology.
     let ba = barabasi_albert(3_000, 2, 99);
-    let degrees: Vec<usize> = ba.node_ids().map(|id| ba.undirected_degree(id)).collect();
+    let degrees = degree_sequence(&ba, DegreeKind::Undirected);
     match powerlaw::assess(&degrees) {
         Ok(v) => println!(
             "\ncontrol — Barabási–Albert graph: power-law plausible = {} (alpha {:.2}, ks {:.3})",

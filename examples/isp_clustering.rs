@@ -52,8 +52,10 @@ fn main() {
     // for other ISPs as well." Check every populated China ISP at one
     // evening snapshot.
     {
-        use magellan::analysis::graphs::{active_link_graph, per_isp_smallworld, NodeScope};
-        use magellan::netsim::{IspDatabase, SimTime};
+        use magellan::analysis::graphs::SnapshotTable;
+        use magellan::graph::smallworld::{assess_csr, SmallWorldConfig};
+        use magellan::graph::Csr;
+        use magellan::netsim::{Isp, IspDatabase, SimTime};
         use magellan::overlay::OverlaySim;
         use magellan::trace::SnapshotBuilder;
         let cfg = config(scale, false);
@@ -64,10 +66,20 @@ fn main() {
             .run_collecting()
             .expect("example scenario is self-consistent");
         let snap = SnapshotBuilder::new(&store).at(SimTime::at(1, 21, 0));
-        let reports: Vec<_> = snap.reports().cloned().collect();
-        let g = active_link_graph(&reports, NodeScope::StableOnly);
+        // The study's route to Fig. 7B: the snapshot's all-known
+        // topology, the stable-peer graph its reporters induce, then
+        // one ISP's induced subgraph per panel.
+        let reports: Vec<_> = snap.reports().collect();
+        let table = SnapshotTable::build(&reports, &db);
+        let stable = Csr::from_edges(table.nodes.len(), &table.edges)
+            .induced(|id| id.index() < table.reporters);
         println!("\nper-ISP small-world panels at Mon 9 p.m.:");
-        for (isp, r) in per_isp_smallworld(&g, &db, 8) {
+        for isp in Isp::ALL.into_iter().filter(|isp| isp.is_china()) {
+            let sub = stable.induced(|id| table.node_isps[id.index()] == isp);
+            if sub.node_count() < 8 {
+                continue;
+            }
+            let r = assess_csr(&sub, &SmallWorldConfig::default());
             println!(
                 "  {:<14} n {:>4} | C {:.3} vs C_rand {:.4} | L {:?}",
                 isp.name(),

@@ -13,7 +13,9 @@
 
 use magellan::analysis::study::StudyConfig;
 use magellan::graph::random::gnm_directed;
-use magellan::graph::reciprocity::{garlaschelli_reciprocity, simple_reciprocity, tree_baseline};
+use magellan::graph::reciprocity::{
+    garlaschelli_reciprocity_csr, simple_reciprocity_checked_csr, tree_baseline_csr,
+};
 use magellan::netsim::SimDuration;
 use magellan::prelude::*;
 
@@ -54,12 +56,12 @@ fn main() {
     let random = gnm_directed(n, m, 17);
     println!(
         "\nbaselines on a matched G({n}, {m}): r = {:.3}, rho = {:+.3} (≈0 expected)",
-        simple_reciprocity(&random),
-        garlaschelli_reciprocity(&random).unwrap()
+        simple_reciprocity_checked_csr(&random).unwrap_or(0.0),
+        garlaschelli_reciprocity_csr(&random).unwrap()
     );
     println!(
         "a tree of the same density would give rho = {:+.4}",
-        tree_baseline(&random)
+        tree_baseline_csr(&random)
     );
     println!(
         "\nmeasured mean rho = {:+.3}: {}",

@@ -1,5 +1,5 @@
-//! A complete topology characterization of one overlay snapshot —
-//! every metric in `magellan-graph` applied to the simulated UUSee
+//! A topology characterization of one overlay snapshot — the
+//! `magellan-graph` metrics applied to the simulated UUSee
 //! mesh, the way a measurement paper's "graph properties" table would
 //! present it, with ER/WS/BA reference topologies alongside.
 //!
@@ -7,23 +7,19 @@
 //! cargo run --release --example topology_report -- [--scale 0.002]
 //! ```
 
-use magellan::analysis::graphs::{active_link_graph, NodeScope};
-use magellan::graph::assortativity::{assortativity, AssortKind};
-use magellan::graph::clustering::{clustering_coefficient, transitivity};
+use magellan::analysis::graphs::SnapshotTable;
+use magellan::graph::clustering::clustering_coefficient_csr;
 use magellan::graph::degree::{average_degree, degree_histogram, DegreeKind};
-use magellan::graph::kcore::core_decomposition;
-use magellan::graph::paths::{
-    average_path_length, largest_component_fraction, PathSampling, PathTreatment,
-};
+use magellan::graph::kcore::core_decomposition_csr;
+use magellan::graph::paths::{average_path_length_csr, PathSampling, PathTreatment};
 use magellan::graph::powerlaw;
 use magellan::graph::random::{barabasi_albert, gnm_undirected, watts_strogatz, RandomBaseline};
-use magellan::graph::reciprocity::{garlaschelli_reciprocity, simple_reciprocity};
-use magellan::graph::DiGraph;
+use magellan::graph::reciprocity::{garlaschelli_reciprocity_csr, simple_reciprocity_checked_csr};
+use magellan::graph::Csr;
 use magellan::netsim::{SimTime, StudyCalendar};
 use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
 use magellan::trace::SnapshotBuilder;
-use std::hash::Hash;
 
 fn arg(name: &str, default: f64) -> f64 {
     let args: Vec<String> = std::env::args().collect();
@@ -34,23 +30,18 @@ fn arg(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
+fn characterize(name: &str, g: &Csr) {
     let n = g.node_count();
-    let m_und = g.undirected_edge_count();
-    let c = clustering_coefficient(g);
-    let t = transitivity(g);
-    let l = average_path_length(g, PathTreatment::Undirected, PathSampling::Exact)
+    let m_und = g.und_edge_count();
+    let c = clustering_coefficient_csr(g);
+    let l = average_path_length_csr(g, PathTreatment::Undirected, PathSampling::Exact)
         .map(|s| s.mean)
         .unwrap_or(f64::NAN);
     let baseline = RandomBaseline::analytic(n, m_und);
-    let r = simple_reciprocity(g);
-    let rho = garlaschelli_reciprocity(g)
+    let r = simple_reciprocity_checked_csr(g).unwrap_or(0.0);
+    let rho = garlaschelli_reciprocity_csr(g)
         .map(|v| format!("{v:+.3}"))
         .unwrap_or("n/a".into());
-    let assort = assortativity(g, AssortKind::Undirected)
-        .map(|v| format!("{v:+.3}"))
-        .unwrap_or("n/a".into());
-    let giant = largest_component_fraction(g);
     let h = degree_histogram(g, DegreeKind::Undirected);
     let pl = powerlaw::assess(&h.to_samples())
         .map(|v| {
@@ -63,10 +54,7 @@ fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
         })
         .unwrap_or_else(|e| format!("n/a ({e})"));
     println!("== {name} ==");
-    println!(
-        "  nodes {n}, undirected edges {m_und}, giant component {:.2}",
-        giant
-    );
+    println!("  nodes {n}, undirected edges {m_und}");
     println!(
         "  degree: mean {:.1}, spike {:?}, max {:?}",
         average_degree(g, DegreeKind::Undirected),
@@ -74,8 +62,8 @@ fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
         h.max_degree()
     );
     println!(
-        "  clustering C {:.3} (transitivity {:.3}) vs C_rand {:.4}",
-        c, t, baseline.c_expected
+        "  clustering C {:.3} vs C_rand {:.4}",
+        c, baseline.c_expected
     );
     println!(
         "  path length L {:.2} vs L_rand {}",
@@ -85,8 +73,8 @@ fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
             .map(|v| format!("{v:.2}"))
             .unwrap_or("n/a".into())
     );
-    let cores = core_decomposition(g);
-    println!("  reciprocity r {r:.3}, rho {rho}; assortativity {assort}");
+    let cores = core_decomposition_csr(g);
+    println!("  reciprocity r {r:.3}, rho {rho}");
     println!(
         "  k-core: degeneracy {}, deepest-core size {}",
         cores.degeneracy(),
@@ -104,6 +92,7 @@ fn main() {
         .calendar(StudyCalendar { window_days: 1 })
         .build();
     let mut sim = OverlaySim::new(scenario, SimConfig::default());
+    let db = sim.isp_database().clone();
     let (store, summary) = sim
         .run_collecting()
         .expect("example scenario is self-consistent");
@@ -112,13 +101,17 @@ fn main() {
         summary.joins, summary.reports, summary.peak_concurrent
     );
     let snap = SnapshotBuilder::new(&store).at(SimTime::at(0, 21, 0));
-    let reports: Vec<_> = snap.reports().cloned().collect();
-    let overlay = active_link_graph(&reports, NodeScope::StableOnly);
+    // The study's route: the snapshot's all-known topology, then the
+    // stable-peer graph its reporters induce.
+    let reports: Vec<_> = snap.reports().collect();
+    let table = SnapshotTable::build(&reports, &db);
+    let overlay =
+        Csr::from_edges(table.nodes.len(), &table.edges).induced(|id| id.index() < table.reporters);
     characterize("UUSee stable-peer overlay (9 p.m.)", &overlay);
 
     // Matched references.
     let n = overlay.node_count().max(10);
-    let m = overlay.undirected_edge_count().max(20);
+    let m = overlay.und_edge_count().max(20);
     characterize("Erdős–Rényi G(n, m) match", &gnm_undirected(n, m, 1));
     let k = ((2 * m) / n).max(2) & !1usize; // even mean degree
     if k < n {

@@ -37,8 +37,9 @@
 use magellan::analysis::graphs::{active_link_graph, node_isps, NodeScope};
 use magellan::analysis::sessions::{stable_sessions, summarize};
 use magellan::graph::export::{to_dot, to_edge_list};
-use magellan::graph::reciprocity::garlaschelli_reciprocity;
-use magellan::graph::smallworld::{assess, SmallWorldConfig};
+use magellan::graph::reciprocity::garlaschelli_reciprocity_csr;
+use magellan::graph::smallworld::{assess_csr, SmallWorldConfig};
+use magellan::graph::Csr;
 use magellan::netsim::{IspDatabase, SimTime};
 use magellan::trace::archive::read_archive;
 use magellan::trace::{atomic_write, RecoveryReport, SnapshotBuilder, TraceStats, TraceStore};
@@ -604,8 +605,9 @@ fn main() -> ExitCode {
                     })
                 }
                 _ => {
-                    let sw = assess(&g, &SmallWorldConfig::default());
-                    let rho = garlaschelli_reciprocity(&g)
+                    let csr = Csr::from_digraph(&g);
+                    let sw = assess_csr(&csr, &SmallWorldConfig::default());
+                    let rho = garlaschelli_reciprocity_csr(&csr)
                         .map(|v| format!("{v:+.3}"))
                         .unwrap_or_else(|_| "n/a".into());
                     format!(

@@ -182,8 +182,11 @@ fn incremental_engine_matches_full_recompute_bytes() {
 
     let g = magellan::graph::random::watts_strogatz(150, 6, 0.2, 42);
     let mut edges: Vec<(u32, u32, u64)> = g
-        .edges()
-        .map(|e| (e.from.index() as u32, e.to.index() as u32, e.weight.max(1)))
+        .node_ids()
+        .flat_map(|u| {
+            let row = g.out(u).iter().zip(g.out_weights(u));
+            row.map(move |(v, &w)| (u.index() as u32, v.index() as u32, w.max(1)))
+        })
         .collect();
     edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
     let mut nodes: Vec<u32> = (0..150).collect();

@@ -72,20 +72,22 @@ fn snapshots_survive_loss() {
 
 #[test]
 fn topology_conclusions_survive_loss() {
-    use magellan::analysis::graphs::{active_link_graph, NodeScope};
-    use magellan::graph::reciprocity::garlaschelli_reciprocity;
+    use magellan::analysis::graphs::SnapshotTable;
+    use magellan::graph::reciprocity::garlaschelli_reciprocity_csr;
+    use magellan::graph::Csr;
     let clean = pristine();
     let (dirty, _) = lossy();
     let t = SimTime::at(0, 18, 0);
+    let db = IspDatabase::default();
+    // The study's route: the snapshot's all-known topology, one pass.
     let graph_of = |store: &TraceStore| {
         let snap = SnapshotBuilder::new(store).at(t);
-        let reports: Vec<_> = snap.reports().cloned().collect();
-        active_link_graph(&reports, NodeScope::AllKnown)
+        let reports: Vec<_> = snap.reports().collect();
+        let table = SnapshotTable::build(&reports, &db);
+        Csr::from_edges(table.nodes.len(), &table.edges)
     };
-    let g_clean = graph_of(clean);
-    let g_dirty = graph_of(dirty);
-    let rho_clean = garlaschelli_reciprocity(&g_clean).unwrap();
-    let rho_dirty = garlaschelli_reciprocity(&g_dirty).unwrap();
+    let rho_clean = garlaschelli_reciprocity_csr(&graph_of(clean)).unwrap();
+    let rho_dirty = garlaschelli_reciprocity_csr(&graph_of(dirty)).unwrap();
     assert!(
         rho_clean > 0.0 && rho_dirty > 0.0,
         "reciprocity sign flipped"
