@@ -9,14 +9,17 @@
 //!   and the stable-peer graph from trace snapshots, with ISP
 //!   annotation;
 //! * [`plot`] — dependency-free SVG rendering of the figures;
-//! * [`sessions`] — stable-session reconstruction from report runs;
+//! * [`sessions`] — the streaming stable-session fold over report runs;
 //! * [`timeseries`] — metric-evolution series and CSV rendering;
 //! * [`figures`] — one typed result per figure of the paper
 //!   (Fig. 1A through Fig. 8B) plus text renderers;
 //! * [`study`] — the end-to-end driver: scenario → simulation →
-//!   streaming trace analysis → [`figures::StudyReport`].
+//!   collector (peer uplink, admission gateway) → streaming trace
+//!   analysis → [`figures::StudyReport`];
+//! * [`durable`] — the same live loop with an on-disk archive and
+//!   checkpoint/resume around it, plus offline archive replay.
 //!
-//! The driver consumes reports as a stream (the real study had 120 GB
+//! Both drivers consume reports as a stream (the real study had 120 GB
 //! of them); nothing here requires the full trace in memory.
 
 //!

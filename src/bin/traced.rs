@@ -79,7 +79,7 @@
 use bytes::Bytes;
 use magellan::netsim::{SimDuration, SimTime};
 use magellan::overlay::OverlaySim;
-use magellan::runcfg::{cfg_path, load_params, RunParams};
+use magellan::runcfg::{cfg_path, load_params, Args, RunParams};
 use magellan::trace::codec::{self, ClientMsg, FrameReader, ReplyMsg};
 use magellan::trace::service::{Books, ServiceResume, ShellSheds};
 use magellan::trace::shard::{shard_of, Shard, ShardStats};
@@ -513,51 +513,6 @@ fn udp_reader(sock: Arc<UdpSocket>, ctx: ReaderCtx) {
     }
 }
 
-/// Flag-scanning helpers shared by both subcommands.
-struct Args<'a>(&'a [String]);
-
-impl Args<'_> {
-    fn get(&self, name: &str) -> Option<&String> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-
-    fn num(&self, name: &str) -> Result<Option<u64>, String> {
-        self.get(name)
-            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    }
-
-    /// The CLI-settable study parameters both subcommands share —
-    /// every drive process and the server must agree on these for the
-    /// partition to cover the study exactly once.
-    fn params(&self) -> Result<RunParams, String> {
-        let mut p = RunParams::default();
-        if let Some(v) = self.num("--seed")? {
-            p.seed = v;
-        }
-        if let Some(v) = self.get("--scale") {
-            p.scale = v.parse::<f64>().map_err(|e| format!("--scale: {e}"))?;
-        }
-        if let Some(v) = self.num("--days")? {
-            p.days = v;
-        }
-        if let Some(v) = self.num("--sample-every-mins")? {
-            p.sample_every_mins = v;
-        }
-        if let Some(v) = self.num("--segment-bytes")? {
-            p.segment_bytes = v;
-        }
-        Ok(p)
-    }
-}
-
 /// Drains every shard below `below` (finally when `stop`), returning
 /// the batches in shard order plus the summed cumulative shard books.
 /// Every shard is asked before any reply is awaited, so the shards
@@ -724,7 +679,7 @@ fn serve(args: &Args) -> Result<(), String> {
     let params = if resuming {
         load_params(&dir)?
     } else {
-        args.params()?
+        args.params(RunParams::default())?
     };
     let listen = args
         .get("--listen")
@@ -945,7 +900,7 @@ fn serve(args: &Args) -> Result<(), String> {
 }
 
 fn drive(args: &Args) -> Result<(), String> {
-    let params = args.params()?;
+    let params = args.params(RunParams::default())?;
     let server = args
         .get("--server")
         .ok_or_else(|| "--server ADDR is required".to_string())?

@@ -16,7 +16,12 @@
 //! use magellan::prelude::*;
 //!
 //! // A small-scale run of the full two-week study.
-//! let report = MagellanStudy::with_scale(2006, 0.002).run();
+//! let report = MagellanStudy::new(StudyConfig {
+//!     seed: 2006,
+//!     scale: 0.002,
+//!     ..StudyConfig::default()
+//! })
+//! .run();
 //! println!("{}", report.render_text());
 //! ```
 //!

@@ -20,7 +20,7 @@
 //! configuration.
 
 use magellan::analysis::durable::DurableStudy;
-use magellan::runcfg::{cfg_path, load_params, RunParams};
+use magellan::runcfg::{cfg_path, load_params, Args, RunParams};
 use magellan::trace::atomic_write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -47,56 +47,29 @@ fn emit_report(text: &str, out: Option<&str>) -> Result<(), String> {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let get = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
-        get(name)
-            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    };
-
-    if let Some(n) = parse_u64("--threads")? {
+fn run(argv: &[String]) -> Result<(), String> {
+    let args = Args(argv);
+    if let Some(n) = args.num("--threads")? {
         magellan::par::set_threads(n as usize);
     }
     let dir = PathBuf::from(
-        get("--archive")
-            .ok_or_else(|| "--archive DIR is required".to_string())?
-            .clone(),
+        args.get("--archive")
+            .ok_or_else(|| "--archive DIR is required".to_string())?,
     );
-    let report_out = get("--report").map(String::as_str);
+    let report_out = args.get("--report").map(String::as_str);
 
-    match args.first().map(String::as_str) {
+    match argv.first().map(String::as_str) {
         Some("study") => {
-            let resume = has("--resume");
-            let mut params = if resume {
+            let resume = args.has("--resume");
+            let mut params = args.params(if resume {
                 load_params(&dir)?
             } else {
                 RunParams::default()
-            };
-            if let Some(v) = parse_u64("--seed")? {
-                params.seed = v;
-            }
-            if let Some(v) = get("--scale") {
-                params.scale = v.parse::<f64>().map_err(|e| format!("--scale: {e}"))?;
-            }
-            if let Some(v) = parse_u64("--days")? {
-                params.days = v;
-            }
-            if let Some(v) = parse_u64("--sample-every-mins")? {
-                params.sample_every_mins = v;
-            }
-            if let Some(v) = parse_u64("--checkpoint-every-ticks")? {
+            })?;
+            if let Some(v) = args.num("--checkpoint-every-ticks")? {
                 params.checkpoint_every_ticks = v;
             }
-            if let Some(v) = parse_u64("--segment-bytes")? {
-                params.segment_bytes = v;
-            }
-            let kill_at = parse_u64("--kill-at-tick")?;
+            let kill_at = args.num("--kill-at-tick")?;
 
             std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
             // Persist the parameters before simulating so a run killed

@@ -1,10 +1,13 @@
-//! Shared run-directory configuration for the `magellan` binaries.
+//! Shared run-directory configuration and flag scanning for the
+//! `magellan` binaries.
 //!
 //! A run directory carries a `study.cfg` describing the CLI-settable
 //! study parameters; `magellan study --resume`, `magellan replay`,
 //! and the networked `magellan-traced` service all reconstruct the
 //! exact configuration (and fingerprint) from it. Everything not
-//! listed here stays at [`StudyConfig::default`].
+//! listed here stays at [`StudyConfig::default`]. Flags
+//! ([`Args::params`]) and `study.cfg` are validated before anything
+//! is written.
 
 use magellan_analysis::durable::DurableConfig;
 use magellan_analysis::study::StudyConfig;
@@ -92,7 +95,22 @@ impl RunParams {
                 _ => return Err(format!("study.cfg line {}: unknown key {key}", i + 1)),
             }
         }
-        Ok(p)
+        p.validated().map_err(|e| format!("study.cfg: {e}"))
+    }
+
+    /// These parameters, unless no study can run with them: a scale
+    /// that is not a finite number above zero, an empty window, or a
+    /// zero sampling cadence.
+    fn validated(self) -> Result<Self, String> {
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            Err(format!("scale {} is not a finite number > 0", self.scale))
+        } else if self.days == 0 {
+            Err("days must be at least 1".into())
+        } else if self.sample_every_mins == 0 {
+            Err("sample_every_mins must be at least 1".into())
+        } else {
+            Ok(self)
+        }
     }
 
     /// The full study configuration these parameters select.
@@ -115,6 +133,53 @@ impl RunParams {
             checkpoint_every_ticks: self.checkpoint_every_ticks,
             keep_checkpoints: 2,
         }
+    }
+}
+
+/// Flag scanning shared by the binaries: `--name value` pairs and bare
+/// `--name` switches, anywhere in the argument list.
+pub struct Args<'a>(pub &'a [String]);
+
+impl Args<'_> {
+    /// The value following flag `name`.
+    pub fn get(&self, name: &str) -> Option<&String> {
+        self.0
+            .iter()
+            .position(|a| a == name)
+            .and_then(|i| self.0.get(i + 1))
+    }
+
+    /// Whether switch `name` is present.
+    pub fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The `u64` following flag `name`; an error when it does not parse.
+    pub fn num(&self, name: &str) -> Result<Option<u64>, String> {
+        self.get(name)
+            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// `base` overridden by the study flags every binary shares, then
+    /// validated: a malformed or rejected value is an error.
+    pub fn params(&self, mut p: RunParams) -> Result<RunParams, String> {
+        if let Some(v) = self.num("--seed")? {
+            p.seed = v;
+        }
+        if let Some(v) = self.get("--scale") {
+            p.scale = v.parse::<f64>().map_err(|e| format!("--scale: {e}"))?;
+        }
+        if let Some(v) = self.num("--days")? {
+            p.days = v;
+        }
+        if let Some(v) = self.num("--sample-every-mins")? {
+            p.sample_every_mins = v;
+        }
+        if let Some(v) = self.num("--segment-bytes")? {
+            p.segment_bytes = v;
+        }
+        p.validated()
     }
 }
 
@@ -163,5 +228,23 @@ mod tests {
         assert!(RunParams::parse("version 2\n").is_err());
         assert!(RunParams::parse("seed\n").is_err());
         assert!(RunParams::parse("mystery 4\n").is_err());
+        // Values no study can run with, from study.cfg and from flags.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let text = format!("scale_bits {:016x}\n", f64::to_bits(bad));
+            assert!(RunParams::parse(&text).is_err(), "scale {bad}");
+        }
+        assert!(RunParams::parse("days 0\n").is_err());
+        assert!(RunParams::parse("sample_every_mins 0\n").is_err());
+        for flags in [
+            ["--scale", "0"],
+            ["--scale", "-1"],
+            ["--scale", "nan"],
+            ["--days", "0"],
+            ["--sample-every-mins", "0"],
+        ] {
+            let argv: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            let parsed = Args(&argv).params(RunParams::default());
+            assert!(parsed.is_err(), "{flags:?}");
+        }
     }
 }

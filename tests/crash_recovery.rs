@@ -86,6 +86,15 @@ fn kill_and_resume_at(threads: u64) {
     let out = run(&args);
     assert!(out.status.success(), "clean run failed: {out:?}");
 
+    // A cadence no study can run with is refused before anything is
+    // written, so the directory is not left half-configured.
+    let mut args = study_args(&crashed, threads);
+    let cadence = args.iter().position(|a| a == "--sample-every-mins");
+    args[cadence.expect("cadence flag") + 1] = "0".into();
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(1), "bad cadence: {out:?}");
+    assert!(!crashed.join("study.cfg").exists(), "study.cfg was written");
+
     // Crash: abort() at tick 150 (checkpoints land every 64 ticks).
     let mut args = study_args(&crashed, threads);
     args.extend(["--kill-at-tick".into(), "150".into()]);

@@ -65,6 +65,12 @@ fn every_scheduled_fault_class_fires_and_is_counted() {
         "the partition severed nothing"
     );
     assert!(f.partner_timeouts > 0, "no dead partner was timed out");
+    // The study runs through the collector: the day-1 server outage
+    // bounced reports into the uplink buffer, and the validating
+    // server rejected none of them.
+    let cs = r.collection.expect("the study reports its collection");
+    assert!(cs.unavailable > 0, "the server outage bounced no report");
+    assert_eq!(cs.rejected, 0, "the server rejected a simulated report");
     // The clean twin counts no injected events.
     let cf = &clean().sim.faults;
     assert_eq!(

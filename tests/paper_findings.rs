@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 fn crowd_week() -> &'static StudyReport {
     static REPORT: OnceLock<StudyReport> = OnceLock::new();
     REPORT.get_or_init(|| {
-        MagellanStudy::new(StudyConfig {
+        let r = MagellanStudy::new(StudyConfig {
             seed: 1964,
             scale: 0.002,
             window_days: 6, // day 5 = Friday Oct 6, the Mid-Autumn gala
@@ -30,7 +30,11 @@ fn crowd_week() -> &'static StudyReport {
             min_graph_nodes: 10,
             ..StudyConfig::default()
         })
-        .run()
+        .run();
+        // Every simulated report passes the validating trace server.
+        let cs = r.collection.expect("the study reports its collection");
+        assert_eq!(cs.rejected, 0, "the server rejected a simulated report");
+        r
     })
 }
 
