@@ -81,21 +81,6 @@ impl Series {
             .map(|&(_, v)| v)
     }
 
-    /// Mean over the samples of one calendar day.
-    pub fn day_mean(&self, day: u64) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t.day() == day)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
     /// Peak value of one calendar day.
     pub fn day_peak(&self, day: u64) -> Option<(SimTime, f64)> {
         self.points
@@ -185,9 +170,8 @@ mod tests {
         s.push(SimTime::at(0, 12, 0), 2.0);
         s.push(SimTime::at(0, 21, 0), 6.0);
         s.push(SimTime::at(1, 12, 0), 10.0);
-        assert_eq!(s.day_mean(0), Some(4.0));
         assert_eq!(s.day_peak(0), Some((SimTime::at(0, 21, 0), 6.0)));
-        assert_eq!(s.day_mean(5), None);
+        assert_eq!(s.day_peak(5), None);
     }
 
     #[test]

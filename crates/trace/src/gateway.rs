@@ -220,14 +220,6 @@ impl GatewayCore {
         Ok(true)
     }
 
-    /// Re-registers an identity as already stored without touching
-    /// the stats — checkpoint resume rebuilds the dedup set by
-    /// replaying the archive prefix through this.
-    pub fn mark_seen(&mut self, report: &PeerReport) {
-        self.seen
-            .insert((report.addr.as_u32(), report.time.as_millis()));
-    }
-
     /// Whether this `(peer, timestamp)` identity was already admitted
     /// — the sharded service distinguishes a straggler duplicate
     /// (absorb idempotently) from a straggler fresh report (shed as
@@ -352,15 +344,6 @@ mod tests {
             (st.accepted, st.duplicates, st.unavailable, st.rejected),
             (1, 1, 1, 1)
         );
-    }
-
-    #[test]
-    fn mark_seen_primes_dedup_without_stats() {
-        let mut g = core();
-        g.mark_seen(&report(20));
-        assert_eq!(g.stats(), ServerStats::default());
-        assert_eq!(g.admit(&report(20), report(20).time), Ok(false));
-        assert_eq!(g.stats().duplicates, 1);
     }
 
     #[test]

@@ -98,14 +98,6 @@ impl PeerReport {
             .count()
     }
 
-    /// Active outdegree: number of active receiving partners (Fig. 4C).
-    pub fn active_outdegree(&self) -> usize {
-        self.partners
-            .iter()
-            .filter(|p| p.is_active_receiver())
-            .count()
-    }
-
     /// Whether the peer achieves at least `fraction` of the channel
     /// rate (Fig. 3 uses `fraction = 0.9`).
     pub fn achieves_rate(&self, channel_rate_kbps: f64, fraction: f64) -> bool {
@@ -182,7 +174,6 @@ mod tests {
         ]);
         assert_eq!(r.partner_count(), 4);
         assert_eq!(r.active_indegree(), 2);
-        assert_eq!(r.active_outdegree(), 2);
     }
 
     #[test]

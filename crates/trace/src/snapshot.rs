@@ -47,16 +47,6 @@ impl<'a> Snapshot<'a> {
         self.reports.values().copied()
     }
 
-    /// The freshest report of `addr`, when stable.
-    pub fn report_of(&self, addr: PeerAddr) -> Option<&'a PeerReport> {
-        self.reports.get(&addr).copied()
-    }
-
-    /// Whether `addr` is a stable peer here.
-    pub fn is_stable(&self, addr: PeerAddr) -> bool {
-        self.reports.contains_key(&addr)
-    }
-
     /// Every known address: reporters plus everyone in a partner
     /// list. This is the paper's "total peers" population (Fig. 1A).
     pub fn known_peers(&self) -> Vec<PeerAddr> {
@@ -186,10 +176,8 @@ mod tests {
         .into_iter()
         .collect();
         let snap = SnapshotBuilder::new(&store).at(at_min(30));
-        assert_eq!(snap.stable_count(), 2);
-        assert!(snap.is_stable(PeerAddr::from_u32(1)));
-        assert!(snap.is_stable(PeerAddr::from_u32(2)));
-        assert!(!snap.is_stable(PeerAddr::from_u32(3)));
+        let stable: Vec<u32> = snap.reports().map(|r| r.addr.as_u32()).collect();
+        assert_eq!(stable, vec![1, 2]);
     }
 
     #[test]
@@ -198,7 +186,8 @@ mod tests {
             .into_iter()
             .collect();
         let snap = SnapshotBuilder::new(&store).at(at_min(30));
-        let r = snap.report_of(PeerAddr::from_u32(1)).unwrap();
+        let r = snap.reports().next().unwrap();
+        assert_eq!(snap.stable_count(), 1);
         assert_eq!(r.time, at_min(28));
         assert_eq!(r.partners[0].addr, PeerAddr::from_u32(7));
     }

@@ -4,7 +4,7 @@
 //! [`TraceStore::push`] as its sink loads one.
 
 use crate::report::{PeerReport, REPORT_INTERVAL};
-use magellan_netsim::{PeerAddr, SimTime};
+use magellan_netsim::SimTime;
 use std::collections::HashMap;
 
 /// In-memory store of peer reports.
@@ -67,14 +67,6 @@ impl TraceStore {
             .filter(move |r| r.time >= start && r.time < end)
     }
 
-    /// The distinct reporter addresses in `start <= time < end`.
-    pub fn reporters_in(&self, start: SimTime, end: SimTime) -> Vec<PeerAddr> {
-        let mut v: Vec<PeerAddr> = self.range(start, end).map(|r| r.addr).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Earliest and latest report times, when any.
     pub fn time_span(&self) -> Option<(SimTime, SimTime)> {
         let min = self.reports.iter().map(|r| r.time).min()?;
@@ -103,7 +95,7 @@ impl FromIterator<PeerReport> for TraceStore {
 mod tests {
     use super::*;
     use crate::buffer::BufferMap;
-    use magellan_netsim::SimDuration;
+    use magellan_netsim::{PeerAddr, SimDuration};
     use magellan_workload::ChannelId;
 
     fn report(ip: u32, minute: u64) -> PeerReport {
@@ -139,19 +131,6 @@ mod tests {
         let end = SimTime::ORIGIN + SimDuration::from_mins(40);
         let got: Vec<u32> = s.range(start, end).map(|r| r.addr.as_u32()).collect();
         assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
-    fn reporters_are_deduped_and_sorted() {
-        let s: TraceStore = vec![report(5, 20), report(3, 22), report(5, 25)]
-            .into_iter()
-            .collect();
-        let start = SimTime::ORIGIN;
-        let end = SimTime::ORIGIN + SimDuration::from_hours(1);
-        assert_eq!(
-            s.reporters_in(start, end),
-            vec![PeerAddr::from_u32(3), PeerAddr::from_u32(5)]
-        );
     }
 
     #[test]
