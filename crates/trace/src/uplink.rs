@@ -249,6 +249,16 @@ pub const UDP_REPLY_TIMEOUT: Duration = Duration::from_millis(250);
 /// a hang.
 pub const TCP_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A TCP uplink's write buffer is handed to the socket once it holds
+/// this many bytes, even if no reply read or control message is due —
+/// one server-side read's worth of frames.
+const TCP_WRITE_FLUSH_BYTES: usize = 16 * 1024;
+
+/// Bytes one TCP reply read can take in — a window's worth of
+/// [`codec::REPLY_LEN`]-byte records at the default window, so one
+/// `read` drains every reply that has arrived.
+const TCP_REPLY_READ_BYTES: usize = 64 * codec::REPLY_LEN;
+
 enum NetIo {
     Tcp(TcpStream),
     Udp(UdpSocket),
@@ -270,10 +280,14 @@ pub const DEFAULT_RECONNECT_BUDGET: u32 = 8;
 ///
 /// * **TCP** — length-framed messages, pipelined: up to `window`
 ///   reports are in flight before the client blocks reading replies
-///   (fixed-size [`codec::REPLY_LEN`]-byte records). `mark`/`finish`
-///   drain all outstanding replies first, which is what makes a
-///   `WindowMark` a true barrier: FIFO byte stream plus drained
-///   window means every covered report was already processed.
+///   (fixed-size [`codec::REPLY_LEN`]-byte records, as many per
+///   `read` as have arrived). Frames collect in one write buffer that
+///   goes to the socket in a single `write` before the client blocks
+///   on a reply, together with the next control message, or once it
+///   passes 16 KiB. `mark`/`finish` drain all outstanding replies
+///   first, which is what makes a `WindowMark` a true barrier: FIFO
+///   byte stream plus drained window means every covered report was
+///   already processed.
 /// * **UDP** — one message per datagram, stop-and-wait per report
 ///   (matched by sequence number; stale replies are ignored), control
 ///   messages repeated [`UDP_CONTROL_REDUNDANCY`] times.
@@ -286,7 +300,16 @@ pub struct NetUplink {
     reconnects: u64,
     next_seq: u64,
     window: usize,
+    /// Unanswered reports by sequence number: payload and how many
+    /// times it was framed for the wire.
     outstanding: BTreeMap<u64, (Bytes, u32)>,
+    /// TCP frames not yet handed to the socket.
+    wbuf: Vec<u8>,
+    /// Report frames in `wbuf`; they join `attempts` when `wbuf` goes
+    /// to `write_all`.
+    wbuf_reports: u64,
+    /// The tail of a reply record split across two TCP reads.
+    reply_carry: Vec<u8>,
     backoff: NetBackoff,
     stats: UplinkStats,
 }
@@ -321,6 +344,9 @@ impl NetUplink {
             next_seq: 0,
             window: window.max(1),
             outstanding: BTreeMap::new(),
+            wbuf: Vec::new(),
+            wbuf_reports: 0,
+            reply_carry: Vec::new(),
             backoff,
             stats: UplinkStats::default(),
         };
@@ -363,6 +389,9 @@ impl NetUplink {
             next_seq: 0,
             window: 1,
             outstanding: BTreeMap::new(),
+            wbuf: Vec::new(),
+            wbuf_reports: 0,
+            reply_carry: Vec::new(),
             backoff,
             stats: UplinkStats::default(),
         };
@@ -370,10 +399,15 @@ impl NetUplink {
         Ok(up)
     }
 
+    /// Sends a control message. On TCP its frame joins the write
+    /// buffer, which then goes out in one write.
     fn send_control(&mut self, msg: &ClientMsg) -> io::Result<()> {
         let body = codec::encode_client_msg(msg);
         match &mut self.io {
-            NetIo::Tcp(stream) => stream.write_all(&codec::frame(&body)),
+            NetIo::Tcp(_) => {
+                self.wbuf.extend_from_slice(&codec::frame(&body));
+                self.flush_writes()
+            }
             NetIo::Udp(sock) => {
                 for _ in 0..UDP_CONTROL_REDUNDANCY {
                     sock.send(&body)?;
@@ -381,6 +415,31 @@ impl NetUplink {
                 Ok(())
             }
         }
+    }
+
+    /// Hands the TCP write buffer to the socket in one `write_all`;
+    /// its report frames count as attempts from here on.
+    fn flush_writes(&mut self) -> io::Result<()> {
+        if self.wbuf.is_empty() {
+            return Ok(());
+        }
+        self.stats.attempts += self.wbuf_reports;
+        self.wbuf_reports = 0;
+        let NetIo::Tcp(stream) = &mut self.io else {
+            debug_assert!(false, "flush_writes on a UDP uplink");
+            return Ok(());
+        };
+        let written = stream.write_all(&self.wbuf);
+        self.wbuf.clear();
+        written
+    }
+
+    /// Frames report `seq` into the write buffer and tracks it as
+    /// outstanding; `count` is how many times it has been framed.
+    fn queue_report(&mut self, seq: u64, payload: Bytes, count: u32) {
+        codec::put_report_frame(&mut self.wbuf, seq, &payload);
+        self.wbuf_reports += 1;
+        self.outstanding.insert(seq, (payload, count));
     }
 
     /// As [`NetUplink::send_control`], but a TCP write failure burns a
@@ -432,32 +491,25 @@ impl NetUplink {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(TCP_REPLY_TIMEOUT))?;
         self.io = NetIo::Tcp(stream);
+        // Whatever was buffered or half-read belonged to the old
+        // connection; every frame in `wbuf` is outstanding and is
+        // framed again below.
+        self.wbuf.clear();
+        self.wbuf_reports = 0;
+        self.reply_carry.clear();
         let (client_id, clients) = (self.client_id, self.clients);
-        self.send_control(&ClientMsg::Hello { client_id, clients })?;
+        let hello = codec::encode_client_msg(&ClientMsg::Hello { client_id, clients });
+        self.wbuf.extend_from_slice(&codec::frame(&hello));
         // Every unacknowledged report may have died with the old
-        // connection; retransmit them all. A report the server did
-        // classify before the cut comes back `AckDuplicate` — still
-        // delivered.
-        let pending: Vec<(u64, Bytes, u32)> = self
-            .outstanding
-            .iter()
-            .map(|(seq, (payload, count))| (*seq, payload.clone(), *count))
-            .collect();
-        for (seq, payload, count) in pending {
-            self.stats.attempts += 1;
-            let body = codec::encode_client_msg(&ClientMsg::Report {
-                seq,
-                payload: payload.clone(),
-            });
-            let NetIo::Tcp(stream) = &mut self.io else {
-                debug_assert!(false, "try_reconnect on a UDP uplink");
-                return Ok(());
-            };
-            stream.write_all(&codec::frame(&body))?;
-            self.outstanding
-                .insert(seq, (payload, count.saturating_add(1)));
+        // connection; retransmit them all, behind the replayed
+        // `Hello` in the same write. A report the server did classify
+        // before the cut comes back `AckDuplicate` — still delivered.
+        for (seq, (payload, count)) in &mut self.outstanding {
+            codec::put_report_frame(&mut self.wbuf, *seq, payload);
+            self.wbuf_reports += 1;
+            *count = count.saturating_add(1);
         }
-        Ok(())
+        self.flush_writes()
     }
 
     /// Offers one report for delivery. Retryable verdicts are retried
@@ -474,14 +526,14 @@ impl NetUplink {
         self.next_seq += 1;
         match self.io {
             NetIo::Tcp(_) => {
-                if let Err(e) = self.transmit_tcp(seq, &payload, 1) {
-                    self.recover_tcp(e)?;
-                    self.transmit_tcp(seq, &payload, 2)?;
-                }
-                while self.outstanding.len() >= self.window {
-                    if let Err(e) = self.read_reply_tcp() {
+                self.queue_report(seq, payload, 1);
+                if self.wbuf.len() >= TCP_WRITE_FLUSH_BYTES {
+                    if let Err(e) = self.flush_writes() {
                         self.recover_tcp(e)?;
                     }
+                }
+                while self.outstanding.len() >= self.window {
+                    self.await_replies_tcp()?;
                 }
                 Ok(())
             }
@@ -489,43 +541,66 @@ impl NetUplink {
         }
     }
 
-    fn transmit_tcp(&mut self, seq: u64, payload: &Bytes, count: u32) -> io::Result<()> {
-        self.stats.attempts += 1;
-        let body = codec::encode_client_msg(&ClientMsg::Report {
-            seq,
-            payload: payload.clone(),
-        });
-        let NetIo::Tcp(stream) = &mut self.io else {
-            debug_assert!(false, "transmit_tcp on a UDP uplink");
-            return Ok(());
+    /// Flushes the write buffer, then blocks for at least one reply
+    /// and classifies every complete reply that one read brought in.
+    /// An I/O failure burns a reconnection, which retransmits every
+    /// outstanding report.
+    fn await_replies_tcp(&mut self) -> io::Result<()> {
+        match self.flush_writes().and_then(|()| self.read_replies_tcp()) {
+            Ok(()) => Ok(()),
+            Err(e) => self.recover_tcp(e),
+        }
+    }
+
+    fn read_replies_tcp(&mut self) -> io::Result<()> {
+        let mut chunk = [0u8; TCP_REPLY_READ_BYTES];
+        let carried = self.reply_carry.len();
+        chunk[..carried].copy_from_slice(&self.reply_carry);
+        let n = {
+            let NetIo::Tcp(stream) = &mut self.io else {
+                debug_assert!(false, "read_replies_tcp on a UDP uplink");
+                return Ok(());
+            };
+            loop {
+                match stream.read(&mut chunk[carried..]) {
+                    Ok(0) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "reply stream closed",
+                        ))
+                    }
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
         };
-        stream.write_all(&codec::frame(&body))?;
-        self.outstanding.insert(seq, (payload.clone(), count));
+        let filled = carried + n;
+        let whole = filled - filled % codec::REPLY_LEN;
+        self.reply_carry.clear();
+        self.reply_carry.extend_from_slice(&chunk[whole..filled]);
+        for mut record in chunk[..whole].chunks_exact(codec::REPLY_LEN) {
+            let reply = codec::decode_reply(&mut record)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            self.on_reply_tcp(reply.seq, reply.status);
+        }
         Ok(())
     }
 
-    fn read_reply_tcp(&mut self) -> io::Result<()> {
-        let reply = {
-            let NetIo::Tcp(stream) = &mut self.io else {
-                debug_assert!(false, "read_reply_tcp on a UDP uplink");
-                return Ok(());
-            };
-            let mut buf = [0u8; codec::REPLY_LEN];
-            stream.read_exact(&mut buf)?;
-            codec::decode_reply(&mut &buf[..])
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        };
+    /// Books one TCP reply. A retryable verdict waits out its backoff
+    /// and frames the report again.
+    fn on_reply_tcp(&mut self, seq: u64, status: StatusCode) {
         // A reply to a sequence we no longer track (e.g. a duplicate)
         // is ignorable noise.
-        let Some((payload, count)) = self.outstanding.remove(&reply.seq) else {
-            return Ok(());
+        let Some((payload, count)) = self.outstanding.remove(&seq) else {
+            return;
         };
-        if reply.status.is_delivered() {
+        if status.is_delivered() {
             self.stats.delivered += 1;
             if count > 1 {
                 self.stats.retransmitted += 1;
             }
-        } else if reply.status.is_retryable() {
+        } else if status.is_retryable() {
             if count >= self.backoff.max_attempts() {
                 self.stats.dropped_permanent += 1;
             } else {
@@ -534,12 +609,11 @@ impl NetUplink {
                     self.stats.backoff_capped += 1;
                 }
                 std::thread::sleep(Duration::from_millis(delay));
-                self.transmit_tcp(reply.seq, &payload, count + 1)?;
+                self.queue_report(seq, payload, count + 1);
             }
         } else {
             self.stats.rejected += 1;
         }
-        Ok(())
     }
 
     fn stop_and_wait_udp(&mut self, seq: u64, payload: &Bytes) -> io::Result<()> {
@@ -595,9 +669,7 @@ impl NetUplink {
     /// Socket I/O failure or an undecodable reply stream.
     pub fn flush_outstanding(&mut self) -> io::Result<()> {
         while !self.outstanding.is_empty() {
-            if let Err(e) = self.read_reply_tcp() {
-                self.recover_tcp(e)?;
-            }
+            self.await_replies_tcp()?;
         }
         Ok(())
     }
@@ -631,7 +703,9 @@ impl NetUplink {
         Ok(self.stats)
     }
 
-    /// Delivery accounting so far.
+    /// Delivery accounting so far. On TCP, `attempts` covers the
+    /// frames handed to the socket; frames still in the write buffer
+    /// join it when the buffer is flushed.
     pub fn stats(&self) -> UplinkStats {
         self.stats
     }
@@ -812,10 +886,14 @@ mod tests {
         use crate::service::{IngestStats, ServiceCore};
         use std::net::{TcpListener, UdpSocket};
 
+        /// Also returns the size of every window merged at a mark.
         pub fn tcp_service(
             clients: u32,
             pending_cap: usize,
-        ) -> (std::net::SocketAddr, std::thread::JoinHandle<IngestStats>) {
+        ) -> (
+            std::net::SocketAddr,
+            std::thread::JoinHandle<(IngestStats, Vec<usize>)>,
+        ) {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let handle = std::thread::spawn(move || {
@@ -829,6 +907,7 @@ mod tests {
                     })
                     .collect();
                 let mut chunk = [0u8; 4096];
+                let mut merged = Vec::new();
                 while !core.all_finished() {
                     for (stream, frames) in &mut conns {
                         let n = match stream.read(&mut chunk) {
@@ -839,14 +918,15 @@ mod tests {
                         frames.extend(&chunk[..n]);
                         while let Some(mut body) = frames.next_frame().unwrap() {
                             let msg = decode_client_msg(&mut body).unwrap();
-                            let (reply, _batch) = core.handle(&msg);
+                            let (reply, batch) = core.handle(&msg);
                             if let Some(r) = reply {
                                 stream.write_all(&encode_reply(&r)).unwrap();
                             }
+                            merged.extend(batch.map(|b| b.len()));
                         }
                     }
                 }
-                core.finalize().1
+                (core.finalize().1, merged)
             });
             (addr, handle)
         }
@@ -902,7 +982,7 @@ mod tests {
         assert_eq!(stats.delivered, 21);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.dropped_permanent, 0);
-        let ingest = service.join().unwrap();
+        let (ingest, _) = service.join().unwrap();
         assert!(ingest.balanced(), "{ingest:?}");
         assert_eq!(ingest.admitted, 20);
         assert_eq!(ingest.deduped, 1);
@@ -929,9 +1009,128 @@ mod tests {
         assert_eq!(stats.dropped_permanent, 1);
         assert_eq!(stats.attempts, 1 + 3, "one ack + full retry budget");
         let _ = up.finish().unwrap();
-        let ingest = service.join().unwrap();
+        let (ingest, _) = service.join().unwrap();
         assert!(ingest.balanced(), "{ingest:?}");
         assert_eq!(ingest.shed_busy, 3);
+    }
+
+    /// A report carrying `partners` partner records (~24 bytes each).
+    fn wide_report(ip: u32, minute: u64, partners: u32) -> PeerReport {
+        let mut r = report(ip, minute);
+        r.partners = (0..partners)
+            .map(|i| crate::report::PartnerRecord {
+                addr: PeerAddr::from_u32(0x0C00_0000 + i),
+                tcp_port: 1,
+                udp_port: 2,
+                segments_sent: u64::from(i),
+                segments_received: 0,
+            })
+            .collect();
+        r
+    }
+
+    /// A burst several windows long, of reports large enough to cross
+    /// the write buffer's flush size: every reply is matched, every
+    /// report counts exactly one attempt, and the mark after the burst
+    /// merges a window holding every report it covers.
+    #[test]
+    fn net_uplink_tcp_burst_matches_every_reply_and_marks_behind_it() {
+        let (addr, service) = loopback::tcp_service(1, 1024);
+        let window = 8;
+        let mut up =
+            NetUplink::connect_tcp(addr, 0, 1, window, NetBackoff::new(1, 4, 5, 19)).unwrap();
+        let burst = 10 * window as u32;
+        for ip in 1..=burst {
+            up.send_report(&wide_report(ip, 20, 40)).unwrap();
+            assert!(up.pending() < window, "window overrun");
+        }
+        up.mark(at_min(30)).unwrap();
+        assert_eq!(up.pending(), 0);
+        let stats = up.finish().unwrap();
+        assert_eq!(stats.offered, u64::from(burst));
+        assert_eq!(stats.delivered, u64::from(burst), "{stats:?}");
+        assert_eq!(stats.attempts, stats.offered, "{stats:?}");
+        assert_eq!(stats.retransmitted, 0);
+        let (ingest, merged) = service.join().unwrap();
+        assert!(ingest.balanced(), "{ingest:?}");
+        assert_eq!(ingest.admitted, u64::from(burst), "{ingest:?}");
+        assert_eq!(ingest.lost, 0);
+        assert_eq!(
+            merged,
+            vec![burst as usize],
+            "the mark overtook its reports"
+        );
+    }
+
+    /// The service reads the first window's burst, then cuts the
+    /// connection without answering: the uplink reconnects, resends
+    /// each unanswered frame exactly once behind the new `Hello`, and
+    /// both ends' books balance — the cut frames reconcile as lost.
+    #[test]
+    fn net_uplink_tcp_cut_mid_burst_resends_each_frame_once() {
+        use crate::codec::{decode_client_msg, encode_reply, FrameReader};
+        use crate::service::ServiceCore;
+        use std::net::TcpListener;
+
+        let window = 16;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let service = std::thread::spawn(move || {
+            // First connection: take in the Hello and the whole first
+            // window, answer nothing, hang up.
+            let (mut first, _) = listener.accept().unwrap();
+            let mut frames = FrameReader::new();
+            let mut buf = [0u8; 4096];
+            let mut seen = 0;
+            while seen < 1 + window {
+                let n = first.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed before its first window");
+                frames.extend(&buf[..n]);
+                while frames.next_frame().unwrap().is_some() {
+                    seen += 1;
+                }
+            }
+            first.shutdown(std::net::Shutdown::Both).ok();
+            drop(first);
+            // Second connection: a real single-shard service.
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut core = ServiceCore::new(SimTime::at(14, 0, 0), 1, 1024, 1);
+            let mut frames = FrameReader::new();
+            while !core.all_finished() {
+                let n = match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => n,
+                };
+                frames.extend(&buf[..n]);
+                while let Some(mut body) = frames.next_frame().unwrap() {
+                    let msg = decode_client_msg(&mut body).unwrap();
+                    if let (Some(r), _) = core.handle(&msg) {
+                        stream.write_all(&encode_reply(&r)).unwrap();
+                    }
+                }
+            }
+            core.finalize().1
+        });
+
+        let mut up =
+            NetUplink::connect_tcp(addr, 0, 1, window, NetBackoff::new(1, 4, 5, 29)).unwrap();
+        let offered = 3 * window as u64;
+        for ip in 1..=offered as u32 {
+            up.send_report(&report(ip, 20)).unwrap();
+        }
+        up.mark(at_min(30)).unwrap();
+        assert_eq!(up.reconnects(), 1);
+        let stats = up.finish().unwrap();
+        assert_eq!(stats.offered, offered);
+        assert_eq!(stats.delivered, offered, "{stats:?}");
+        assert_eq!(stats.dropped_permanent, 0);
+        assert_eq!(stats.retransmitted, window as u64);
+        assert_eq!(stats.attempts, offered + window as u64, "{stats:?}");
+        let ingest = service.join().unwrap();
+        assert!(ingest.balanced(), "{ingest:?}");
+        assert_eq!(ingest.admitted, offered);
+        assert_eq!(ingest.lost, window as u64);
     }
 
     /// A service that accepts a connection, drops it cold after the

@@ -1,10 +1,14 @@
 //! Property tests over the trace codecs: any structurally valid
-//! report must survive the wire format byte-for-byte, and malformed
+//! report must survive the wire format byte-for-byte, malformed
 //! inputs must fail cleanly and be counted exactly once by the shard
-//! that receives them.
+//! that receives them, and the TCP frame reader must hand out the
+//! same bodies however the stream is chunked.
 
 use magellan_netsim::{PeerAddr, SimTime};
-use magellan_trace::{wire, BufferMap, PartnerRecord, PeerReport, Shard, StatusCode};
+use magellan_trace::codec::{encode_client_msg, frame};
+use magellan_trace::{
+    wire, BufferMap, ClientMsg, FrameReader, PartnerRecord, PeerReport, Shard, StatusCode,
+};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
 
@@ -131,4 +135,78 @@ fn prop_assert_one_verdict(shard: &Shard, status: StatusCode) -> Result<(), Test
         prop_assert!(!e.to_string().is_empty());
     }
     Ok(())
+}
+
+/// Feeds `stream` to a fresh reader in `chunk`-byte pieces, pulling
+/// every complete frame after each piece (borrowed and copied out on
+/// alternate frames). Returns the bodies and the bytes left buffered.
+fn read_in_chunks(stream: &[u8], chunk: usize) -> (Vec<Vec<u8>>, usize) {
+    let mut reader = FrameReader::new();
+    let mut bodies = Vec::new();
+    let mut fed = 0;
+    let mut consumed = 0;
+    for piece in stream.chunks(chunk) {
+        reader.extend(piece);
+        fed += piece.len();
+        loop {
+            let body = if bodies.len() % 2 == 0 {
+                reader.next_frame_ref().unwrap().map(<[u8]>::to_vec)
+            } else {
+                reader.next_frame().unwrap().map(|b| b.to_vec())
+            };
+            let Some(body) = body else { break };
+            consumed += 4 + body.len();
+            bodies.push(body);
+        }
+        assert_eq!(reader.buffered(), fed - consumed, "chunk {chunk}");
+    }
+    (bodies, reader.buffered())
+}
+
+/// 256 framed reports of varied sizes, then half a frame: one
+/// `extend`, 1-byte pieces and 16 KiB pieces yield the same bodies
+/// and leave the same partial frame buffered.
+#[test]
+fn frame_reader_chunking_is_invisible() {
+    let mut stream = Vec::new();
+    let mut expected = Vec::new();
+    for seq in 0..256u64 {
+        let report = PeerReport {
+            time: SimTime::from_millis(seq * 1_000),
+            addr: PeerAddr::from_u32(0x0A00_0000 + seq as u32),
+            channel: ChannelId(1),
+            buffer_map: BufferMap::new(seq, 150),
+            download_capacity_kbps: 1000.0,
+            upload_capacity_kbps: 500.0,
+            recv_throughput_kbps: 400.0,
+            send_throughput_kbps: 50.0,
+            partners: (0..seq % 50)
+                .map(|i| PartnerRecord {
+                    addr: PeerAddr::from_u32(i as u32),
+                    tcp_port: 1,
+                    udp_port: 2,
+                    segments_sent: i,
+                    segments_received: seq,
+                })
+                .collect(),
+        };
+        let body = encode_client_msg(&ClientMsg::Report {
+            seq,
+            payload: wire::encode(&report),
+        });
+        stream.extend_from_slice(&frame(&body));
+        expected.push(body.to_vec());
+    }
+    let tail = frame(&encode_client_msg(&ClientMsg::Finish {
+        client_id: 0,
+        sent: 256,
+    }));
+    let partial = tail.len() / 2;
+    stream.extend_from_slice(&tail[..partial]);
+
+    let whole = read_in_chunks(&stream, stream.len());
+    assert_eq!(whole.0, expected);
+    assert_eq!(whole.1, partial);
+    assert_eq!(read_in_chunks(&stream, 1), whole);
+    assert_eq!(read_in_chunks(&stream, 16 * 1024), whole);
 }

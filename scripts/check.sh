@@ -70,7 +70,7 @@ stage "magellan-lint"
 mkdir -p target
 cargo run -q -p magellan-lint -- --format sarif --output target/magellan-lint.sarif
 
-stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study)"
+stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study, fixed-layout report codec vs accessor codec, frame reader under any chunking)"
 # Fast fail-early pass over the equivalence tests that pin the
 # perf-path kernels to their reference implementations: the 64-wide
 # bit-parallel BFS against per-source scalar BFS, the incremental
@@ -84,8 +84,12 @@ stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, e
 # live against archive replay), and the whole in-memory study report
 # against the durable one — both drivers share one live loop, collector
 # included (clean and under the stress plan's outage, at 1 and 8
-# workers). Byte-determinism rests on guarantees like these, so they
-# get their own stage before the full suite.
+# workers), the fixed-layout report encoder and in-place decoder
+# against the accessor-based codec they replaced (bytes, every
+# truncation, trailing bytes, one pinned encoding), and the TCP frame
+# reader fed in one piece, byte by byte and in 16 KiB pieces.
+# Byte-determinism rests on guarantees like these, so they get their
+# own stage before the full suite.
 cargo test -q -p magellan-graph --lib multi64
 cargo test -q -p magellan-graph --lib incremental
 cargo test -q -p magellan-graph --test properties csr_from_edges_matches_digraph_with_the_same_add_edge_calls
@@ -95,6 +99,8 @@ cargo test -q -p magellan-analysis --test analysis_properties one_pass_table_mat
 cargo test -q -p magellan-analysis --lib stream_ending_mid_batch_measures_every_remaining_boundary
 cargo test -q -p magellan-analysis --lib durable_run_matches_in_memory_study
 cargo test -q --test determinism boundary_fan_out_matches_one_lane_and_archive_replay
+cargo test -q -p magellan-trace --test wire_differential
+cargo test -q -p magellan-trace --test codec_properties frame_reader_chunking_is_invisible
 
 stage "cargo test"
 cargo test -q --workspace
