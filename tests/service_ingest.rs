@@ -179,33 +179,47 @@ fn multi_process_drill_matches_in_process_study() {
     std::fs::remove_dir_all(&traced).ok();
 }
 
+/// Runs `clients` drives with `drive_args` against a serve process
+/// with `serve_args`, waits for all, and checks that the serve books
+/// balance and that reports were shed `Busy`. Returns the serve
+/// transcript.
+fn overload_drill(name: &str, clients: u32, serve_args: &[&str], drive_args: &[&str]) -> String {
+    let traced = temp_dir(name);
+    let port_file = traced.join("port");
+    let n = clients.to_string();
+    let mut args = vec!["--clients", n.as_str()];
+    args.extend_from_slice(serve_args);
+    let mut server = serve(&traced, &port_file, &args);
+    let addr = wait_for_addr(&port_file, &mut server);
+    let drives: Vec<Child> = (0..clients)
+        .map(|id| drive(&addr, id, clients, drive_args))
+        .collect();
+    for d in drives {
+        wait_success(d, "drive under overload");
+    }
+    let serve_out = wait_success(server, "serve under overload");
+
+    assert!(
+        serve_out.contains("balanced yes"),
+        "overload broke the balance identity:\n{serve_out}"
+    );
+    assert!(
+        stat(&serve_out, "shed_busy") > 0,
+        "tiny queues should have shed reports:\n{serve_out}"
+    );
+    std::fs::remove_dir_all(&traced).ok();
+    serve_out
+}
+
 /// One UDP client against a serve process with deliberately tiny
 /// queues and few client retries: the service must shed (not stall)
 /// and still account for every report it did not admit.
 #[test]
 fn overload_sheds_gracefully_and_stays_balanced() {
-    let traced = temp_dir("overload");
-    let port_file = traced.join("port");
-
-    let mut server = serve(
-        &traced,
-        &port_file,
-        &[
-            "--clients",
-            "1",
-            "--shards",
-            "1",
-            "--pending-cap",
-            "8",
-            "--queue-cap",
-            "2",
-        ],
-    );
-    let addr = wait_for_addr(&port_file, &mut server);
-    let d = drive(
-        &addr,
-        0,
+    overload_drill(
+        "overload",
         1,
+        &["--shards", "1", "--pending-cap", "8", "--queue-cap", "2"],
         &[
             "--transport",
             "udp",
@@ -215,24 +229,34 @@ fn overload_sheds_gracefully_and_stays_balanced() {
             "8",
         ],
     );
-    wait_success(d, "drive under overload");
-    let serve_out = wait_success(server, "serve under overload");
+}
 
-    assert!(
-        serve_out.contains("balanced yes"),
-        "overload broke the balance identity:\n{serve_out}"
+/// The same overload over TCP, where one queued message is a whole
+/// socket read's reports: two clients share one shard behind a
+/// one-message queue, so a full queue sheds batches of several
+/// reports. `balanced` holds by construction (`lost` is derived), but
+/// loopback TCP loses nothing: a shed batch the server answers with
+/// too few `Busy` records, or counts short in `queue_shed`, shows up
+/// as `lost`. Whether a given run fills the queue depends on timing;
+/// the batch count itself is pinned by the serve binary's
+/// `full_queue_sheds_the_whole_batch_busy`.
+#[test]
+fn tcp_overload_sheds_batches_and_stays_balanced() {
+    let serve_out = overload_drill(
+        "overload_tcp",
+        2,
+        &["--shards", "1", "--pending-cap", "8", "--queue-cap", "1"],
+        &[
+            "--transport",
+            "tcp",
+            "--max-attempts",
+            "3",
+            "--backoff-cap-ms",
+            "8",
+        ],
     );
-    let shed: u64 = serve_out
-        .lines()
-        .find_map(|l| l.strip_prefix("shed_busy "))
-        .and_then(|w| w.parse().ok())
-        .expect("shed_busy count in serve output");
-    assert!(
-        shed > 0,
-        "tiny queues should have shed reports:\n{serve_out}"
-    );
-
-    std::fs::remove_dir_all(&traced).ok();
+    assert_eq!(stat(&serve_out, "lost"), 0, "shed reports went missing");
+    assert_eq!(stat(&serve_out, "surplus"), 0, "shed reports counted twice");
 }
 
 /// Parses one `key N` column out of the serve transcript.
