@@ -35,7 +35,7 @@ use magellan_netsim::{
 };
 use magellan_overlay::{OverlaySim, RunState, SimCheckpoint, SimConfig};
 use magellan_trace::{
-    GatewayCore, PeerReport, ReportUplink, ServerStats, SinkGateway, UplinkStats,
+    GatewayCore, PeerReport, ReportUplink, ServerStats, SinkGateway, UplinkStats, STALENESS_HORIZON,
 };
 use magellan_workload::{ChannelId, FaultPlan, Scenario};
 use std::collections::{BTreeMap, HashSet};
@@ -423,7 +423,6 @@ struct GraphValues {
 }
 
 pub(crate) struct Accumulator {
-    staleness: SimDuration,
     // BTreeMaps: both maps are iterated/retained on the metric path,
     // where hash order would leak into figure bytes (rule D4).
     recent: BTreeMap<PeerAddr, RecentPair>,
@@ -511,7 +510,6 @@ impl Accumulator {
         report.fig8.inter = Series::new("rho inter-ISP");
         report.fig8.weighted = Series::new("weighted r_w");
         Accumulator {
-            staleness: SimDuration::from_mins(15),
             recent: BTreeMap::new(),
             boundaries,
             next_boundary: 0,
@@ -612,16 +610,15 @@ impl Accumulator {
         let at = b.time;
         // Prune peers whose newest report fell out of the horizon —
         // they cannot matter for this or any later boundary.
-        let floor = at - self.staleness;
+        let floor = at - STALENESS_HORIZON;
         self.recent.retain(|_, pair| pair.newer.time > floor); // lint:allow(H3): horizon pruning walks the rolling window once per boundary, not per tick
 
         // The stable set at `at`, shared with the rolling window: one
         // report per peer, in address order (the map's).
-        let staleness = self.staleness;
         let stable: Vec<Arc<PeerReport>> = self
             .recent
             .values()
-            .filter_map(|pair| pair.select(at, staleness))
+            .filter_map(|pair| pair.select(at, STALENESS_HORIZON))
             .map(Arc::clone)
             .collect(); // lint:allow(H2): one Vec of refcount bumps per boundary
 
@@ -1004,6 +1001,49 @@ mod tests {
         assert_eq!(offline.partial_samples, faulty.partial_samples);
         assert_eq!(offline.fig1a.stable.points, faulty.fig1a.stable.points);
         assert_eq!(offline.fig5.indegree.points, faulty.fig5.indegree.points);
+    }
+
+    /// The snapshot builder and the study's rolling window apply one
+    /// stable-peer rule over one horizon ([`STALENESS_HORIZON`]): at
+    /// every Fig. 1A sample the builder counts the study's stable
+    /// peers, and every partial sample carries the builder's coverage.
+    #[test]
+    fn snapshot_builder_matches_the_study_stable_set() {
+        use magellan_netsim::FaultWindow;
+        use magellan_trace::SnapshotBuilder;
+        let outage = FaultWindow::new(SimTime::at(0, 9, 0), SimTime::at(0, 13, 7));
+        for (seed, outages) in [(42, vec![]), (7, vec![outage])] {
+            let mut cfg = StudyConfig {
+                seed,
+                scale: 0.002,
+                window_days: 2,
+                sample_every: SimDuration::from_mins(20),
+                degree_captures: vec![],
+                // The graph metrics play no part in the stable set.
+                min_graph_nodes: usize::MAX,
+                ..StudyConfig::default()
+            };
+            cfg.faults.server_outages = outages;
+            let mut sim = magellan_overlay::OverlaySim::new(cfg.scenario(), cfg.sim.clone());
+            let db = sim.isp_database().clone();
+            let (store, _) = sim.run_collecting().expect("run succeeds");
+            let report = MagellanStudy::new(cfg.clone()).analyze_trace(&store, &db);
+            let builder = SnapshotBuilder::new(&store).outages(&cfg.faults.server_outages);
+            assert!(report.fig1a.stable.len() > 100, "seed {seed}");
+            for &(t, stable) in &report.fig1a.stable.points {
+                let snap = builder.at(t);
+                assert_eq!(snap.stable_count() as f64, stable, "seed {seed} at {t}");
+                assert!(!snap.is_partial(), "seed {seed} at {t}");
+            }
+            assert_eq!(
+                report.partial_samples.is_empty(),
+                cfg.faults.server_outages.is_empty(),
+                "seed {seed}"
+            );
+            for p in &report.partial_samples {
+                assert_eq!(builder.at(p.time).coverage, p.coverage, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -93,9 +93,11 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
-    /// A degenerate model where path class makes no difference —
-    /// used by the `ablation_selection` bench to show that ISP
-    /// clustering disappears without an underlay quality gradient.
+    /// A degenerate model where path class makes no difference: the
+    /// flat underlay that should make ISP clustering disappear
+    /// without a quality gradient. No bench or study uses it yet —
+    /// that knock-out waits for the mechanism matrix of ROADMAP
+    /// item 11.
     pub fn uniform(rtt_ms: f64, bw_kbps: f64) -> Self {
         LinkModel {
             intra_rtt_ms: rtt_ms,

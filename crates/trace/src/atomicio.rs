@@ -1,10 +1,12 @@
 //! Crash-safe file emission: write-temp-then-atomic-rename.
 //!
-//! Every artifact the workspace persists (sealed archive segments,
-//! manifests, checkpoints, study reports, bench metrics, figures) goes
-//! through [`atomic_write`], so an interrupted process can leave
-//! behind a stale `*.tmp` file but never a half-written artifact under
-//! its final name. Readers that find a `*.tmp` simply ignore it.
+//! Every whole-file artifact the workspace persists (checkpoints, the
+//! `INGEST` and `INGEST.resume` sidecars, study configs and reports,
+//! bench metrics, figures) goes through [`atomic_write`], so an
+//! interrupted process can leave behind a stale `*.tmp` file but never
+//! a half-written artifact under its final name. Readers that find a
+//! `*.tmp` simply ignore it. Archive segments are not written this
+//! way: they grow in place and seal by rename ([`crate::archive`]).
 
 use std::fs::{self, File};
 use std::io::{self, Write};

@@ -100,6 +100,7 @@ pub use codec::{ClientMsg, FrameReader, ReplyMsg};
 pub use gateway::{GatewayCore, ReportGateway, ServerStats, SinkGateway, SubmitError};
 pub use report::{
     PartnerRecord, PeerReport, ACTIVE_SEGMENT_THRESHOLD, FIRST_REPORT_DELAY, REPORT_INTERVAL,
+    STALENESS_HORIZON,
 };
 pub use service::{ClientRegistry, IngestStats, ServiceCore, ServiceResume, TokenBucket};
 pub use shard::{shard_of, Shard, ShardStats};

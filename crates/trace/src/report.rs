@@ -20,6 +20,14 @@ pub const FIRST_REPORT_DELAY: SimDuration = SimDuration::from_mins(20);
 /// Interval between subsequent reports: 10 minutes.
 pub const REPORT_INTERVAL: SimDuration = SimDuration::from_mins(10);
 
+/// The stable-peer horizon: a peer is present at `t` when it reported
+/// in `(t − STALENESS_HORIZON, t]`. 1.5 report intervals, so a peer
+/// that missed one report but not two still counts — UDP loses
+/// datagrams. The snapshot builder and the study's rolling window
+/// both apply it.
+pub const STALENESS_HORIZON: SimDuration =
+    SimDuration::from_millis(REPORT_INTERVAL.as_millis() * 3 / 2);
+
 /// The activity threshold of §4.2: a partner is an *active supplying
 /// partner* when more than this many segments were received from it
 /// since the last report, and an *active receiving partner* when more

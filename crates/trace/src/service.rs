@@ -528,11 +528,9 @@ pub struct Books {
     archive_dir: PathBuf,
     writer: ArchiveWriter,
     merged_below: SimTime,
-    /// Merges across incarnations (starts at the resumed count).
-    merges: u64,
-    /// Receive-side totals of the previous incarnation.
+    /// Receive-side totals of the previous incarnation, with this
+    /// incarnation's client count and the merges of both.
     base: IngestStats,
-    clients: u32,
 }
 
 impl Books {
@@ -546,9 +544,10 @@ impl Books {
             archive_dir: archive_dir.to_path_buf(),
             writer: ArchiveWriter::create(archive_dir, cfg)?,
             merged_below: SimTime::ORIGIN,
-            merges: 0,
-            base: IngestStats::default(),
-            clients,
+            base: IngestStats {
+                clients,
+                ..IngestStats::default()
+            },
         })
     }
 
@@ -571,9 +570,10 @@ impl Books {
             archive_dir: archive_dir.to_path_buf(),
             writer: ArchiveWriter::resume(archive_dir, cfg, resume.archived)?,
             merged_below: SimTime::from_millis(resume.merged_below_ms),
-            merges: resume.stats.merges,
-            base: resume.stats,
-            clients,
+            base: IngestStats {
+                clients,
+                ..resume.stats
+            },
         })
     }
 
@@ -614,7 +614,7 @@ impl Books {
         sheds: ShellSheds,
     ) -> io::Result<(Commit, ServiceResume)> {
         self.merged_below = below;
-        self.merges += 1;
+        self.base.merges += 1;
         for r in &merge_sorted(batches) {
             self.writer.append(r)?;
         }
@@ -622,7 +622,7 @@ impl Books {
         let resume = ServiceResume {
             archived: commit.records(),
             merged_below_ms: below.as_millis(),
-            stats: self.compose(registry, shards, sheds),
+            stats: compose_books(&self.base, registry, shards, sheds),
         };
         Ok((commit, resume))
     }
@@ -643,48 +643,64 @@ impl Books {
         shards: &ShardStats,
         sheds: ShellSheds,
     ) -> io::Result<(ArchiveSummary, IngestStats)> {
-        let final_batch = merge_sorted(batches);
-        if !final_batch.is_empty() {
-            self.merges += 1;
-        }
+        let (final_batch, stats) = close_books(batches, &self.base, registry, shards, sheds);
         for r in &final_batch {
             self.writer.append(r)?;
         }
-        let mut stats = self.compose(registry, shards, sheds);
         let summary = self.writer.finish()?;
-        stats.reconcile(registry.total_sent());
         write_ingest_stats(&self.archive_dir, &stats)?;
         Ok((summary, stats))
     }
+}
 
-    /// Receive-side totals right now: previous incarnation + the live
-    /// shards + the reader-side shed counters. `sent`/`lost`/
-    /// `surplus` stay zero until the roster closes — they need the
-    /// registry's final word.
-    fn compose(
-        &self,
-        registry: &ClientRegistry,
-        shards: &ShardStats,
-        sheds: ShellSheds,
-    ) -> IngestStats {
-        IngestStats {
-            clients: self.clients,
-            sent: 0,
-            admitted: self.base.admitted + shards.admitted,
-            deduped: self.base.deduped + shards.deduped,
-            shed_busy: self.base.shed_busy + shards.shed_busy + sheds.queue_shed,
-            rejected: self.base.rejected + shards.rejected,
-            malformed: self.base.malformed + shards.malformed,
-            late: self.base.late + shards.late,
-            unavailable: self.base.unavailable + shards.unavailable,
-            rate_limited: self.base.rate_limited + sheds.rate_limited,
-            lost: 0,
-            surplus: 0,
-            evicted: self.base.evicted + registry.evicted_count(),
-            merges: self.merges,
-            protocol_errors: self.base.protocol_errors + registry.protocol_errors(),
-        }
+/// Receive-side totals right now: `base` (a previous incarnation's
+/// totals, whose `clients` and `merges` are taken as they stand) + the
+/// live shards + the reader-side shed counters. `sent`/`lost`/
+/// `surplus` stay zero until the roster closes — they need the
+/// registry's final word.
+fn compose_books(
+    base: &IngestStats,
+    registry: &ClientRegistry,
+    shards: &ShardStats,
+    sheds: ShellSheds,
+) -> IngestStats {
+    IngestStats {
+        clients: base.clients,
+        sent: 0,
+        admitted: base.admitted + shards.admitted,
+        deduped: base.deduped + shards.deduped,
+        shed_busy: base.shed_busy + shards.shed_busy + sheds.queue_shed,
+        rejected: base.rejected + shards.rejected,
+        malformed: base.malformed + shards.malformed,
+        late: base.late + shards.late,
+        unavailable: base.unavailable + shards.unavailable,
+        rate_limited: base.rate_limited + sheds.rate_limited,
+        lost: 0,
+        surplus: 0,
+        evicted: base.evicted + registry.evicted_count(),
+        merges: base.merges,
+        protocol_errors: base.protocol_errors + registry.protocol_errors(),
     }
+}
+
+/// Closes the receive-side books once every client is done: merges
+/// the final drain — an empty final batch is not a merge — and
+/// reconciles the composed books against the clients' send counts.
+fn close_books(
+    batches: Vec<Vec<PeerReport>>,
+    base: &IngestStats,
+    registry: &ClientRegistry,
+    shards: &ShardStats,
+    sheds: ShellSheds,
+) -> (Vec<PeerReport>, IngestStats) {
+    let final_batch = merge_sorted(batches);
+    let base = IngestStats {
+        merges: base.merges + u64::from(!final_batch.is_empty()),
+        ..*base
+    };
+    let mut stats = compose_books(&base, registry, shards, sheds);
+    stats.reconcile(registry.total_sent());
+    (final_batch, stats)
 }
 
 /// Merges per-shard `(time, addr)`-sorted batches into one sorted
@@ -792,34 +808,24 @@ impl ServiceCore {
     pub fn finalize(&mut self) -> (Vec<PeerReport>, IngestStats) {
         let end = self.window_end;
         let batches = self.shards.iter_mut().map(|s| s.drain_below(end)).collect();
-        let final_batch = merge_sorted(batches);
-        if !final_batch.is_empty() {
-            self.merges += 1;
-        }
         self.merged_below = end;
-
         let mut totals = ShardStats::default();
         for s in &self.shards {
             totals.absorb(&s.stats());
         }
-        let mut stats = IngestStats {
+        let base = IngestStats {
             clients: self.registry.expected,
-            sent: 0,
-            admitted: totals.admitted,
-            deduped: totals.deduped,
-            shed_busy: totals.shed_busy,
-            rejected: totals.rejected,
-            malformed: totals.malformed,
-            late: totals.late,
-            unavailable: totals.unavailable,
-            rate_limited: 0,
-            lost: 0,
-            surplus: 0,
-            evicted: self.registry.evicted_count(),
             merges: self.merges,
-            protocol_errors: self.registry.protocol_errors(),
+            ..IngestStats::default()
         };
-        stats.reconcile(self.registry.total_sent());
+        let (final_batch, stats) = close_books(
+            batches,
+            &base,
+            &self.registry,
+            &totals,
+            ShellSheds::default(),
+        );
+        self.merges = stats.merges;
         (final_batch, stats)
     }
 

@@ -7,7 +7,7 @@
 //! *known peer* universe (§3.2, §4.1.1). A [`Snapshot`] materializes
 //! exactly that.
 
-use crate::report::{PeerReport, REPORT_INTERVAL};
+use crate::report::{PeerReport, STALENESS_HORIZON};
 use crate::store::TraceStore;
 use magellan_netsim::{uncovered_fraction, FaultWindow, PeerAddr, SimDuration, SimTime};
 use magellan_workload::ChannelId;
@@ -85,13 +85,12 @@ pub struct SnapshotBuilder<'a> {
 }
 
 impl<'a> SnapshotBuilder<'a> {
-    /// Creates a builder with the default staleness horizon of 1.5
-    /// report intervals (a peer that missed one report but not two is
-    /// still considered present — UDP loses datagrams).
+    /// Creates a builder with the default staleness horizon,
+    /// [`STALENESS_HORIZON`].
     pub fn new(store: &'a TraceStore) -> Self {
         SnapshotBuilder {
             store,
-            staleness: SimDuration::from_millis(REPORT_INTERVAL.as_millis() * 3 / 2),
+            staleness: STALENESS_HORIZON,
             outages: &[],
         }
     }

@@ -107,8 +107,8 @@ mod reference {
 
 /// A buffer whose unread bytes come in two chunks, so `wire::decode`
 /// takes its copy-out path instead of the in-place one. It keeps the
-/// provided `copy_to_slice`, which reads a single chunk: the fallback
-/// must get by with `chunk` and `advance`.
+/// provided `copy_to_slice`: the fallback must get by with `chunk` and
+/// `advance`.
 struct TwoChunks<'a> {
     first: &'a [u8],
     second: &'a [u8],

@@ -30,13 +30,27 @@ stage() {
     echo "=================================================================="
 }
 
-# After a `serve` that exited 0: its run directory must fsck, and the
-# `INGEST.resume` cursor must exist and vouch for no more records
+# After a clean exit an archive directory holds sealed segments only —
+# no `tail.mseg`, no `*.tmp`, no `MANIFEST` — plus the extra names the
+# second argument allows as an ERE alternation (serve's sidecars).
+check_archive_files() {
+    local dir=$1 extra=${2:-} stray
+    stray=$(ls -A "${dir}" | grep -Ev "^(seg-[0-9]{6,}\.mseg${extra:+|${extra}})$" || true)
+    if [ -n "${stray}" ]; then
+        echo "==> ${dir}: unexpected archive files: ${stray//$'\n'/ }" >&2
+        return 1
+    fi
+}
+
+# After a `serve` that exited 0: its run directory must fsck, its
+# archive directory must hold only segments and the two sidecars, and
+# the `INGEST.resume` cursor must exist and vouch for no more records
 # than serve says it archived — a durability lane abandoned before
 # its last commit, or a cursor published ahead of it, fails here.
 check_traced_run() {
     local dir=$1 transcript=$2 cursor archived
     ./target/release/tracetool fsck "${dir}" > /dev/null
+    check_archive_files "${dir}/archive" 'INGEST|INGEST\.resume'
     cursor=$(sed -n 's/^archived \([0-9][0-9]*\)$/\1/p' "${dir}/archive/INGEST.resume")
     archived=$(sed -n 's/^magellan-traced: archived \([0-9][0-9]*\) report.*/\1/p' "${transcript}")
     if [ -z "${cursor}" ] || [ -z "${archived}" ] || [ "${cursor}" -gt "${archived}" ]; then
@@ -140,7 +154,8 @@ cargo run -q --release --example faults -- --scale 0.0005 --days 2 > /dev/null
 stage "crash-recovery smoke"
 # Kill a durable study with abort() at a deterministic tick, resume it
 # from its checkpoint, and require the archive and report to be
-# byte-identical to an uninterrupted run (DESIGN.md §12).
+# byte-identical to an uninterrupted run (DESIGN.md §12), and both
+# archive directories to hold sealed segments only.
 cargo build -q --release --bin magellan --bin tracetool
 SMOKE=$(mktemp -d)
 COMMON=(--seed 9 --scale 0.0005 --days 1 --sample-every-mins 240 \
@@ -153,6 +168,8 @@ COMMON=(--seed 9 --scale 0.0005 --days 1 --sample-every-mins 240 \
 ./target/release/magellan study --archive "${SMOKE}/crashed" --resume \
     --threads 2 --report "${SMOKE}/crashed.txt" > /dev/null
 diff -r "${SMOKE}/clean/archive" "${SMOKE}/crashed/archive"
+check_archive_files "${SMOKE}/clean/archive"
+check_archive_files "${SMOKE}/crashed/archive"
 cmp "${SMOKE}/clean.txt" "${SMOKE}/crashed.txt"
 ./target/release/tracetool fsck "${SMOKE}/crashed" > /dev/null
 # The loaders that read a whole archive into memory: each must succeed

@@ -56,7 +56,8 @@ fn run(args: &[String]) -> std::process::Output {
         .expect("spawn magellan")
 }
 
-/// Every archive file (segments + manifest), name-sorted, with bytes.
+/// Every file in the archive directory (the sealed segments),
+/// name-sorted, with bytes.
 fn archive_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("archive"))
         .expect("read archive dir")
