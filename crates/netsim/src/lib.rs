@@ -62,7 +62,7 @@ pub mod rng;
 pub mod time;
 
 pub use capacity::{AccessClass, CapacityModel, PeerCapacity};
-pub use chaos::{render_schedule, ChaosAction, ChaosProfile, FlowKind, FlowSchedule};
+pub use chaos::{render_schedule, ChaosAction, ChaosProfile, FlowSchedule};
 pub use event::EventQueue;
 pub use isp::{AddrAllocator, Isp, IspDatabase, IspShares, PeerAddr};
 pub use link::{LinkModel, LinkQuality};

@@ -1,10 +1,9 @@
 //! Message codec of the networked ingest service.
 //!
-//! `magellan-traced` speaks one message vocabulary over two
-//! transports: each UDP datagram carries exactly one encoded
-//! [`ClientMsg`], and TCP streams carry the same bodies inside
-//! length-prefixed frames (u32 big-endian length, then the body —
-//! [`frame`] / [`FrameReader`]). Replies travel the opposite way as
+//! `magellan-traced` speaks one message vocabulary over TCP: each
+//! encoded [`ClientMsg`] body travels inside a length-prefixed frame
+//! (u32 big-endian length, then the body — [`frame`] /
+//! [`FrameReader`]). Replies travel the opposite way as
 //! fixed-size [`ReplyMsg`]s carrying the report sequence number and
 //! its [`StatusCode`].
 //!
@@ -83,8 +82,7 @@ pub struct ReplyMsg {
     pub status: StatusCode,
 }
 
-/// Encodes a message body (no TCP frame header — UDP sends this
-/// verbatim, TCP wraps it with [`frame`]).
+/// Encodes a message body (no frame header — [`frame`] adds it).
 pub fn encode_client_msg(msg: &ClientMsg) -> Bytes {
     let mut b = BytesMut::with_capacity(32);
     match msg {
@@ -183,11 +181,11 @@ pub fn decode_client_msg(buf: &mut impl Buf) -> Result<ClientMsg, WireError> {
 }
 
 /// Exact size of an encoded [`ReplyMsg`]. Replies are fixed-size, so
-/// they travel as raw [`REPLY_LEN`]-byte records on TCP (no length
-/// framing needed) and as one datagram on UDP.
+/// they travel as raw [`REPLY_LEN`]-byte records (no length framing
+/// needed).
 pub const REPLY_LEN: usize = 9;
 
-/// Encodes a reply ([`REPLY_LEN`] bytes on both transports).
+/// Encodes a reply ([`REPLY_LEN`] bytes).
 pub fn encode_reply(reply: &ReplyMsg) -> Bytes {
     let mut b = Vec::with_capacity(REPLY_LEN);
     put_reply(&mut b, reply);

@@ -23,8 +23,8 @@
 //! * [`wire`] — a compact binary encoding of reports (the real system
 //!   shipped them as UDP datagrams); the archive frames the same
 //!   bytes.
-//! * [`codec`] — the networked service's message vocabulary: one
-//!   message per UDP datagram, length-prefixed frames over TCP.
+//! * [`codec`] — the networked service's message vocabulary:
+//!   length-prefixed frames over TCP, fixed-size reply records.
 //! * [`shard`] — one shard of the sharded admission pipeline: an
 //!   owned [`GatewayCore`] plus a bounded pending buffer with
 //!   `Busy`/`Late` shedding and balanced per-shard accounting.

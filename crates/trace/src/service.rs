@@ -48,11 +48,11 @@ pub const INGEST_RESUME: &str = "INGEST.resume";
 /// books. The balance identity is
 /// `sent + surplus == admitted + deduped + shed() + lost`: on a clean
 /// drill `surplus == 0` and this reduces to the classic
-/// `sent == admitted + … + lost`; under a hostile transport the
-/// service can classify *more* datagrams than the clients ever
-/// reported sending — chaos-injected duplicates, clients that died
-/// before their `Finish`, or a crash-resume that re-received reports
-/// already counted by the previous incarnation — and that excess is
+/// `sent == admitted + … + lost`; otherwise the service can classify
+/// *more* datagrams than the clients ever reported sending — clients
+/// that died before their `Finish`, or a crash-resume that re-received
+/// reports already counted by the previous incarnation — and that
+/// excess is
 /// `surplus = received() - sent`, attributed instead of dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
@@ -79,12 +79,12 @@ pub struct IngestStats {
     /// ([`TokenBucket`]) — transient, the client retries.
     pub rate_limited: u64,
     /// Datagrams that left a client but never produced a server-side
-    /// classification — dropped in flight (UDP) or lost with a dying
-    /// connection. Derived: `sent - received()`.
+    /// classification — lost with a dying connection. Derived:
+    /// `sent - received()`.
     pub lost: u64,
     /// Datagrams classified beyond what clients reported sending —
-    /// chaos duplicates, evicted clients' traffic, or re-received
-    /// reports after a crash-resume. Derived: `received() - sent`.
+    /// evicted clients' traffic, or re-received reports after a
+    /// crash-resume. Derived: `received() - sent`.
     pub surplus: u64,
     /// Expected clients evicted at the barrier deadline (stalled or
     /// vanished) — windows sealed partial without their marks.

@@ -7,9 +7,7 @@
 //! connection dies, and must leave the service books balanced no
 //! matter what arrives.
 
-use magellan_netsim::{
-    ChaosAction, ChaosProfile, FlowKind, FlowSchedule, PeerAddr, SimDuration, SimTime,
-};
+use magellan_netsim::{ChaosAction, ChaosProfile, FlowSchedule, PeerAddr, SimDuration, SimTime};
 use magellan_trace::codec::{decode_client_msg, encode_client_msg, frame};
 use magellan_trace::{wire, BufferMap, ClientMsg, FrameReader, PeerReport, ServiceCore};
 use magellan_workload::ChannelId;
@@ -96,9 +94,6 @@ fn pump_model(stream: &[u8], chunk: usize, sched: &mut FlowSchedule) -> (Vec<Vec
                 out.push(std::mem::take(&mut held));
                 return (out, true);
             }
-            ChaosAction::Drop | ChaosAction::Duplicate | ChaosAction::Reorder => {
-                unreachable!("stream flows never see datagram faults")
-            }
         }
     }
     if !held.is_empty() {
@@ -162,7 +157,7 @@ proptest! {
     ) {
         let msgs = conversation(&ips);
         let stream = framed_stream(&msgs);
-        let mut sched = FlowSchedule::new(seed, flow, FlowKind::Stream, pacing_only());
+        let mut sched = FlowSchedule::new(seed, flow, pacing_only());
         let (chunks, killed) = pump_model(&stream, chunk, &mut sched);
         prop_assert!(!killed, "pacing profile must never cut the connection");
         let (got, torn) = reassemble(&chunks);
@@ -191,7 +186,7 @@ proptest! {
     ) {
         let msgs = conversation(&ips);
         let stream = framed_stream(&msgs);
-        let mut sched = FlowSchedule::new(seed, flow, FlowKind::Stream, ChaosProfile::tcp_drill());
+        let mut sched = FlowSchedule::new(seed, flow, ChaosProfile::tcp_drill());
         let (chunks, _killed) = pump_model(&stream, chunk, &mut sched);
         let (got, torn) = reassemble(&chunks);
         prop_assert!(!torn, "drill profile does not corrupt, reader must not error");
@@ -211,7 +206,7 @@ proptest! {
     ) {
         let msgs = conversation(&ips);
         let stream = framed_stream(&msgs);
-        let mut sched = FlowSchedule::new(seed, flow, FlowKind::Stream, corrupting());
+        let mut sched = FlowSchedule::new(seed, flow, corrupting());
         let (chunks, _killed) = pump_model(&stream, chunk, &mut sched);
         let (got, _torn) = reassemble(&chunks);
         prop_assert!(got.len() <= msgs.len() + 1, "chaos conjured extra frames");

@@ -189,10 +189,13 @@ stage "loopback-ingest smoke"
 # stream the same study over real loopback TCP sockets into one serve
 # process, and the replayed traced archive must match the replayed
 # in-process archive line for line (minus the service-only `Ingest`
-# accounting lines). Then an overload drill — tiny queues, few client
-# retries — must shed instead of stalling and still close balanced
-# books. `wait` propagates each child's exit status, so a panicking
-# serve or drive fails the stage.
+# accounting lines). Then an overload drill — two drives sharing one
+# shard behind a one-batch queue, few client retries — must shed
+# whole batches instead of stalling and still close balanced books
+# with `lost 0` and `surplus 0`: `balanced` holds by construction, so
+# a shed batch answered with too few `Busy` records, or counted
+# short, shows up only in those two columns. `wait` propagates each
+# child's exit status, so a panicking serve or drive fails the stage.
 cargo build -q --release --bin magellan-traced --bin tracetool
 INGEST=$(mktemp -d)
 PARAMS=(--seed 9 --scale 0.0005 --days 1 --sample-every-mins 240)
@@ -205,10 +208,10 @@ SERVE=$!
 for _ in $(seq 1 150); do [ -s "${INGEST}/port" ] && break; sleep 0.2; done
 ADDR=$(cat "${INGEST}/port")
 ./target/release/magellan-traced drive --server "${ADDR}" --client-id 0 \
-    --clients 2 --transport tcp "${PARAMS[@]}" > /dev/null &
+    --clients 2 "${PARAMS[@]}" > /dev/null &
 DRIVE0=$!
 ./target/release/magellan-traced drive --server "${ADDR}" --client-id 1 \
-    --clients 2 --transport tcp "${PARAMS[@]}" > /dev/null
+    --clients 2 "${PARAMS[@]}" > /dev/null
 wait "${DRIVE0}"
 wait "${SERVE}"
 grep -q '^balanced yes$' "${INGEST}/serve.txt"
@@ -220,15 +223,21 @@ check_traced_run "${INGEST}/traced" "${INGEST}/serve.txt"
 cmp "${INGEST}/inproc.txt" "${INGEST}/traced.txt"
 ./target/release/magellan-traced serve --archive "${INGEST}/overload" \
     --listen 127.0.0.1:0 --port-file "${INGEST}/oport" \
-    --clients 1 --shards 1 --pending-cap 8 --queue-cap 2 "${PARAMS[@]}" \
+    --clients 2 --shards 1 --pending-cap 8 --queue-cap 1 "${PARAMS[@]}" \
     > "${INGEST}/overload.txt" &
 OSERVE=$!
 for _ in $(seq 1 150); do [ -s "${INGEST}/oport" ] && break; sleep 0.2; done
-./target/release/magellan-traced drive --server "$(cat "${INGEST}/oport")" \
-    --client-id 0 --clients 1 --transport udp --max-attempts 3 \
-    --backoff-cap-ms 8 "${PARAMS[@]}" > /dev/null
+OADDR=$(cat "${INGEST}/oport")
+./target/release/magellan-traced drive --server "${OADDR}" --client-id 0 \
+    --clients 2 --max-attempts 3 --backoff-cap-ms 8 "${PARAMS[@]}" > /dev/null &
+ODRIVE0=$!
+./target/release/magellan-traced drive --server "${OADDR}" --client-id 1 \
+    --clients 2 --max-attempts 3 --backoff-cap-ms 8 "${PARAMS[@]}" > /dev/null
+wait "${ODRIVE0}"
 wait "${OSERVE}"
 grep -q '^balanced yes$' "${INGEST}/overload.txt"
+grep -q '^lost 0$' "${INGEST}/overload.txt"
+grep -q '^surplus 0$' "${INGEST}/overload.txt"
 rm -rf "${INGEST}"
 
 stage "chaos-ingest smoke"
@@ -255,10 +264,10 @@ NEMESIS=$!
 for _ in $(seq 1 150); do [ -s "${CHAOS}/proxy-port" ] && break; sleep 0.2; done
 CADDR=$(cat "${CHAOS}/proxy-port")
 ./target/release/magellan-traced drive --server "${CADDR}" --client-id 0 \
-    --clients 2 --transport tcp --reconnect 64 "${PARAMS[@]}" > /dev/null &
+    --clients 2 --reconnect 64 "${PARAMS[@]}" > /dev/null &
 CDRIVE0=$!
 ./target/release/magellan-traced drive --server "${CADDR}" --client-id 1 \
-    --clients 2 --transport tcp --reconnect 64 "${PARAMS[@]}" > /dev/null
+    --clients 2 --reconnect 64 "${PARAMS[@]}" > /dev/null
 wait "${CDRIVE0}"
 wait "${CSERVE}"
 kill "${NEMESIS}" 2> /dev/null || true

@@ -11,15 +11,14 @@
 //!                       [--seed N] [--scale F] [--days N]
 //!                       [--sample-every-mins N] [--segment-bytes N]
 //! magellan-traced drive --server ADDR --client-id I --clients N
-//!                       [--transport tcp|udp] [--window N]
-//!                       [--mark-every-mins N] [--backoff-base-ms N]
-//!                       [--backoff-cap-ms N] [--max-attempts N]
-//!                       [--reconnect N]
+//!                       [--window N] [--mark-every-mins N]
+//!                       [--backoff-base-ms N] [--backoff-cap-ms N]
+//!                       [--max-attempts N] [--reconnect N]
 //!                       [--seed N] [--scale F] [--days N]
 //!                       [--sample-every-mins N]
 //! ```
 //!
-//! `serve` listens on one port (TCP and UDP simultaneously), ingests
+//! `serve` listens on one TCP port, ingests length-framed
 //! `wire`-encoded [`PeerReport`]s from `--clients` concurrent
 //! clients through `--shards` independent admission shards, and lands
 //! the merged windows in a standard archive under `DIR/archive` plus
@@ -40,19 +39,18 @@
 //! reports of one socket read (at most 16 KiB of frames) as one
 //! message per shard, and a shard worker answers each message with
 //! one reply write. `--queue-cap` therefore bounds queued *messages*
-//! per shard — one socket read's reports on TCP, one datagram on UDP
-//! — and a full queue sheds the whole message, each of its reports
-//! answered `Busy`.
+//! per shard — one socket read's reports — and a full queue sheds the
+//! whole message, each of its reports answered `Busy`.
 //!
 //! The service assumes a hostile network. Every socket carries a read
 //! timeout and an idle deadline (`--idle-timeout-ms`), so a slowloris
 //! connection — opened, half-fed, never finished — is reaped instead
 //! of pinning a reader thread forever. The acceptor enforces
 //! `--max-conns` / `--max-conns-per-ip`; surplus connections are
-//! closed on arrival and counted. With `--rate-limit` set, each TCP
-//! connection and each UDP source gets a token bucket and over-budget
-//! reports are answered [`StatusCode::RateLimited`] — a retryable
-//! verdict the [`NetUplink`] backs off on. A client that goes silent
+//! closed on arrival and counted. With `--rate-limit` set, each
+//! connection gets a token bucket and over-budget reports are
+//! answered [`StatusCode::RateLimited`] — a retryable verdict the
+//! [`NetUplink`] backs off on. A client that goes silent
 //! past `--barrier-timeout-ms` is evicted from the window barrier, so
 //! a vanished peer degrades the seal to an accounted partial window
 //! instead of wedging the merge pipeline.
@@ -79,14 +77,12 @@
 //! every report exactly once, which is what makes the multi-process
 //! drill reproduce the in-process `StudyReport`.
 //!
-//! Control messages over UDP are sent blind with redundancy; on a
-//! lossy path a fully lost `Hello`/`Finish` can stall the barrier, so
-//! the drill (and CI) use TCP and treat UDP as the loss-tolerance
-//! exercise.
+//! A flag the subcommand does not read exits 1 with usage before
+//! anything is written.
 
 use magellan::netsim::{SimDuration, SimTime};
 use magellan::overlay::OverlaySim;
-use magellan::runcfg::{cfg_path, load_params, Args, RunParams};
+use magellan::runcfg::{cfg_path, load_params, Args, RunParams, PARAM_FLAGS};
 use magellan::trace::codec::{self, ClientMsg, FrameReader, ReplyMsg};
 use magellan::trace::service::{Books, ServiceResume, ShellSheds};
 use magellan::trace::shard::{shard_of, Shard, ShardStats};
@@ -97,7 +93,7 @@ use magellan::trace::{
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{IpAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -150,17 +146,13 @@ fn drain_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Where a shard worker sends the 9-byte reply records.
-enum ReplyTo {
-    /// The shared write half of the client's TCP stream.
-    // lint:allow(P1): service shell — guards only the socket write half; replies are matched by seq, order-free
-    Tcp(Arc<Mutex<TcpStream>>),
-    /// The server's UDP socket plus the client's return address.
-    Udp(Arc<UdpSocket>, SocketAddr),
-}
+/// Where a shard worker sends the 9-byte reply records: the shared
+/// write half of the client's TCP stream.
+// lint:allow(P1): service shell — guards only the socket write half; replies are matched by seq, order-free
+type ReplyTo = Arc<Mutex<TcpStream>>;
 
-/// The reports of one TCP read (or one UDP datagram) bound for one
-/// shard, payloads back to back in one buffer.
+/// The reports of one TCP read bound for one shard, payloads back to
+/// back in one buffer.
 #[derive(Default)]
 struct Batch {
     payloads: Vec<u8>,
@@ -342,7 +334,7 @@ fn usage() -> ExitCode {
          [--idle-timeout-ms N] [--barrier-timeout-ms N] [--max-conns N]\n                        \
          [--max-conns-per-ip N] [--rate-limit N] [--rate-burst N]\n                        \
          [--seed N] [--scale F] [--days N] [--sample-every-mins N] [--segment-bytes N]\n  \
-         magellan-traced drive --server ADDR --client-id I --clients N [--transport tcp|udp]\n                        \
+         magellan-traced drive --server ADDR --client-id I --clients N\n                        \
          [--window N] [--mark-every-mins N] [--backoff-base-ms N] [--backoff-cap-ms N]\n                        \
          [--max-attempts N] [--reconnect N] [--seed N] [--scale F] [--days N]\n                        \
          [--sample-every-mins N]"
@@ -350,22 +342,12 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Writes a run of reply records, best-effort: a vanished client
-/// shows up in the books as client-side loss, never as a server
-/// error. On TCP the run is one `write_all`; on UDP each record is
-/// its own datagram, as the stop-and-wait client expects.
+/// Writes a run of reply records in one `write_all`, best-effort: a
+/// vanished client shows up in the books as client-side loss, never
+/// as a server error.
 fn send_replies(reply: &ReplyTo, records: &[u8]) {
-    match reply {
-        ReplyTo::Tcp(stream) => {
-            let mut s = stream.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = s.write_all(records);
-        }
-        ReplyTo::Udp(sock, peer) => {
-            for record in records.chunks(codec::REPLY_LEN) {
-                let _ = sock.send_to(record, *peer);
-            }
-        }
-    }
+    let mut s = reply.lock().unwrap_or_else(PoisonError::into_inner);
+    let _ = s.write_all(records);
 }
 
 /// Appends one reply record to `out`.
@@ -431,23 +413,17 @@ fn route_batch(
 }
 
 /// Sends every non-empty pending batch to its shard, and the
-/// `RateLimited` records in `limited` back to the client; `reply`
-/// names the client.
-fn route_pending(
-    ctx: &ReaderCtx,
-    pending: &mut [Batch],
-    limited: &mut Vec<u8>,
-    reply: impl Fn() -> ReplyTo,
-) {
+/// `RateLimited` records in `limited` back to the client at `reply`.
+fn route_pending(ctx: &ReaderCtx, pending: &mut [Batch], limited: &mut Vec<u8>, reply: &ReplyTo) {
     for (idx, batch) in pending.iter_mut().enumerate() {
         if !batch.is_empty() {
             let batch = std::mem::take(batch);
             let shed = &ctx.counters.queue_shed;
-            route_batch(&ctx.shards, idx, batch, reply(), shed);
+            route_batch(&ctx.shards, idx, batch, Arc::clone(reply), shed);
         }
     }
     if !limited.is_empty() {
-        send_replies(&reply(), limited);
+        send_replies(reply, limited);
         limited.clear();
     }
 }
@@ -459,7 +435,7 @@ fn route_pending(
 /// is forwarded, so a mark still trails every report it covers.
 /// Returns — closing the connection — on EOF, I/O error, the first
 /// undecodable frame (the stream is desynced beyond repair; the
-/// client's datagrams become `lost`), the idle deadline (the
+/// client's unanswered reports become `lost`), the idle deadline (the
 /// slowloris defense — a half-open connection cannot pin a reader
 /// thread), or a drain signal.
 fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
@@ -476,8 +452,7 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
     // tick to check the idle deadline and the drain flag.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(READ_TICK_MS)));
     // lint:allow(P1): service shell — shares the socket write half with shard workers; replies are seq-matched
-    let write_half = Arc::new(Mutex::new(write_half));
-    let reply = || ReplyTo::Tcp(Arc::clone(&write_half));
+    let reply: ReplyTo = Arc::new(Mutex::new(write_half));
     let mut stream = stream;
     let mut frames = FrameReader::new();
     let mut buf = [0u8; 16 * 1024];
@@ -510,11 +485,10 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
                 Ok(None) => break false,
                 Err(_) => break true,
             };
-            let admit = || bucket.try_admit(ctx.now_ms());
-            match classify(&ctx, body, admit, &mut pending, &mut limited) {
+            match classify(&ctx, body, &mut bucket, &mut pending, &mut limited) {
                 Ok(None) => {}
                 Ok(Some(ctrl)) => {
-                    route_pending(&ctx, &mut pending, &mut limited, reply);
+                    route_pending(&ctx, &mut pending, &mut limited, &reply);
                     if ctx.ctrl.send(ctrl).is_err() {
                         return; // coordinator gone — shutdown
                     }
@@ -523,27 +497,27 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
             }
         };
         // Reports ahead of a corrupt frame are still answered.
-        route_pending(&ctx, &mut pending, &mut limited, reply);
+        route_pending(&ctx, &mut pending, &mut limited, &reply);
         if desynced {
             return;
         }
     }
 }
 
-/// Sorts one message body. A report that `admit` (the sender's token
-/// bucket) lets through joins its shard's pending batch; otherwise it
-/// is answered `RateLimited` into `limited`. Control traffic comes
+/// Sorts one message body. A report that the connection's token
+/// `bucket` lets through joins its shard's pending batch; otherwise
+/// it is answered `RateLimited` into `limited`. Control traffic comes
 /// back for the caller to forward once the pending batches are on
 /// their way.
 fn classify(
     ctx: &ReaderCtx,
     body: &[u8],
-    admit: impl FnOnce() -> bool,
+    bucket: &mut TokenBucket,
     pending: &mut [Batch],
     limited: &mut Vec<u8>,
 ) -> Result<Option<Ctrl>, WireError> {
     if let Some((seq, payload)) = codec::peek_report(body) {
-        if admit() {
+        if bucket.try_admit(ctx.now_ms()) {
             let idx = codec::peek_report_addr(payload)
                 .map(|addr| shard_of(addr, pending.len()))
                 .unwrap_or(0);
@@ -563,46 +537,6 @@ fn classify(
         // `peek_report` takes every report that decodes.
         ClientMsg::Report { .. } => None,
     })
-}
-
-/// Serves the UDP side: one message per datagram, reports answered
-/// with one reply datagram, undecodable datagrams silently dropped
-/// (they reconcile as `lost` — there is no sequence number to
-/// answer). Rate limiting is per source address, since UDP has no
-/// connection to hang a bucket on.
-fn udp_reader(sock: Arc<UdpSocket>, ctx: ReaderCtx) {
-    let _ = sock.set_read_timeout(Some(Duration::from_millis(READ_TICK_MS)));
-    let mut buckets: BTreeMap<SocketAddr, TokenBucket> = BTreeMap::new();
-    let mut pending: Vec<Batch> = ctx.shards.iter().map(|_| Batch::default()).collect();
-    let mut limited = Vec::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let (n, peer) = match sock.recv_from(&mut buf) {
-            Ok(v) => v,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if drain_requested() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => continue,
-        };
-        let admit = || {
-            let new_bucket = || TokenBucket::new(ctx.defense.rate_limit, ctx.defense.rate_burst);
-            let bucket = buckets.entry(peer).or_insert_with(new_bucket);
-            bucket.try_admit(ctx.now_ms())
-        };
-        let Ok(ctrl) = classify(&ctx, &buf[..n], admit, &mut pending, &mut limited) else {
-            continue;
-        };
-        let reply = || ReplyTo::Udp(Arc::clone(&sock), peer);
-        route_pending(&ctx, &mut pending, &mut limited, reply);
-        if let Some(ctrl) = ctrl {
-            if ctx.ctrl.send(ctrl).is_err() {
-                return;
-            }
-        }
-    }
 }
 
 /// Drains every shard below `below` (finally when `stop`), returning
@@ -843,15 +777,13 @@ fn serve(args: &Args) -> Result<(), String> {
         epoch,
     };
 
-    // TCP and UDP share one port.
     let listener = TcpListener::bind(&listen).map_err(|e| format!("bind tcp {listen}: {e}"))?;
     let local = listener
         .local_addr()
         .map_err(|e| format!("local addr: {e}"))?;
-    let udp = Arc::new(UdpSocket::bind(local).map_err(|e| format!("bind udp {local}: {e}"))?);
 
     println!(
-        "magellan-traced: listening on {local} (tcp+udp), {clients} client(s), {shards} shard(s), \
+        "magellan-traced: listening on {local} (tcp), {clients} client(s), {shards} shard(s), \
          pending cap {pending_cap}, queue cap {queue_cap}{}",
         if resuming {
             format!(
@@ -871,7 +803,6 @@ fn serve(args: &Args) -> Result<(), String> {
     }
 
     {
-        let ctx = ctx.clone();
         let governor = ConnGovernor::new(max_conns, max_per_ip);
         // lint:allow(D3): service shell — the acceptor lives until process exit; it owns no simulation state
         thread::spawn(move || {
@@ -896,12 +827,6 @@ fn serve(args: &Args) -> Result<(), String> {
                 });
             }
         });
-    }
-    {
-        let sock = Arc::clone(&udp);
-        let ctx = ctx;
-        // lint:allow(D3): service shell — single UDP reader for the whole process lifetime
-        thread::spawn(move || udp_reader(sock, ctx));
     }
 
     // The coordinator: registry, window barrier, archive. The loop
@@ -1008,10 +933,6 @@ fn drive(args: &Args) -> Result<(), String> {
             .max(1),
     )
     .map_err(|_| "--clients out of range".to_string())?;
-    let transport = args
-        .get("--transport")
-        .map_or("tcp", String::as_str)
-        .to_string();
     let window = args.num("--window")?.unwrap_or(64).max(1) as usize;
     let mark_every = SimDuration::from_mins(args.num("--mark-every-mins")?.unwrap_or(10).max(1));
     let base_ms = args.num("--backoff-base-ms")?.unwrap_or(2);
@@ -1027,12 +948,8 @@ fn drive(args: &Args) -> Result<(), String> {
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(u64::from(client_id));
     let backoff = NetBackoff::new(base_ms, cap_ms, max_attempts, backoff_seed);
-    let mut uplink = match transport.as_str() {
-        "tcp" => NetUplink::connect_tcp(server.as_str(), client_id, clients, window, backoff),
-        "udp" => NetUplink::connect_udp(server.as_str(), client_id, clients, backoff),
-        other => return Err(format!("--transport {other}: expected tcp or udp")),
-    }
-    .map_err(|e| format!("connect {server}: {e}"))?;
+    let mut uplink = NetUplink::connect_tcp(server.as_str(), client_id, clients, window, backoff)
+        .map_err(|e| format!("connect {server}: {e}"))?;
     if let Some(budget) = reconnect {
         uplink.set_reconnect_budget(u32::try_from(budget).unwrap_or(u32::MAX));
     }
@@ -1077,7 +994,7 @@ fn drive(args: &Args) -> Result<(), String> {
     let reconnects = uplink.reconnects();
     let stats = uplink.finish().map_err(|e| format!("finish: {e}"))?;
     println!(
-        "magellan-traced drive: client {client_id}/{clients} over {transport} — simulated {} \
+        "magellan-traced drive: client {client_id}/{clients} over tcp — simulated {} \
          report(s); offered {} delivered {} retransmitted {} rejected {} dropped {} attempts {} \
          backoff-capped {} reconnects {}",
         summary.reports,
@@ -1093,14 +1010,51 @@ fn drive(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `serve` reads, besides [`PARAM_FLAGS`].
+const SERVE_FLAGS: [&str; 14] = [
+    "--archive",
+    "--resume",
+    "--listen",
+    "--port-file",
+    "--clients",
+    "--shards",
+    "--pending-cap",
+    "--queue-cap",
+    "--idle-timeout-ms",
+    "--barrier-timeout-ms",
+    "--max-conns",
+    "--max-conns-per-ip",
+    "--rate-limit",
+    "--rate-burst",
+];
+
+/// The flags `drive` reads, besides [`PARAM_FLAGS`].
+const DRIVE_FLAGS: [&str; 9] = [
+    "--server",
+    "--client-id",
+    "--clients",
+    "--window",
+    "--mark-every-mins",
+    "--backoff-base-ms",
+    "--backoff-cap-ms",
+    "--max-attempts",
+    "--reconnect",
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args(&argv);
-    let result = match argv.first().map(String::as_str) {
-        Some("serve") => serve(&args),
-        Some("drive") => drive(&args),
+    let serving = match argv.first().map(String::as_str) {
+        Some("serve") => true,
+        Some("drive") => false,
         _ => return usage(),
     };
+    let flags: &[&str] = if serving { &SERVE_FLAGS } else { &DRIVE_FLAGS };
+    if let Err(e) = args.check(&[&PARAM_FLAGS, flags].concat()) {
+        eprintln!("error: {e}");
+        return usage();
+    }
+    let result = if serving { serve(&args) } else { drive(&args) };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1132,7 +1086,7 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         let write_half = Arc::new(Mutex::new(server_side));
-        let reply = || ReplyTo::Tcp(Arc::clone(&write_half));
+        let reply = || Arc::clone(&write_half);
         let (tx, rx) = sync_channel::<ShardCmd>(1);
         let shards = [tx];
         let shed = AtomicU64::new(0);
@@ -1167,5 +1121,81 @@ mod tests {
         let seqs: Vec<u64> = queued.iter().map(|(seq, _)| seq).collect();
         assert_eq!(seqs, [1, 2]);
         assert!(rx.try_recv().is_err(), "the shed batch was queued");
+    }
+
+    /// One report frame carrying sequence number `seq`, sent by peer
+    /// `ip` within the first simulated day.
+    fn report_frame(seq: u64, ip: u32) -> bytes::Bytes {
+        let report = PeerReport {
+            time: SimTime::ORIGIN + SimDuration::from_mins(20),
+            addr: magellan::netsim::PeerAddr::from_u32(ip),
+            channel: magellan::workload::ChannelId::CCTV1,
+            buffer_map: magellan::trace::BufferMap::new(0, 8),
+            download_capacity_kbps: 2000.0,
+            upload_capacity_kbps: 512.0,
+            recv_throughput_kbps: 400.0,
+            send_throughput_kbps: 50.0,
+            partners: vec![],
+        };
+        let payload = magellan::trace::wire::encode(&report);
+        codec::frame(&codec::encode_client_msg(&ClientMsg::Report {
+            seq,
+            payload,
+        }))
+    }
+
+    /// An undecodable frame desyncs only its own connection: the two
+    /// reports ahead of it are still answered, the report behind it
+    /// is not, and the server hangs up.
+    #[test]
+    fn undecodable_frame_closes_only_its_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let window_end = SimTime::at(1, 0, 0);
+        let (tx, rx) = sync_channel::<ShardCmd>(8);
+        thread::spawn(move || shard_worker(Shard::new(window_end, 1024), rx));
+        let (ctrl, _ctrl_rx) = channel();
+        let ctx = ReaderCtx {
+            shards: Arc::new(vec![tx]),
+            ctrl,
+            counters: Arc::default(),
+            defense: Defense {
+                idle_timeout_ms: 30_000,
+                rate_limit: 0,
+                rate_burst: 8,
+            },
+            epoch: Instant::now(),
+        };
+        let shards = Arc::clone(&ctx.shards);
+        let reader = thread::spawn(move || tcp_conn(server_side, ctx));
+
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&report_frame(0, 1));
+        wire.extend_from_slice(&report_frame(1, 2));
+        wire.extend_from_slice(&codec::frame(&[0xEE, 0, 0]));
+        wire.extend_from_slice(&report_frame(2, 3));
+        client.write_all(&wire).unwrap();
+
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut raw = Vec::new();
+        client
+            .read_to_end(&mut raw)
+            .expect("the server closes the connection");
+        let answered: Vec<(u64, StatusCode)> = raw
+            .chunks(codec::REPLY_LEN)
+            .map(|mut record| {
+                let r = codec::decode_reply(&mut record).unwrap();
+                (r.seq, r.status)
+            })
+            .collect();
+        assert_eq!(answered, [(0, StatusCode::Ack), (1, StatusCode::Ack)]);
+        reader.join().unwrap();
+
+        let (_, totals) = drain_shards(&shards, window_end, true).unwrap();
+        assert_eq!(totals.received(), 2, "{totals:?}");
+        assert_eq!(totals.admitted, 2, "{totals:?}");
     }
 }

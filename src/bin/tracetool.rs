@@ -8,9 +8,9 @@
 //! tracetool inspect  <archive-dir>
 //! tracetool fsck     <archive-dir>
 //! tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N]
-//!                    [--profile tcp|udp|off] [--port-file FILE]
+//!                    [--profile tcp|off] [--port-file FILE]
 //! tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N]
-//!                    [--profile tcp|udp|off]
+//!                    [--profile tcp|off]
 //! ```
 //!
 //! Every command reads the segmented binary archive written by
@@ -22,15 +22,16 @@
 //! `snapshot --format edges|dot` exports the reconstructed topology
 //! for networkx / Graphviz. `inspect` summarizes contents and
 //! recovery state without loading the trace into memory, and `fsck`
-//! exits non-zero when any frame was lost to damage.
+//! exits non-zero when any frame was lost to damage. A flag the
+//! command does not read exits 1 with usage.
 //!
 //! `nemesis` is the deterministic chaos interposer for the hostile
-//! ingest drills: it proxies TCP connections and UDP datagrams to
-//! `--upstream` while injecting the transport hostility scheduled by
-//! [`FlowSchedule`] — latency, partial/coalesced writes, byte flips,
-//! duplicates, reorders, connection resets, half-open stalls, and
-//! mid-stream kills. The schedule is a pure function of `(--seed,
-//! flow index, --profile)`, so a failing drill replays exactly;
+//! ingest drills: it proxies TCP connections to `--upstream` while
+//! injecting the transport hostility scheduled by [`FlowSchedule`] —
+//! latency, partial/coalesced writes, byte flips, connection resets,
+//! half-open stalls, and mid-stream kills. The schedule is a pure
+//! function of `(--seed, flow index, --profile)`, so a failing drill
+//! replays exactly;
 //! `--print-schedule` renders the decision table as the byte-for-byte
 //! reproducibility witness without opening a socket.
 
@@ -61,8 +62,8 @@ fn usage() -> ExitCode {
         "usage:\n  tracetool stats    <archive-dir>\n  tracetool sessions <archive-dir>\n  \
          tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
          tracetool inspect  <archive-dir>\n  tracetool fsck     <archive-dir>\n  \
-         tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N] [--profile tcp|udp|off] [--port-file FILE]\n  \
-         tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N] [--profile tcp|udp|off]"
+         tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N] [--profile tcp|off] [--port-file FILE]\n  \
+         tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N] [--profile tcp|off]"
     );
     ExitCode::FAILURE
 }
@@ -71,28 +72,35 @@ fn usage() -> ExitCode {
 /// does is decided by [`FlowSchedule`] (pure seeded arithmetic); this
 /// code only executes the scheduled socket mischief.
 mod nemesis {
-    use magellan::netsim::chaos::{
-        render_schedule, ChaosAction, ChaosProfile, FlowKind, FlowSchedule,
-    };
+    use magellan::netsim::chaos::{render_schedule, ChaosAction, ChaosProfile, FlowSchedule};
     use magellan::trace::atomic_write;
-    use std::collections::BTreeMap;
     use std::io::{Read, Write};
-    use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
+    use std::net::{Shutdown, TcpListener, TcpStream};
     use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
     use std::time::Duration;
 
     /// Flow indices are allocated process-wide so every TCP
-    /// connection and every UDP source gets an independent schedule.
+    /// connection gets an independent schedule.
     static NEXT_FLOW: AtomicU64 = AtomicU64::new(0);
 
-    fn profile_of(name: &str) -> Result<(FlowKind, ChaosProfile), String> {
+    /// The flags `nemesis` reads.
+    const FLAGS: [&str; 7] = [
+        "--seed",
+        "--profile",
+        "--print-schedule",
+        "--flows",
+        "--upstream",
+        "--listen",
+        "--port-file",
+    ];
+
+    fn profile_of(name: &str) -> Result<ChaosProfile, String> {
         match name {
-            "tcp" => Ok((FlowKind::Stream, ChaosProfile::tcp_drill())),
-            "udp" => Ok((FlowKind::Datagram, ChaosProfile::udp_drill())),
-            "off" => Ok((FlowKind::Stream, ChaosProfile::off())),
-            other => Err(format!("--profile {other}: expected tcp, udp, or off")),
+            "tcp" => Ok(ChaosProfile::tcp_drill()),
+            "off" => Ok(ChaosProfile::off()),
+            other => Err(format!("--profile {other}: expected tcp or off")),
         }
     }
 
@@ -130,7 +138,7 @@ mod nemesis {
             held.extend_from_slice(&buf[..n]);
             match sched.next_action() {
                 ChaosAction::Coalesce => continue, // withhold; prepend to the next chunk
-                ChaosAction::Deliver | ChaosAction::Reorder => {}
+                ChaosAction::Deliver => {}
                 ChaosAction::Delay { ms } => thread::sleep(Duration::from_millis(u64::from(ms))),
                 ChaosAction::Stall { ms } => {
                     // Half-open pressure: the connection sits silent,
@@ -153,15 +161,6 @@ mod nemesis {
                     if held.is_empty() {
                         continue;
                     }
-                }
-                ChaosAction::Duplicate => {
-                    if (&to).write_all(&held).is_err() {
-                        break;
-                    }
-                }
-                ChaosAction::Drop => {
-                    held.clear();
-                    continue;
                 }
                 ChaosAction::Reset => {
                     // The chunk dies with the connection.
@@ -204,13 +203,7 @@ mod nemesis {
         let _ = to.shutdown(Shutdown::Write);
     }
 
-    fn serve_tcp(
-        listener: TcpListener,
-        upstream: String,
-        seed: u64,
-        kind: FlowKind,
-        profile: ChaosProfile,
-    ) {
+    fn serve_tcp(listener: TcpListener, upstream: String, seed: u64, profile: ChaosProfile) {
         for conn in listener.incoming() {
             let Ok(client) = conn else { continue };
             let Ok(server) = TcpStream::connect(upstream.as_str()) else {
@@ -220,7 +213,7 @@ mod nemesis {
             let _ = client.set_nodelay(true);
             let _ = server.set_nodelay(true);
             let flow = NEXT_FLOW.fetch_add(1, Ordering::SeqCst);
-            let sched = FlowSchedule::new(seed, flow, kind, profile);
+            let sched = FlowSchedule::new(seed, flow, profile);
             let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
                 continue;
             };
@@ -231,127 +224,24 @@ mod nemesis {
         }
     }
 
-    /// One proxied UDP source: its upstream socket and its pending
-    /// reordered datagram.
-    struct UdpFlow {
-        up: std::sync::Arc<UdpSocket>,
-        sched: FlowSchedule,
-        held: Option<Vec<u8>>,
-    }
-
-    /// Connects a fresh upstream socket for one UDP source and starts
-    /// its clean reply pump (upstream datagrams back to the client
-    /// through the listener socket).
-    fn open_udp_flow(
-        listener: &std::sync::Arc<UdpSocket>,
-        upstream: &str,
-        seed: u64,
-        profile: ChaosProfile,
-        peer: SocketAddr,
-    ) -> Option<UdpFlow> {
-        let up = UdpSocket::bind("127.0.0.1:0").ok()?;
-        up.connect(upstream).ok()?;
-        let up = std::sync::Arc::new(up);
-        let flow = NEXT_FLOW.fetch_add(1, Ordering::SeqCst);
-        {
-            let up = std::sync::Arc::clone(&up);
-            let down = std::sync::Arc::clone(listener);
-            // lint:allow(D3): proxy shell — one reply pump per UDP source, detached
-            thread::spawn(move || {
-                let mut rbuf = [0u8; 64 * 1024];
-                while let Ok(rn) = up.recv(&mut rbuf) {
-                    if down.send_to(&rbuf[..rn], peer).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        Some(UdpFlow {
-            up,
-            sched: FlowSchedule::new(seed, flow, FlowKind::Datagram, profile),
-            held: None,
-        })
-    }
-
-    fn serve_udp(
-        listener: std::sync::Arc<UdpSocket>,
-        upstream: String,
-        seed: u64,
-        profile: ChaosProfile,
-    ) {
-        let mut flows: BTreeMap<SocketAddr, UdpFlow> = BTreeMap::new();
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            let (n, peer) = match listener.recv_from(&mut buf) {
-                Ok(v) => v,
-                Err(_) => continue,
-            };
-            let f = match flows.entry(peer) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    let Some(flow) = open_udp_flow(&listener, &upstream, seed, profile, peer)
-                    else {
-                        continue;
-                    };
-                    v.insert(flow)
-                }
-            };
-            let datagram = buf[..n].to_vec();
-            match f.sched.next_action() {
-                ChaosAction::Drop | ChaosAction::Reset | ChaosAction::Kill => {
-                    // No connection to kill on UDP: the datagram is
-                    // simply lost.
-                }
-                ChaosAction::Duplicate => {
-                    let _ = f.up.send(&datagram);
-                    let _ = f.up.send(&datagram);
-                }
-                ChaosAction::Reorder => {
-                    // Hold one slot; it rides behind the next datagram.
-                    match f.held.take() {
-                        None => f.held = Some(datagram),
-                        Some(prev) => {
-                            let _ = f.up.send(&datagram);
-                            let _ = f.up.send(&prev);
-                        }
-                    }
-                    continue;
-                }
-                ChaosAction::Delay { ms } | ChaosAction::Stall { ms } => {
-                    thread::sleep(Duration::from_millis(u64::from(ms)));
-                    let _ = f.up.send(&datagram);
-                }
-                ChaosAction::FlipBit { offset, bit } => {
-                    let mut d = datagram;
-                    let i = offset as usize % d.len().max(1);
-                    if let Some(b) = d.get_mut(i) {
-                        *b ^= 1 << bit;
-                    }
-                    let _ = f.up.send(&d);
-                }
-                // Split/Coalesce have no meaning at datagram
-                // granularity; the schedule never emits them for
-                // datagram flows, but deliver defensively.
-                ChaosAction::Deliver | ChaosAction::SplitAt { .. } | ChaosAction::Coalesce => {
-                    let _ = f.up.send(&datagram);
-                }
-            }
-            if let Some(prev) = f.held.take() {
-                let _ = f.up.send(&prev);
-            }
-        }
-    }
-
     /// Entry point for `tracetool nemesis`.
     pub fn run(args: &[String]) -> std::process::ExitCode {
         use std::process::ExitCode as ExitCode2;
         let args = super::Args(args);
-        let seed = args
-            .get("--seed")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(9);
-        let (kind, profile) = match profile_of(args.get("--profile").map_or("tcp", String::as_str))
-        {
+        if let Err(e) = args.check(&FLAGS) {
+            eprintln!("error: {e}");
+            return super::usage();
+        }
+        let profile_name = args.get("--profile").map_or("tcp", String::as_str);
+        let parsed = args.num("--seed").and_then(|seed| {
+            let flows = args.num("--flows")?;
+            Ok((
+                seed.unwrap_or(9),
+                flows.unwrap_or(4),
+                profile_of(profile_name)?,
+            ))
+        });
+        let (seed, flows, profile) = match parsed {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -364,11 +254,7 @@ mod nemesis {
                 eprintln!("error: --print-schedule wants an event count");
                 return ExitCode2::FAILURE;
             };
-            let flows = args
-                .get("--flows")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(4);
-            print!("{}", render_schedule(seed, kind, profile, flows, events));
+            print!("{}", render_schedule(seed, profile, flows, events));
             return ExitCode2::SUCCESS;
         }
 
@@ -388,26 +274,16 @@ mod nemesis {
             eprintln!("error: local addr");
             return ExitCode2::FAILURE;
         };
-        let udp = match UdpSocket::bind(local) {
-            Ok(s) => std::sync::Arc::new(s),
-            Err(e) => {
-                eprintln!("error: bind udp {local}: {e}");
-                return ExitCode2::FAILURE;
-            }
-        };
-        println!("tracetool nemesis: interposing {local} -> {upstream} (seed {seed}, {kind:?})");
+        println!(
+            "tracetool nemesis: interposing {local} -> {upstream} (seed {seed}, profile {profile_name})"
+        );
         if let Some(path) = args.get("--port-file") {
             if let Err(e) = atomic_write(Path::new(&path), local.to_string().as_bytes()) {
                 eprintln!("error: write {path}: {e}");
                 return ExitCode2::FAILURE;
             }
         }
-        {
-            let upstream = upstream.clone();
-            // lint:allow(D3): proxy shell — UDP forwarder for the process lifetime
-            thread::spawn(move || serve_udp(udp, upstream, seed, profile));
-        }
-        serve_tcp(listener, upstream, seed, kind, profile);
+        serve_tcp(listener, upstream, seed, profile);
         ExitCode2::SUCCESS
     }
 }
@@ -557,6 +433,15 @@ fn main() -> ExitCode {
         return usage();
     };
     let flags = Args(&args);
+    let known: &[&str] = if cmd == "snapshot" {
+        &["--at", "--scope", "--format", "--out"]
+    } else {
+        &[]
+    };
+    if let Err(e) = flags.check(known) {
+        eprintln!("error: {e}");
+        return usage();
+    }
     // `inspect`, `fsck` and `sessions` stream the archive without
     // holding it.
     match cmd.as_str() {

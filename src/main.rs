@@ -17,10 +17,11 @@
 //! archive offline, tolerating damage and reporting what recovery had
 //! to skip. The run directory carries a `study.cfg` describing the
 //! study parameters so `--resume` and `replay` reconstruct the exact
-//! configuration.
+//! configuration. A flag the command does not read exits 1 with
+//! usage before anything is written.
 
 use magellan::analysis::durable::DurableStudy;
-use magellan::runcfg::{cfg_path, load_params, Args, RunParams};
+use magellan::runcfg::{cfg_path, load_params, Args, RunParams, PARAM_FLAGS};
 use magellan::trace::atomic_write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -44,6 +45,23 @@ fn emit_report(text: &str, out: Option<&str>) -> Result<(), String> {
             println!("{text}");
             Ok(())
         }
+    }
+}
+
+/// The flags `command` reads, or `None` for an unknown command.
+fn known_flags(command: &str) -> Option<Vec<&'static str>> {
+    let common = ["--archive", "--report", "--threads"];
+    match command {
+        "study" => Some(
+            [
+                &common[..],
+                &PARAM_FLAGS,
+                &["--checkpoint-every-ticks", "--resume", "--kill-at-tick"],
+            ]
+            .concat(),
+        ),
+        "replay" => Some(common.to_vec()),
+        _ => None,
     }
 }
 
@@ -106,16 +124,17 @@ fn run(argv: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(known) = args.first().and_then(|command| known_flags(command)) else {
+        return usage();
+    };
+    if let Err(e) = Args(&args).check(&known) {
+        eprintln!("error: {e}");
         return usage();
     }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            if e == "unknown command" {
-                return usage();
-            }
             ExitCode::FAILURE
         }
     }

@@ -7,7 +7,7 @@
 //! exact configuration (and fingerprint) from it. Everything not
 //! listed here stays at [`StudyConfig::default`]. Flags
 //! ([`Args::params`]) and `study.cfg` are validated before anything
-//! is written.
+//! is written, and so is the flag list itself ([`Args::check`]).
 
 use magellan_analysis::durable::DurableConfig;
 use magellan_analysis::study::StudyConfig;
@@ -136,11 +136,39 @@ impl RunParams {
     }
 }
 
+/// The study flags [`Args::params`] reads.
+pub const PARAM_FLAGS: [&str; 5] = [
+    "--seed",
+    "--scale",
+    "--days",
+    "--sample-every-mins",
+    "--segment-bytes",
+];
+
 /// Flag scanning shared by the binaries: `--name value` pairs and bare
 /// `--name` switches, anywhere in the argument list.
 pub struct Args<'a>(pub &'a [String]);
 
 impl Args<'_> {
+    /// Checks every `--flag` token against `known`, the flags the
+    /// subcommand reads. The lookups below ignore what they are not
+    /// asked for, so without this a misspelt or retired flag would
+    /// run silently with defaults.
+    ///
+    /// # Errors
+    ///
+    /// Names the first flag not in `known`.
+    pub fn check(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .0
+            .iter()
+            .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag {flag}")),
+            None => Ok(()),
+        }
+    }
+
     /// The value following flag `name`.
     pub fn get(&self, name: &str) -> Option<&String> {
         self.0
@@ -246,5 +274,19 @@ mod tests {
             let parsed = Args(&argv).params(RunParams::default());
             assert!(parsed.is_err(), "{flags:?}");
         }
+    }
+
+    #[test]
+    fn check_names_the_first_unknown_flag() {
+        let argv: Vec<String> = ["drive", "--seed", "9", "--resume", "--transport", "tcp"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = Args(&argv);
+        let known = [PARAM_FLAGS.as_slice(), &["--resume"]].concat();
+        assert_eq!(args.check(&known), Err("unknown flag --transport".into()));
+        let known = [known.as_slice(), &["--transport"]].concat();
+        assert_eq!(args.check(&known), Ok(()));
+        assert_eq!(Args(&[]).check(&[]), Ok(()));
     }
 }

@@ -137,8 +137,8 @@ fn multi_process_drill_matches_in_process_study() {
 
     let mut server = serve(&traced, &port_file, &["--clients", "2", "--shards", "2"]);
     let addr = wait_for_addr(&port_file, &mut server);
-    let d0 = drive(&addr, 0, 2, &["--transport", "tcp"]);
-    let d1 = drive(&addr, 1, 2, &["--transport", "tcp"]);
+    let d0 = drive(&addr, 0, 2, &[]);
+    let d1 = drive(&addr, 1, 2, &[]);
     wait_success(d0, "drive 0");
     wait_success(d1, "drive 1");
     let serve_out = wait_success(server, "serve");
@@ -211,30 +211,10 @@ fn overload_drill(name: &str, clients: u32, serve_args: &[&str], drive_args: &[&
     serve_out
 }
 
-/// One UDP client against a serve process with deliberately tiny
-/// queues and few client retries: the service must shed (not stall)
-/// and still account for every report it did not admit.
-#[test]
-fn overload_sheds_gracefully_and_stays_balanced() {
-    overload_drill(
-        "overload",
-        1,
-        &["--shards", "1", "--pending-cap", "8", "--queue-cap", "2"],
-        &[
-            "--transport",
-            "udp",
-            "--max-attempts",
-            "3",
-            "--backoff-cap-ms",
-            "8",
-        ],
-    );
-}
-
-/// The same overload over TCP, where one queued message is a whole
-/// socket read's reports: two clients share one shard behind a
-/// one-message queue, so a full queue sheds batches of several
-/// reports. `balanced` holds by construction (`lost` is derived), but
+/// Deliberate overload: one queued message is a whole socket read's
+/// reports, and two clients share one shard behind a one-message
+/// queue, so a full queue sheds batches of several reports.
+/// `balanced` holds by construction (`lost` is derived), but
 /// loopback TCP loses nothing: a shed batch the server answers with
 /// too few `Busy` records, or counts short in `queue_shed`, shows up
 /// as `lost`. Whether a given run fills the queue depends on timing;
@@ -246,14 +226,7 @@ fn tcp_overload_sheds_batches_and_stays_balanced() {
         "overload_tcp",
         2,
         &["--shards", "1", "--pending-cap", "8", "--queue-cap", "1"],
-        &[
-            "--transport",
-            "tcp",
-            "--max-attempts",
-            "3",
-            "--backoff-cap-ms",
-            "8",
-        ],
+        &["--max-attempts", "3", "--backoff-cap-ms", "8"],
     );
     assert_eq!(stat(&serve_out, "lost"), 0, "shed reports went missing");
     assert_eq!(stat(&serve_out, "surplus"), 0, "shed reports counted twice");
@@ -299,7 +272,7 @@ fn slowloris_connection_is_reaped_not_serviced_forever() {
     // joins only once the server has hung up on the slowloris, so the
     // study cannot finish (and serve exit) before the idle deadline
     // has had its chance — however fast the simulator gets.
-    let d0 = drive(&addr, 0, 2, &["--transport", "tcp"]);
+    let d0 = drive(&addr, 0, 2, &[]);
     loris
         .set_read_timeout(Some(Duration::from_secs(20)))
         .expect("set read timeout");
@@ -308,7 +281,7 @@ fn slowloris_connection_is_reaped_not_serviced_forever() {
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
         other => panic!("the slowloris connection was never dropped: {other:?}"),
     }
-    let d1 = drive(&addr, 1, 2, &["--transport", "tcp"]);
+    let d1 = drive(&addr, 1, 2, &[]);
     wait_success(d0, "drive alongside slowloris");
     wait_success(d1, "drive after the reap");
     let serve_out = wait_success(server, "serve under slowloris");
@@ -365,7 +338,7 @@ fn vanished_client_degrades_to_partial_seal() {
         .expect("send hello");
     drop(ghost);
 
-    let d = drive(&addr, 0, 2, &["--transport", "tcp"]);
+    let d = drive(&addr, 0, 2, &[]);
     wait_success(d, "surviving drive");
     let serve_out = wait_success(server, "serve with vanished client");
 
@@ -417,14 +390,7 @@ fn rate_limited_reports_are_throttled_retried_and_accounted() {
         &addr,
         0,
         1,
-        &[
-            "--transport",
-            "tcp",
-            "--max-attempts",
-            "64",
-            "--backoff-cap-ms",
-            "50",
-        ],
+        &["--max-attempts", "64", "--backoff-cap-ms", "50"],
     );
     wait_success(d, "drive under rate limiting");
     let serve_out = wait_success(server, "serve under rate limiting");
