@@ -26,14 +26,16 @@
 //! reports what recovery had to skip.
 
 use crate::figures::StudyReport;
-use crate::study::{Accumulator, Live, LiveSink, StudyConfig, UPLINK_CAPACITY};
+use crate::study::{Accumulator, Live, LiveCheckpoint, LiveSink, StudyConfig, UPLINK_CAPACITY};
 use magellan_overlay::SimCheckpoint;
-use magellan_trace::checkpoint::{latest_valid_checkpoint, prune_checkpoints, write_checkpoint};
+use magellan_trace::checkpoint::{
+    latest_valid_checkpoint, prune_checkpoints, write_checkpoint_with,
+};
 use magellan_trace::{
     wire, ArchiveConfig, ArchiveWriter, PeerReport, ReportUplink, ServerStats, UplinkStats,
 };
-use std::io;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 /// Version tag of the durable-study checkpoint body (the pipeline
 /// extras wrapped around the simulator checkpoint). Version 2 added
@@ -93,16 +95,9 @@ impl LiveSink for Disk<'_> {
         let every = self.study.dcfg.checkpoint_every_ticks.max(1);
         if tick > 0 && tick % every == 0 && self.last_checkpoint != Some(tick) {
             self.writer.sync()?;
-            let (server, uplink, queue, sim) = live.checkpoint();
-            let extras = Extras {
-                cursor: self.writer.records_written(),
-                server,
-                uplink,
-                queue,
-            };
-            let body = encode_body(&extras, &sim.encode());
             let dir = self.study.checkpoint_dir();
-            write_checkpoint(&dir, self.fingerprint, tick, &body)?;
+            let cursor = self.writer.records_written();
+            write_live_checkpoint(&dir, self.fingerprint, tick, cursor, &live.checkpoint())?;
             prune_checkpoints(&dir, self.study.dcfg.keep_checkpoints.max(1))?;
             self.last_checkpoint = Some(tick);
         }
@@ -123,44 +118,56 @@ struct Extras {
     queue: Vec<PeerReport>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// Streams the checkpoint of `live` at `tick` into `dir`: the pipeline
+/// extras (archive `cursor`, gateway and uplink counters, the uplink
+/// backlog), then the simulator body straight from the live state.
+/// Returns the body's length.
+fn write_live_checkpoint(
+    dir: &Path,
+    fingerprint: u64,
+    tick: u64,
+    cursor: u64,
+    live: &LiveCheckpoint<'_>,
+) -> io::Result<u64> {
+    write_checkpoint_with(dir, fingerprint, tick, |w| write_live_body(w, cursor, live))
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn encode_body(extras: &Extras, sim: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + sim.len());
-    put_u32(&mut out, EXTRAS_VERSION);
-    put_u64(&mut out, extras.cursor);
+/// The body [`write_live_checkpoint`] streams.
+fn write_live_body<W: Write + ?Sized>(
+    w: &mut W,
+    cursor: u64,
+    live: &LiveCheckpoint<'_>,
+) -> io::Result<()> {
+    w.write_all(&EXTRAS_VERSION.to_be_bytes())?;
+    w.write_all(&cursor.to_be_bytes())?;
+    let uplink = live.uplink.stats();
     for v in [
-        extras.server.accepted,
-        extras.server.rejected,
-        extras.server.unavailable,
-        extras.server.duplicates,
-        extras.uplink.offered,
-        extras.uplink.delivered,
-        extras.uplink.retransmitted,
-        extras.uplink.dropped_overflow,
-        extras.uplink.rejected,
-        extras.uplink.attempts,
-        extras.uplink.backoff_capped,
-        extras.uplink.dropped_permanent,
+        live.server.accepted,
+        live.server.rejected,
+        live.server.unavailable,
+        live.server.duplicates,
+        uplink.offered,
+        uplink.delivered,
+        uplink.retransmitted,
+        uplink.dropped_overflow,
+        uplink.rejected,
+        uplink.attempts,
+        uplink.backoff_capped,
+        uplink.dropped_permanent,
     ] {
-        put_u64(&mut out, v);
+        w.write_all(&v.to_be_bytes())?;
     }
     // lint:allow(C3): queue length is capped at UPLINK_CAPACITY (1<<16)
-    put_u32(&mut out, extras.queue.len() as u32);
-    for r in &extras.queue {
-        let bytes = wire::encode(r);
+    w.write_all(&(live.uplink.pending() as u32).to_be_bytes())?;
+    let mut report = Vec::new();
+    for r in live.uplink.queued() {
+        report.clear();
+        wire::encode_into(r, &mut report);
         // lint:allow(C3): a wire-encoded report is a few hundred bytes
-        put_u32(&mut out, bytes.len() as u32);
-        out.extend_from_slice(&bytes);
+        w.write_all(&(report.len() as u32).to_be_bytes())?;
+        w.write_all(&report)?;
     }
-    out.extend_from_slice(sim);
-    out
+    live.sim.write_to(w)
 }
 
 /// Splits a checkpoint body back into pipeline extras and the
@@ -313,7 +320,7 @@ impl DurableStudy {
         // Restore-or-cold-start the pipeline and its archive.
         let restored = if resume {
             latest_valid_checkpoint(&ckpt_dir, fingerprint, |c| {
-                decode_body(&c.body).map(|(extras, sim)| (c.tick, extras, sim))
+                decode_body(c.body()).map(|(extras, sim)| (c.tick, extras, sim))
             })?
         } else {
             None
@@ -379,6 +386,47 @@ mod tests {
     use crate::study::MagellanStudy;
     use magellan_netsim::{SimDuration, SimTime};
     use magellan_overlay::OverlaySim;
+    use magellan_trace::checkpoint::{checkpoint_path, encode_checkpoint};
+
+    fn put_u32(out: &mut Vec<u8>, v: u32) {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(out: &mut Vec<u8>, v: u64) {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// The in-memory body composition the streamed checkpoint
+    /// replaced: the reference [`write_live_checkpoint`] must equal.
+    fn encode_body(extras: &Extras, sim: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128 + sim.len());
+        put_u32(&mut out, EXTRAS_VERSION);
+        put_u64(&mut out, extras.cursor);
+        for v in [
+            extras.server.accepted,
+            extras.server.rejected,
+            extras.server.unavailable,
+            extras.server.duplicates,
+            extras.uplink.offered,
+            extras.uplink.delivered,
+            extras.uplink.retransmitted,
+            extras.uplink.dropped_overflow,
+            extras.uplink.rejected,
+            extras.uplink.attempts,
+            extras.uplink.backoff_capped,
+            extras.uplink.dropped_permanent,
+        ] {
+            put_u64(&mut out, v);
+        }
+        put_u32(&mut out, extras.queue.len() as u32);
+        for r in &extras.queue {
+            let bytes = wire::encode(r);
+            put_u32(&mut out, bytes.len() as u32);
+            out.extend_from_slice(&bytes);
+        }
+        out.extend_from_slice(sim);
+        out
+    }
 
     fn quick_config(seed: u64) -> StudyConfig {
         StudyConfig {
@@ -457,6 +505,139 @@ mod tests {
         magellan_par::set_threads(0);
     }
 
+    /// Gives up after `left` more bytes: a producer dying mid-body.
+    struct FailAfter<'w, W: ?Sized> {
+        inner: &'w mut W,
+        left: usize,
+    }
+
+    impl<W: Write + ?Sized> Write for FailAfter<'_, W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("producer died mid-body"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A durable run's sink that, at chosen ticks, also streams a
+    /// checkpoint of the live study into `probe_dir` and compares the
+    /// file with the buffered composition (owned capture, body
+    /// encode, extras prepended, envelope around it). `tally` counts
+    /// the comparisons and the backlog reports they carried.
+    struct Reference<'a> {
+        disk: Disk<'a>,
+        probe_dir: PathBuf,
+        ticks: &'a [u64],
+        tally: &'a mut [usize; 2],
+    }
+
+    impl LiveSink for Reference<'_> {
+        fn admit(&mut self, report: &PeerReport) -> io::Result<()> {
+            self.disk.admit(report)
+        }
+
+        fn before_tick(&mut self, live: &Live, tick: u64) -> io::Result<()> {
+            self.disk.before_tick(live, tick)?;
+            if !self.ticks.contains(&tick) {
+                return Ok(());
+            }
+            let fp = self.disk.fingerprint;
+            let cursor = self.disk.writer.records_written();
+            let streamed = live.checkpoint();
+            let len = write_live_checkpoint(&self.probe_dir, fp, tick, cursor, &streamed)?;
+            let (server, uplink, queue, sim) = live.capture();
+            let queued = queue.len();
+            let extras = Extras {
+                cursor,
+                server,
+                uplink,
+                queue,
+            };
+            let body = encode_body(&extras, &sim.encode());
+            assert_eq!(len, body.len() as u64, "tick {tick}");
+            let file = std::fs::read(checkpoint_path(&self.probe_dir, tick))?;
+            assert!(
+                file == encode_checkpoint(fp, tick, &body),
+                "streamed checkpoint differs from the buffered one at tick {tick}"
+            );
+            self.tally[0] += 1;
+            self.tally[1] += queued;
+
+            // A producer that dies halfway through the next body
+            // leaves nothing under its name; this one stays newest.
+            let err = write_checkpoint_with(&self.probe_dir, fp, tick + 1, |w| {
+                let mut cut = FailAfter {
+                    inner: w,
+                    left: body.len() / 2,
+                };
+                write_live_body(&mut cut, cursor, &streamed)
+            })
+            .unwrap_err();
+            assert_eq!(err.to_string(), "producer died mid-body");
+            assert!(!checkpoint_path(&self.probe_dir, tick + 1).exists());
+            let newest = latest_valid_checkpoint(&self.probe_dir, fp, |c| {
+                decode_body(c.body()).map(|(extras, _)| (c.tick, extras.queue.len()))
+            })?;
+            assert_eq!(newest, Some((tick, queued)), "tick {tick}");
+            Ok(())
+        }
+
+        fn seal(self) -> io::Result<()> {
+            self.disk.seal()
+        }
+    }
+
+    #[test]
+    fn streamed_checkpoint_equals_the_buffered_reference() {
+        // Tick 150 is 12:30, inside the stress plan's server outage
+        // (12:00-13:00), so its checkpoint carries a bounced backlog;
+        // 260 falls behind the 21:30 crash wave.
+        let ticks = [1, 64, 150, 260, 287];
+        for seed in [2006, 7] {
+            let stressed = StudyConfig {
+                faults: magellan_workload::FaultPlan::combined_stress(0),
+                ..quick_config(seed)
+            };
+            for (tag, cfg) in [("clean", quick_config(seed)), ("stressed", stressed)] {
+                let dir = tempdir(&format!("streamed-{tag}-{seed}"));
+                let probe_dir = dir.join("probe");
+                let study = DurableStudy::new(&dir, cfg.clone(), durable_config());
+                std::fs::create_dir_all(&probe_dir).unwrap();
+                std::fs::create_dir_all(study.checkpoint_dir()).unwrap();
+                let mut observer = |_| {};
+                let mut tally = [0, 0];
+                let sink = Reference {
+                    disk: Disk {
+                        study: &study,
+                        fingerprint: study.fingerprint(),
+                        writer: ArchiveWriter::create(&study.archive_dir(), study.dcfg.archive)
+                            .unwrap(),
+                        last_checkpoint: None,
+                        observer: &mut observer,
+                    },
+                    probe_dir,
+                    ticks: &ticks,
+                    tally: &mut tally,
+                };
+                Live::cold(&cfg).run(sink).unwrap();
+                assert_eq!(tally[0], ticks.len(), "{tag} seed {seed}");
+                assert_eq!(
+                    tally[1] > 0,
+                    tag == "stressed",
+                    "{tag} seed {seed}: backlog"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn interrupted_run_resumes_byte_identically() {
         let clean_dir = tempdir("clean");
@@ -515,8 +696,8 @@ mod tests {
         // Damage the newest *body* and re-seal it, so the envelope CRC
         // still vouches for it (a state the encoder itself wrote
         // wrong): only the body decoder can refuse it.
-        let newest = decode_checkpoint(&std::fs::read(&files[1]).unwrap()).unwrap();
-        let cut = &newest.body[..newest.body.len() - 1];
+        let newest = decode_checkpoint(std::fs::read(&files[1]).unwrap()).unwrap();
+        let cut = &newest.body()[..newest.body().len() - 1];
         assert!(decode_body(cut).is_none());
         let resealed = encode_checkpoint(newest.fingerprint, newest.tick, cut);
         std::fs::write(&files[1], resealed).unwrap();

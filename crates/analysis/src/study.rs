@@ -33,9 +33,9 @@ use magellan_graph::{Csr, DegreeHistogram};
 use magellan_netsim::{
     uncovered_fraction, Isp, IspDatabase, PeerAddr, SimDuration, SimTime, StudyCalendar,
 };
-use magellan_overlay::{OverlaySim, RunState, SimCheckpoint, SimConfig};
+use magellan_overlay::{CheckpointView, OverlaySim, RunState, SimCheckpoint, SimConfig};
 use magellan_trace::{
-    GatewayCore, PeerReport, ReportUplink, ServerStats, SinkGateway, UplinkStats, STALENESS_HORIZON,
+    GatewayCore, PeerReport, ReportUplink, ServerStats, SinkGateway, STALENESS_HORIZON,
 };
 use magellan_workload::{ChannelId, FaultPlan, Scenario};
 use std::collections::{BTreeMap, HashSet};
@@ -189,6 +189,15 @@ pub(crate) struct Live {
     tick: SimDuration,
 }
 
+/// The resumable state of a [`Live`] study between ticks, borrowed
+/// in place: the gateway's accounting, the uplink (its counters and
+/// backlog, oldest first) and the simulator state.
+pub(crate) struct LiveCheckpoint<'a> {
+    pub(crate) server: ServerStats,
+    pub(crate) uplink: &'a ReportUplink,
+    pub(crate) sim: CheckpointView<'a>,
+}
+
 /// What a live run does besides analysing: with every admitted
 /// report, before every tick, and once the window-end flush is in.
 /// The in-memory study's `()` does nothing; [`crate::DurableStudy`]
@@ -265,9 +274,26 @@ impl Live {
     }
 
     /// What a checkpoint must carry to resume this study besides the
-    /// archive: the gateway's and the uplink's accounting, the uplink's
-    /// backlog (oldest first) and the simulator state.
-    pub(crate) fn checkpoint(&self) -> (ServerStats, UplinkStats, Vec<PeerReport>, SimCheckpoint) {
+    /// archive, borrowed from the live study.
+    pub(crate) fn checkpoint(&self) -> LiveCheckpoint<'_> {
+        LiveCheckpoint {
+            server: self.core.stats(),
+            uplink: &self.uplink,
+            sim: self.sim.checkpoint_view(&self.state),
+        }
+    }
+
+    /// An owned copy of what [`Live::checkpoint`] borrows: the
+    /// reference the streamed checkpoint is tested against.
+    #[cfg(test)]
+    pub(crate) fn capture(
+        &self,
+    ) -> (
+        ServerStats,
+        magellan_trace::UplinkStats,
+        Vec<PeerReport>,
+        SimCheckpoint,
+    ) {
         (
             self.core.stats(),
             self.uplink.stats(),

@@ -7,6 +7,15 @@
 //! tables, the crash-expiry queue, all five RNG stream states, the
 //! join cursor, pending departures, and the running summary.
 //!
+//! [`CheckpointView`] is the same state *borrowed*: the simulator
+//! lends one of its live slab, tracker lists and RNG states
+//! ([`crate::OverlaySim::checkpoint_view`]), and
+//! [`CheckpointView::write_to`] streams the body straight into any
+//! [`io::Write`] — a checkpoint file — without a second copy of the
+//! world. [`SimCheckpoint::encode`] runs the same encoder over a
+//! view of its own fields, so there is one body layout and one
+//! encoder.
+//!
 //! The byte codec here is hand-rolled (the workspace's `serde` is a
 //! marker-trait stub by design): fixed-width big-endian integers,
 //! `f64` as IEEE-754 bits (bit-exact — a checkpointed EWMA must
@@ -19,9 +28,11 @@
 
 use crate::peer::{PartnerLink, PartnerTable, PeerId, PeerSlot, PeerState};
 use crate::sim::{FaultCounters, SimSummary};
-use crate::tracker::{ChannelSnapshot, TrackerSnapshot};
+use crate::tracker::{ChannelSnapshot, Tracker, TrackerSnapshot};
 use magellan_netsim::{AccessClass, Isp, LinkQuality, PeerAddr, PeerCapacity, SimTime};
 use magellan_workload::ChannelId;
+use std::borrow::Cow;
+use std::io::{self, Write};
 
 /// Version of the checkpoint *body* layout (the envelope carries its
 /// own version; this one tracks the field layout below).
@@ -41,7 +52,7 @@ pub struct SimCheckpoint {
     pub departures: Vec<(u64, u32)>,
     /// Crashed peers the tracker has not yet expired:
     /// `(expiry tick, channel, slab index)`, FIFO order.
-    pub crash_expiry: Vec<(u64, u16, u32)>,
+    pub crash_expiry: Vec<(u64, ChannelId, u32)>,
     /// The peer slab, `None` for departed slots.
     pub peers: Vec<PeerSlot>,
     /// Peer addresses by slab index (kept past departure).
@@ -56,24 +67,61 @@ pub struct SimCheckpoint {
     pub summary: SimSummary,
 }
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A borrowed image of a paused run: everything a [`SimCheckpoint`]
+/// holds, by reference. Only the departure list, which the simulator
+/// keeps as a heap, is an owned (sorted) copy.
+#[derive(Debug)]
+pub struct CheckpointView<'a> {
+    pub(crate) next_tick: u64,
+    pub(crate) rng_states: [[u64; 4]; 5],
+    pub(crate) join_idx: u64,
+    pub(crate) departures: Cow<'a, [(u64, u32)]>,
+    /// The crash-expiry FIFO as its two contiguous runs.
+    pub(crate) crash_expiry: [&'a [(u64, ChannelId, u32)]; 2],
+    pub(crate) peers: &'a [PeerSlot],
+    pub(crate) addrs: &'a [PeerAddr],
+    pub(crate) isps: &'a [Isp],
+    pub(crate) tracker: TrackerRef<'a>,
+    pub(crate) live: u64,
+    pub(crate) summary: SimSummary,
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// The tracker lists a view encodes: the live tracker's, or a
+/// captured snapshot's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TrackerRef<'a> {
+    Live(&'a Tracker),
+    Captured(&'a TrackerSnapshot),
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
+/// Big-endian field writer over any byte sink.
+struct Enc<'w, W: ?Sized>(&'w mut W);
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
+impl<W: Write + ?Sized> Enc<'_, W> {
+    fn u8(&mut self, v: u8) -> io::Result<()> {
+        self.0.write_all(&[v])
+    }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_be_bytes());
+    fn u16(&mut self, v: u16) -> io::Result<()> {
+        self.0.write_all(&v.to_be_bytes())
+    }
+
+    fn u32(&mut self, v: u32) -> io::Result<()> {
+        self.0.write_all(&v.to_be_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.0.write_all(&v.to_be_bytes())
+    }
+
+    fn f64(&mut self, v: f64) -> io::Result<()> {
+        self.u64(v.to_bits())
+    }
+
+    /// A vector's length prefix.
+    fn len(&mut self, n: usize) -> io::Result<()> {
+        self.u32(n as u32)
+    }
 }
 
 fn isp_index(isp: Isp) -> u8 {
@@ -148,46 +196,46 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_peer(out: &mut Vec<u8>, p: &PeerState) {
-    put_u32(out, p.addr.as_u32());
-    put_u8(out, isp_index(p.isp));
-    put_f64(out, p.capacity.down_kbps);
-    put_f64(out, p.capacity.up_kbps);
-    put_u8(out, class_index(p.capacity.class));
-    put_u16(out, p.channel.0);
-    put_u64(out, p.joined.as_millis());
-    put_u64(out, p.leaves.as_millis());
-    put_u8(out, p.is_server as u8);
-    put_u32(out, p.partners.len() as u32);
+fn encode_peer<W: Write + ?Sized>(e: &mut Enc<'_, W>, p: &PeerState) -> io::Result<()> {
+    e.u32(p.addr.as_u32())?;
+    e.u8(isp_index(p.isp))?;
+    e.f64(p.capacity.down_kbps)?;
+    e.f64(p.capacity.up_kbps)?;
+    e.u8(class_index(p.capacity.class))?;
+    e.u16(p.channel.0)?;
+    e.u64(p.joined.as_millis())?;
+    e.u64(p.leaves.as_millis())?;
+    e.u8(p.is_server as u8)?;
+    e.len(p.partners.len())?;
     for (id, l) in p.partners.iter() {
-        put_u32(out, id.0);
-        put_f64(out, l.quality.rtt_ms);
-        put_f64(out, l.quality.bandwidth_kbps);
-        put_u8(out, l.supplier as u8);
-        put_f64(out, l.est_recv_kbps);
-        put_u64(out, l.sent_interval);
-        put_u64(out, l.recv_interval);
-        put_u64(out, l.since.as_millis());
-        put_u32(out, l.stale_ticks);
+        e.u32(id.0)?;
+        e.f64(l.quality.rtt_ms)?;
+        e.f64(l.quality.bandwidth_kbps)?;
+        e.u8(l.supplier as u8)?;
+        e.f64(l.est_recv_kbps)?;
+        e.u64(l.sent_interval)?;
+        e.u64(l.recv_interval)?;
+        e.u64(l.since.as_millis())?;
+        e.u32(l.stale_ticks)?;
     }
-    put_f64(out, p.buffer_fill);
-    put_f64(out, p.recv_kbps);
-    put_f64(out, p.send_kbps);
-    put_u32(out, p.underused_ticks);
-    put_u32(out, p.starved_ticks);
-    put_u8(out, p.volunteered as u8);
+    e.f64(p.buffer_fill)?;
+    e.f64(p.recv_kbps)?;
+    e.f64(p.send_kbps)?;
+    e.u32(p.underused_ticks)?;
+    e.u32(p.starved_ticks)?;
+    e.u8(p.volunteered as u8)?;
     match p.next_report {
         Some(t) => {
-            put_u8(out, 1);
-            put_u64(out, t.as_millis());
+            e.u8(1)?;
+            e.u64(t.as_millis())?;
         }
         None => {
-            put_u8(out, 0);
-            put_u64(out, 0);
+            e.u8(0)?;
+            e.u64(0)?;
         }
     }
-    put_u32(out, p.bootstrap_attempts);
-    put_u64(out, p.next_bootstrap_tick);
+    e.u32(p.bootstrap_attempts)?;
+    e.u64(p.next_bootstrap_tick)
 }
 
 fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
@@ -258,14 +306,14 @@ fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
     })
 }
 
-fn encode_summary(out: &mut Vec<u8>, s: &SimSummary) {
-    put_u64(out, s.joins);
-    put_u64(out, s.leaves);
-    put_u64(out, s.reports);
-    put_u64(out, s.peak_concurrent as u64);
-    put_u64(out, s.final_concurrent as u64);
-    put_f64(out, s.segments);
-    put_u64(out, s.ticks);
+fn encode_summary<W: Write + ?Sized>(e: &mut Enc<'_, W>, s: &SimSummary) -> io::Result<()> {
+    e.u64(s.joins)?;
+    e.u64(s.leaves)?;
+    e.u64(s.reports)?;
+    e.u64(s.peak_concurrent as u64)?;
+    e.u64(s.final_concurrent as u64)?;
+    e.f64(s.segments)?;
+    e.u64(s.ticks)?;
     let f = &s.faults;
     for v in [
         f.crashes,
@@ -279,7 +327,120 @@ fn encode_summary(out: &mut Vec<u8>, s: &SimSummary) {
         f.flows_blocked,
         f.reports_lost,
     ] {
-        put_u64(out, v);
+        e.u64(v)?;
+    }
+    Ok(())
+}
+
+/// The tracker's lists: per channel (ascending id) its members and
+/// volunteers in live order, then every registered peer's ISP by id.
+fn encode_tracker<'t, W: Write + ?Sized>(
+    e: &mut Enc<'_, W>,
+    channels: impl ExactSizeIterator<Item = (ChannelId, &'t [PeerId], &'t [PeerId])>,
+    isps: impl ExactSizeIterator<Item = (PeerId, Isp)>,
+) -> io::Result<()> {
+    e.len(channels.len())?;
+    for (channel, members, volunteers) in channels {
+        e.u16(channel.0)?;
+        e.len(members.len())?;
+        for m in members {
+            e.u32(m.0)?;
+        }
+        e.len(volunteers.len())?;
+        for v in volunteers {
+            e.u32(v.0)?;
+        }
+    }
+    e.len(isps.len())?;
+    for (id, isp) in isps {
+        e.u32(id.0)?;
+        e.u8(isp_index(isp))?;
+    }
+    Ok(())
+}
+
+impl CheckpointView<'_> {
+    /// Streams the checkpoint body into `out` (wrap it in
+    /// [`magellan_trace::checkpoint`]'s envelope, e.g. by writing it
+    /// through `write_checkpoint_with`). The bytes equal
+    /// [`SimCheckpoint::encode`] of the captured state.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns; what was written before it is
+    /// an incomplete body.
+    pub fn write_to<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        let e = &mut Enc(out);
+        e.u32(BODY_VERSION)?;
+        e.u64(self.next_tick)?;
+        for stream in &self.rng_states {
+            for &word in stream {
+                e.u64(word)?;
+            }
+        }
+        e.u64(self.join_idx)?;
+        e.len(self.departures.len())?;
+        for &(t, id) in self.departures.iter() {
+            e.u64(t)?;
+            e.u32(id)?;
+        }
+        let [older, newer] = self.crash_expiry;
+        e.len(older.len() + newer.len())?;
+        for &(due, ch, id) in older.iter().chain(newer) {
+            e.u64(due)?;
+            e.u16(ch.0)?;
+            e.u32(id)?;
+        }
+        e.len(self.peers.len())?;
+        for slot in self.peers {
+            match slot {
+                Some(p) => {
+                    e.u8(1)?;
+                    encode_peer(e, p)?;
+                }
+                None => e.u8(0)?,
+            }
+        }
+        e.len(self.addrs.len())?;
+        for a in self.addrs {
+            e.u32(a.as_u32())?;
+        }
+        e.len(self.isps.len())?;
+        for &isp in self.isps {
+            e.u8(isp_index(isp))?;
+        }
+        match self.tracker {
+            TrackerRef::Live(t) => encode_tracker(e, t.lists(), t.isp_entries())?,
+            TrackerRef::Captured(t) => encode_tracker(
+                e,
+                t.channels
+                    .iter()
+                    .map(|c| (c.channel, &c.members[..], &c.volunteers[..])),
+                t.isps.iter().copied(),
+            )?,
+        }
+        e.u64(self.live)?;
+        encode_summary(e, &self.summary)
+    }
+
+    /// An owned copy of the viewed state.
+    pub(crate) fn to_checkpoint(&self) -> SimCheckpoint {
+        SimCheckpoint {
+            next_tick: self.next_tick,
+            rng_states: self.rng_states,
+            join_idx: self.join_idx,
+            departures: self.departures.to_vec(),
+            crash_expiry: self.crash_expiry.concat(),
+            peers: self.peers.to_vec(),
+            addrs: self.addrs.to_vec(),
+            isps: self.isps.to_vec(),
+            tracker: match self.tracker {
+                TrackerRef::Live(t) => t.snapshot(),
+                TrackerRef::Captured(t) => t.clone(),
+            },
+            live: self.live,
+            summary: self.summary,
+        }
     }
 }
 
@@ -308,67 +469,33 @@ fn decode_summary(d: &mut Dec<'_>) -> Option<SimSummary> {
 }
 
 impl SimCheckpoint {
-    /// Serializes the checkpoint body (wrap it in
+    /// A borrowed view of this checkpoint.
+    pub fn view(&self) -> CheckpointView<'_> {
+        CheckpointView {
+            next_tick: self.next_tick,
+            rng_states: self.rng_states,
+            join_idx: self.join_idx,
+            departures: Cow::Borrowed(&self.departures),
+            crash_expiry: [&self.crash_expiry, &[]],
+            peers: &self.peers,
+            addrs: &self.addrs,
+            isps: &self.isps,
+            tracker: TrackerRef::Captured(&self.tracker),
+            live: self.live,
+            summary: self.summary,
+        }
+    }
+
+    /// Serializes the checkpoint body in memory (wrap it in
     /// [`magellan_trace::checkpoint::encode_checkpoint`] before
-    /// writing to disk).
+    /// writing to disk) — [`CheckpointView::write_to`] over
+    /// [`SimCheckpoint::view`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024 + self.peers.len() * 256);
-        put_u32(&mut out, BODY_VERSION);
-        put_u64(&mut out, self.next_tick);
-        for stream in &self.rng_states {
-            for &word in stream {
-                put_u64(&mut out, word);
-            }
-        }
-        put_u64(&mut out, self.join_idx);
-        put_u32(&mut out, self.departures.len() as u32);
-        for &(t, id) in &self.departures {
-            put_u64(&mut out, t);
-            put_u32(&mut out, id);
-        }
-        put_u32(&mut out, self.crash_expiry.len() as u32);
-        for &(due, ch, id) in &self.crash_expiry {
-            put_u64(&mut out, due);
-            put_u16(&mut out, ch);
-            put_u32(&mut out, id);
-        }
-        put_u32(&mut out, self.peers.len() as u32);
-        for slot in &self.peers {
-            match slot {
-                Some(p) => {
-                    put_u8(&mut out, 1);
-                    encode_peer(&mut out, p);
-                }
-                None => put_u8(&mut out, 0),
-            }
-        }
-        put_u32(&mut out, self.addrs.len() as u32);
-        for a in &self.addrs {
-            put_u32(&mut out, a.as_u32());
-        }
-        put_u32(&mut out, self.isps.len() as u32);
-        for &isp in &self.isps {
-            put_u8(&mut out, isp_index(isp));
-        }
-        put_u32(&mut out, self.tracker.channels.len() as u32);
-        for ch in &self.tracker.channels {
-            put_u16(&mut out, ch.channel.0);
-            put_u32(&mut out, ch.members.len() as u32);
-            for m in &ch.members {
-                put_u32(&mut out, m.0);
-            }
-            put_u32(&mut out, ch.volunteers.len() as u32);
-            for v in &ch.volunteers {
-                put_u32(&mut out, v.0);
-            }
-        }
-        put_u32(&mut out, self.tracker.isps.len() as u32);
-        for &(id, isp) in &self.tracker.isps {
-            put_u32(&mut out, id.0);
-            put_u8(&mut out, isp_index(isp));
-        }
-        put_u64(&mut out, self.live);
-        encode_summary(&mut out, &self.summary);
+        // lint:allow(C1): writing into a Vec cannot fail
+        self.view()
+            .write_to(&mut out)
+            .expect("Vec writes are infallible");
         out
     }
 
@@ -396,7 +523,7 @@ impl SimCheckpoint {
         let n = d.len(14)?;
         let mut crash_expiry = Vec::with_capacity(n);
         for _ in 0..n {
-            crash_expiry.push((d.u64()?, d.u16()?, d.u32()?));
+            crash_expiry.push((d.u64()?, ChannelId(d.u16()?), d.u32()?));
         }
         let n = d.len(1)?;
         let mut peers = Vec::with_capacity(n);
@@ -502,6 +629,24 @@ mod tests {
     }
 
     #[test]
+    fn live_view_streams_the_captured_body() {
+        let mut sim = OverlaySim::new(tiny_scenario(22), SimConfig::default());
+        let mut state = sim.begin();
+        let mut sink = |_r| {};
+        let total = state.ticks_total();
+        for stop in [0, total / 3, total / 2, total] {
+            while state.next_tick() < stop {
+                sim.tick_once(&mut state, &mut sink).expect("tick");
+            }
+            let mut streamed = Vec::new();
+            sim.checkpoint_view(&state)
+                .write_to(&mut streamed)
+                .expect("vec write");
+            assert_eq!(streamed, sim.capture(&state).encode(), "tick {stop}");
+        }
+    }
+
+    #[test]
     fn truncation_and_garbage_never_panic() {
         let bytes = mid_run_checkpoint().encode();
         for cut in 0..bytes.len().min(200) {
@@ -532,7 +677,7 @@ mod tests {
                 return at + (4 + 1 + 8 + 8 + 1 + 2 + 8 + 8 + 1) + 4;
             }
             let mut body = Vec::new();
-            encode_peer(&mut body, p);
+            encode_peer(&mut Enc(&mut body), p).unwrap();
             at += body.len();
         }
         panic!("no peer with two partners in the capture");

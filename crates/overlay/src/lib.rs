@@ -52,7 +52,7 @@ pub mod sim;
 pub mod tracker;
 pub mod transfer;
 
-pub use checkpoint::SimCheckpoint;
+pub use checkpoint::{CheckpointView, SimCheckpoint};
 pub use config::SimConfig;
 pub use error::{SimError, TransferError};
 pub use peer::{PeerId, PeerSlot, PeerState};

@@ -13,7 +13,7 @@
 //! [`magellan_trace::TraceStore`] for small runs via
 //! [`OverlaySim::run_collecting`].
 
-use crate::checkpoint::SimCheckpoint;
+use crate::checkpoint::{CheckpointView, SimCheckpoint, TrackerRef};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::peer::{PeerId, PeerSlot, PeerState};
@@ -425,13 +425,24 @@ impl OverlaySim {
     /// then marks a point from which [`OverlaySim::resume`] continues
     /// byte-identically.
     pub fn capture(&self, state: &RunState) -> SimCheckpoint {
+        self.checkpoint_view(state).to_checkpoint()
+    }
+
+    /// The state [`OverlaySim::capture`] copies, borrowed in place:
+    /// [`CheckpointView::write_to`] streams the checkpoint body from
+    /// the live slab, tracker lists and RNG states, so a checkpoint
+    /// costs a sorted copy of the pending departures, not a second
+    /// copy of the world. Same calling rule as `capture`: between
+    /// ticks only.
+    pub fn checkpoint_view<'a>(&'a self, state: &'a RunState) -> CheckpointView<'a> {
         let mut departures: Vec<(u64, u32)> = state
             .departures
             .iter()
             .map(|&std::cmp::Reverse((t, id))| (t.as_millis(), id))
             .collect();
         departures.sort_unstable();
-        SimCheckpoint {
+        let (older, newer) = self.crash_expiry.as_slices();
+        CheckpointView {
             next_tick: state.next_tick,
             rng_states: [
                 state.join_rng.state(),
@@ -441,16 +452,12 @@ impl OverlaySim {
                 state.fault_rng.state(),
             ],
             join_idx: state.join_idx as u64,
-            departures,
-            crash_expiry: self
-                .crash_expiry
-                .iter()
-                .map(|&(due, ch, id)| (due, ch.0, id))
-                .collect(),
-            peers: self.peers.clone(),
-            addrs: self.addrs.clone(),
-            isps: self.isps.clone(),
-            tracker: self.tracker.snapshot(),
+            departures: departures.into(),
+            crash_expiry: [older, newer],
+            peers: &self.peers,
+            addrs: &self.addrs,
+            isps: &self.isps,
+            tracker: TrackerRef::Live(&self.tracker),
             live: self.live as u64,
             summary: state.summary,
         }
@@ -487,11 +494,7 @@ impl OverlaySim {
             live_slots: occupied(&ckpt.peers).collect(),
             scratch: MaintScratch::default(),
             transfer: TransferScratch::default(),
-            crash_expiry: ckpt
-                .crash_expiry
-                .iter()
-                .map(|&(due, ch, id)| (due, ChannelId(ch), id))
-                .collect(),
+            crash_expiry: ckpt.crash_expiry.iter().copied().collect(),
         };
         let joins = sim.scenario.generate_joins();
         let window_end = sim.scenario.calendar.window_end();

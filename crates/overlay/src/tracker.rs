@@ -208,16 +208,31 @@ impl Tracker {
     pub fn snapshot(&self) -> TrackerSnapshot {
         TrackerSnapshot {
             channels: self
-                .channels
-                .iter()
-                .map(|(&channel, st)| ChannelSnapshot {
+                .lists()
+                .map(|(channel, members, volunteers)| ChannelSnapshot {
                     channel,
-                    members: st.members.clone(),
-                    volunteers: st.volunteers.clone(),
+                    members: members.to_vec(),
+                    volunteers: volunteers.to_vec(),
                 })
                 .collect(),
-            isps: self.isps.iter().map(|(&id, &isp)| (id, isp)).collect(),
+            isps: self.isp_entries().collect(),
         }
+    }
+
+    /// Per channel, in id order: its member and volunteer lists in
+    /// their live order — what a snapshot copies and a checkpoint
+    /// encodes.
+    pub(crate) fn lists(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (ChannelId, &[PeerId], &[PeerId])> + '_ {
+        self.channels
+            .iter()
+            .map(|(&channel, st)| (channel, &st.members[..], &st.volunteers[..]))
+    }
+
+    /// The ISP of every registered peer, by peer id.
+    pub(crate) fn isp_entries(&self) -> impl ExactSizeIterator<Item = (PeerId, Isp)> + '_ {
+        self.isps.iter().map(|(&id, &isp)| (id, isp))
     }
 
     /// Rebuilds a tracker from a snapshot, reproducing every list in

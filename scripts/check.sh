@@ -84,7 +84,7 @@ stage "magellan-lint"
 mkdir -p target
 cargo run -q -p magellan-lint -- --format sarif --output target/magellan-lint.sarif
 
-stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study, fixed-layout report codec vs accessor codec, frame reader under any chunking)"
+stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study, streamed vs buffered checkpoint, fixed-layout report codec vs accessor codec, frame reader under any chunking)"
 # Fast fail-early pass over the equivalence tests that pin the
 # perf-path kernels to their reference implementations: the 64-wide
 # bit-parallel BFS against per-source scalar BFS, the incremental
@@ -98,7 +98,12 @@ stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, e
 # live against archive replay), and the whole in-memory study report
 # against the durable one — both drivers share one live loop, collector
 # included (clean and under the stress plan's outage, at 1 and 8
-# workers), the fixed-layout report encoder and in-place decoder
+# workers), the checkpoint file streamed from the live study against
+# the buffered composition it replaced (owned capture, body encode,
+# extras prepended, envelope; seeds 2006 and 7, clean and stressed,
+# one tick inside the server outage) plus a producer failing mid-body
+# leaving the previous checkpoint newest, the fixed-layout report
+# encoder and in-place decoder
 # against the accessor-based codec they replaced (bytes, every
 # truncation, trailing bytes, one pinned encoding), and the TCP frame
 # reader fed in one piece, byte by byte and in 16 KiB pieces.
@@ -112,6 +117,8 @@ cargo test -q -p magellan-graph --lib generator_output_bits_are_pinned
 cargo test -q -p magellan-analysis --test analysis_properties one_pass_table_matches_the_separate_passes
 cargo test -q -p magellan-analysis --lib stream_ending_mid_batch_measures_every_remaining_boundary
 cargo test -q -p magellan-analysis --lib durable_run_matches_in_memory_study
+cargo test -q -p magellan-analysis --lib streamed_checkpoint_equals_the_buffered_reference
+cargo test -q -p magellan-trace --lib streamed_file_equals_the_encoded_envelope
 cargo test -q --test determinism boundary_fan_out_matches_one_lane_and_archive_replay
 cargo test -q -p magellan-trace --test wire_differential
 cargo test -q -p magellan-trace --test codec_properties frame_reader_chunking_is_invisible
@@ -132,8 +139,12 @@ stage "full-scale (release)"
 # `tests/full_scale.rs` cases (Fig. 1 flash-crowd scalability, Fig. 4
 # non-power-law spikes, Figs. 6-7 ISP clustering, Fig. 8 reciprocity).
 # They stay #[ignore]d so the debug test run skips them; in release
-# the stage takes about half a minute on a 2-core host.
+# the stage takes about half a minute on a 2-core host. Then the
+# checkpoint memory guard: a `study_flash`-shaped durable study, run in
+# a child process, must peak within 2 MiB of the same in-memory study
+# (a checkpoint holds no second copy of the simulator state).
 cargo test -q --release --test full_scale -- --ignored
+cargo test -q --release --test checkpoint_memory -- --ignored
 
 stage "loom smoke (pool queue/shutdown protocol)"
 # A bounded-iteration pass over the worker-pool model tests: the

@@ -22,8 +22,10 @@
 //! `snapshot --format edges|dot` exports the reconstructed topology
 //! for networkx / Graphviz. `inspect` summarizes contents and
 //! recovery state without loading the trace into memory, and `fsck`
-//! exits non-zero when any frame was lost to damage. A flag the
-//! command does not read exits 1 with usage.
+//! exits non-zero when any frame was lost to damage. An unknown
+//! command, a flag the command does not read, and a `snapshot` value
+//! it does not know (`--scope`, `--format`, any `--at` part) exit 1
+//! with usage before any archive is read.
 //!
 //! `nemesis` is the deterministic chaos interposer for the hostile
 //! ingest drills: it proxies TCP connections to `--upstream` while
@@ -420,6 +422,101 @@ fn archive_stats(path: &str, store: &TraceStore, recovery: &RecoveryReport) -> E
     ExitCode::SUCCESS
 }
 
+/// The commands that take an archive path.
+const ARCHIVE_COMMANDS: [&str; 5] = ["stats", "sessions", "snapshot", "inspect", "fsck"];
+
+/// What `snapshot` renders.
+enum SnapshotFormat {
+    Summary,
+    Edges,
+    Dot,
+}
+
+/// `snapshot`'s options, checked before any archive is read.
+struct SnapshotOpts {
+    at: SimTime,
+    scope: NodeScope,
+    format: SnapshotFormat,
+}
+
+impl SnapshotOpts {
+    fn parse(flags: &Args<'_>) -> Result<SnapshotOpts, String> {
+        let at = flags.get("--at").ok_or("snapshot needs --at d,h,m")?;
+        let parts = at
+            .split(',')
+            .map(|p| p.trim().parse::<u64>())
+            .collect::<Result<Vec<u64>, _>>()
+            .ok()
+            .filter(|parts| parts.len() == 3)
+            .ok_or_else(|| format!("--at {at}: want day,hour,minute (e.g. 0,21,0)"))?;
+        let scope = match flags.get("--scope").map(String::as_str) {
+            None | Some("stable") => NodeScope::StableOnly,
+            Some("all") => NodeScope::AllKnown,
+            Some(other) => return Err(format!("--scope {other}: expected stable or all")),
+        };
+        let format = match flags.get("--format").map(String::as_str) {
+            None | Some("summary") => SnapshotFormat::Summary,
+            Some("edges") => SnapshotFormat::Edges,
+            Some("dot") => SnapshotFormat::Dot,
+            Some(other) => return Err(format!("--format {other}: expected summary, edges or dot")),
+        };
+        Ok(SnapshotOpts {
+            at: SimTime::at(parts[0], parts[1], parts[2]),
+            scope,
+            format,
+        })
+    }
+}
+
+/// `snapshot`: the active-link topology at one instant, summarized or
+/// exported.
+fn snapshot(store: &TraceStore, opts: &SnapshotOpts, out: Option<&String>) -> ExitCode {
+    let t = opts.at;
+    let snap = SnapshotBuilder::new(store).at(t);
+    let reports: Vec<_> = snap.reports().cloned().collect();
+    let g = active_link_graph(&reports, opts.scope);
+    let db = IspDatabase::default();
+    let output = match opts.format {
+        SnapshotFormat::Edges => to_edge_list(&g),
+        SnapshotFormat::Dot => {
+            let isps = node_isps(&g, &db);
+            to_dot(&g, &format!("snapshot_{t}"), |id, _| {
+                Some(isps[id.index()].name().to_owned())
+            })
+        }
+        SnapshotFormat::Summary => {
+            let csr = Csr::from_digraph(&g);
+            let sw = assess_csr(&csr, &SmallWorldConfig::default());
+            let rho = garlaschelli_reciprocity_csr(&csr)
+                .map(|v| format!("{v:+.3}"))
+                .unwrap_or_else(|_| "n/a".into());
+            format!(
+                "snapshot at {t}\nstable peers : {}\nknown peers  : {}\nnodes/edges  : {} / {}\nC vs C_rand  : {:.3} vs {:.4}\nL vs L_rand  : {:?} vs {:?}\nreciprocity  : {rho}\nsmall world  : {}\n",
+                snap.stable_count(),
+                snap.known_peers().len(),
+                g.node_count(),
+                g.edge_count(),
+                sw.c,
+                sw.c_rand,
+                sw.l,
+                sw.l_rand,
+                sw.is_small_world
+            )
+        }
+    };
+    match out {
+        Some(out) => {
+            if let Err(e) = atomic_write(Path::new(out), output.as_bytes()) {
+                eprintln!("write {out}: {e}");
+                return ExitCode::FAILURE;
+            }
+            eprintln!("wrote {out}");
+        }
+        None => print!("{output}"),
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let Some(cmd) = args.get(1) else {
@@ -428,6 +525,10 @@ fn main() -> ExitCode {
     // The chaos proxy takes no positional path.
     if cmd == "nemesis" {
         return nemesis::run(&args);
+    }
+    if !ARCHIVE_COMMANDS.contains(&cmd.as_str()) {
+        eprintln!("error: unknown command {cmd}");
+        return usage();
     }
     let Some(path) = args.get(2) else {
         return usage();
@@ -442,6 +543,18 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return usage();
     }
+    // Every option is checked before the archive is touched.
+    let snapshot_opts = if cmd == "snapshot" {
+        match SnapshotOpts::parse(&flags) {
+            Ok(opts) => Some(opts),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return usage();
+            }
+        }
+    } else {
+        None
+    };
     // `inspect`, `fsck` and `sessions` stream the archive without
     // holding it.
     match cmd.as_str() {
@@ -457,71 +570,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    match cmd.as_str() {
-        "stats" => archive_stats(path, &store, &recovery),
-        "snapshot" => {
-            let Some(at) = flags.get("--at") else {
-                eprintln!("snapshot needs --at d,h,m");
-                return ExitCode::FAILURE;
-            };
-            let parts: Vec<u64> = at
-                .split(',')
-                .filter_map(|p| p.trim().parse().ok())
-                .collect();
-            if parts.len() != 3 {
-                eprintln!("--at wants day,hour,minute (e.g. 0,21,0)");
-                return ExitCode::FAILURE;
-            }
-            let t = SimTime::at(parts[0], parts[1], parts[2]);
-            let scope = match flags.get("--scope").map(String::as_str) {
-                Some("all") => NodeScope::AllKnown,
-                _ => NodeScope::StableOnly,
-            };
-            let snap = SnapshotBuilder::new(&store).at(t);
-            let reports: Vec<_> = snap.reports().cloned().collect();
-            let g = active_link_graph(&reports, scope);
-            let db = IspDatabase::default();
-            let output = match flags.get("--format").map(String::as_str) {
-                Some("edges") => to_edge_list(&g),
-                Some("dot") => {
-                    let isps = node_isps(&g, &db);
-                    to_dot(&g, &format!("snapshot_{t}"), |id, _| {
-                        Some(isps[id.index()].name().to_owned())
-                    })
-                }
-                _ => {
-                    let csr = Csr::from_digraph(&g);
-                    let sw = assess_csr(&csr, &SmallWorldConfig::default());
-                    let rho = garlaschelli_reciprocity_csr(&csr)
-                        .map(|v| format!("{v:+.3}"))
-                        .unwrap_or_else(|_| "n/a".into());
-                    format!(
-                        "snapshot at {t}\nstable peers : {}\nknown peers  : {}\nnodes/edges  : {} / {}\nC vs C_rand  : {:.3} vs {:.4}\nL vs L_rand  : {:?} vs {:?}\nreciprocity  : {rho}\nsmall world  : {}\n",
-                        snap.stable_count(),
-                        snap.known_peers().len(),
-                        g.node_count(),
-                        g.edge_count(),
-                        sw.c,
-                        sw.c_rand,
-                        sw.l,
-                        sw.l_rand,
-                        sw.is_small_world
-                    )
-                }
-            };
-            match flags.get("--out") {
-                Some(out) => {
-                    if let Err(e) = atomic_write(Path::new(out), output.as_bytes()) {
-                        eprintln!("write {out}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("wrote {out}");
-                }
-                None => print!("{output}"),
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
+    match snapshot_opts {
+        Some(opts) => snapshot(&store, &opts, flags.get("--out")),
+        None => archive_stats(path, &store, &recovery),
     }
 }
