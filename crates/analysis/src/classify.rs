@@ -24,7 +24,7 @@ pub enum PartnerClass {
 }
 
 /// Classifies one partner record under `threshold`.
-pub fn classify_with(rec: &PartnerRecord, threshold: u64) -> PartnerClass {
+pub fn classify_with(rec: &PartnerRecord, threshold: u32) -> PartnerClass {
     let sup = rec.segments_received > threshold;
     let rcv = rec.segments_sent > threshold;
     match (sup, rcv) {
@@ -64,7 +64,7 @@ mod tests {
     use super::*;
     use magellan_netsim::PeerAddr;
 
-    fn rec(sent: u64, recv: u64) -> PartnerRecord {
+    fn rec(sent: u32, recv: u32) -> PartnerRecord {
         PartnerRecord {
             addr: PeerAddr::from_u32(1),
             tcp_port: 0,

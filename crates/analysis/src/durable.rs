@@ -331,7 +331,7 @@ impl DurableStudy {
                 let uplink = ReportUplink::restore(UPLINK_CAPACITY, extras.queue, extras.uplink);
                 // The archive prefix this checkpoint covers is replayed:
                 // archive order is admission order is live ingest order.
-                let live = Live::resume(&self.cfg, &simckpt, uplink, extras.server, |admit| {
+                let live = Live::resume(&self.cfg, simckpt, uplink, extras.server, |admit| {
                     magellan_trace::archive::read_archive_limit(&archive_dir, extras.cursor, admit)
                         .map(drop)
                 })?;
@@ -673,16 +673,20 @@ mod tests {
         std::fs::remove_dir_all(&int_dir).unwrap();
     }
 
-    #[test]
-    fn resume_falls_back_past_a_sealed_but_undecodable_checkpoint() {
+    /// Interrupts a run after its second checkpoint, replaces the
+    /// newest body with `damage` of it and re-seals it, so the envelope
+    /// CRC still vouches for it (a state the encoder itself wrote
+    /// wrong): only the body decoder can refuse it. The resume must
+    /// walk back to the older checkpoint and end as the clean run did.
+    fn assert_resume_falls_back_past(tag: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {
         use magellan_trace::checkpoint::{decode_checkpoint, encode_checkpoint, list_checkpoints};
-        let clean_dir = tempdir("fallback-clean");
+        let clean_dir = tempdir(&format!("{tag}-clean"));
         let cfg = quick_config(47);
         let clean = DurableStudy::new(&clean_dir, cfg.clone(), durable_config());
         let clean_report = clean.run().unwrap();
 
         // Crash after the second checkpoint (ticks 64 and 128).
-        let dir = tempdir("fallback");
+        let dir = tempdir(tag);
         let study = DurableStudy::new(&dir, cfg, durable_config());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             study
@@ -693,13 +697,10 @@ mod tests {
         let files = list_checkpoints(&study.checkpoint_dir()).unwrap();
         assert_eq!(files.len(), 2, "{files:?}");
 
-        // Damage the newest *body* and re-seal it, so the envelope CRC
-        // still vouches for it (a state the encoder itself wrote
-        // wrong): only the body decoder can refuse it.
         let newest = decode_checkpoint(std::fs::read(&files[1]).unwrap()).unwrap();
-        let cut = &newest.body()[..newest.body().len() - 1];
-        assert!(decode_body(cut).is_none());
-        let resealed = encode_checkpoint(newest.fingerprint, newest.tick, cut);
+        let damaged = damage(newest.body());
+        assert!(decode_body(&damaged).is_none());
+        let resealed = encode_checkpoint(newest.fingerprint, newest.tick, &damaged);
         std::fs::write(&files[1], resealed).unwrap();
 
         let resumed = study.resume().unwrap();
@@ -711,6 +712,40 @@ mod tests {
         );
         std::fs::remove_dir_all(&clean_dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_falls_back_past_a_sealed_but_undecodable_checkpoint() {
+        assert_resume_falls_back_past("fallback", |body| body[..body.len() - 1].to_vec());
+    }
+
+    /// A link counter above `u32::MAX` makes the body undecodable, so
+    /// `latest_valid_checkpoint` walks past it.
+    #[test]
+    fn resume_falls_back_past_an_out_of_range_link_counter() {
+        // An 8-byte counter value found nowhere else in the body.
+        const MARK: u32 = 0x5EC5_7A11;
+        assert_resume_falls_back_past("counter", |body| {
+            let (extras, mut sim) = decode_body(body).expect("sealed body decodes");
+            assert_eq!(encode_body(&extras, &sim.encode()), body);
+            let link = sim
+                .peers
+                .iter_mut()
+                .flatten()
+                .find_map(|p| p.partners.iter_mut().next())
+                .map(|(_, l)| l)
+                .expect("a peer with a partner");
+            link.recv_interval = MARK;
+            let mut marked = encode_body(&extras, &sim.encode());
+            let needle = u64::from(MARK).to_be_bytes();
+            let hits: Vec<usize> = (0..marked.len())
+                .filter(|&i| marked[i..].starts_with(&needle))
+                .collect();
+            assert_eq!(hits.len(), 1, "the mark must be unique");
+            // Set a bit of the high half: 2³² + MARK.
+            marked[hits[0] + 3] = 1;
+            marked
+        });
     }
 
     #[test]

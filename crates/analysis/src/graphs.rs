@@ -194,10 +194,11 @@ impl SnapshotTable {
                     NodeId::from_index(t.nodes.len() - 1)
                 });
                 if supplies {
-                    t.edges.push((partner, me, rec.segments_received));
+                    t.edges
+                        .push((partner, me, u64::from(rec.segments_received)));
                 }
                 if receives {
-                    t.edges.push((me, partner, rec.segments_sent));
+                    t.edges.push((me, partner, u64::from(rec.segments_sent)));
                 }
             }
             let sums = &mut t.degrees.sums;
@@ -293,7 +294,7 @@ mod tests {
     use magellan_trace::{BufferMap, PartnerRecord};
     use magellan_workload::ChannelId;
 
-    fn report(addr: PeerAddr, partners: Vec<(PeerAddr, u64, u64)>) -> PeerReport {
+    fn report(addr: PeerAddr, partners: Vec<(PeerAddr, u32, u32)>) -> PeerReport {
         PeerReport {
             time: SimTime::ORIGIN,
             addr,

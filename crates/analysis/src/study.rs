@@ -249,24 +249,24 @@ impl Live {
     }
 
     /// A study of `cfg` resumed from a checkpoint: the simulator at
-    /// `sim`, the uplink with its saved backlog and counters, and the
-    /// gateway's accounting `server`. `replay` hands every report
-    /// admitted before the checkpoint, in admission order, to the
-    /// closure it is given; that rebuilds the analysis bit-exact. The
-    /// dedup set starts empty: in process no admitted identity is ever
-    /// delivered again (see [`Live::prune_seen`]).
+    /// `sim` (its tables move in), the uplink with its saved backlog
+    /// and counters, and the gateway's accounting `server`. `replay`
+    /// hands every report admitted before the checkpoint, in admission
+    /// order, to the closure it is given; that rebuilds the analysis
+    /// bit-exact. The dedup set starts empty: in process no admitted
+    /// identity is ever delivered again (see [`Live::prune_seen`]).
     ///
     /// # Errors
     ///
     /// Whatever `replay` returns.
     pub(crate) fn resume(
         cfg: &StudyConfig,
-        sim: &SimCheckpoint,
+        sim: SimCheckpoint,
         uplink: ReportUplink,
         server: ServerStats,
         replay: impl FnOnce(&mut dyn FnMut(PeerReport)) -> io::Result<()>,
     ) -> io::Result<Self> {
-        let (sim, state) = OverlaySim::resume(cfg.scenario(), cfg.sim.clone(), sim);
+        let (sim, state) = OverlaySim::resume_owned(cfg.scenario(), cfg.sim.clone(), sim);
         let mut live = Live::new(cfg, sim, state, uplink);
         replay(&mut |r| live.acc.ingest(r))?;
         live.core.restore_stats(server);

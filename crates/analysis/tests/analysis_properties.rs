@@ -12,10 +12,17 @@ use magellan_workload::ChannelId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// A per-interval segment counter: around the activity threshold
+/// half of the time, anywhere in `u32` the other half.
+fn arb_counter() -> impl Strategy<Value = u32> {
+    (any::<bool>(), 0u32..60, any::<u32>())
+        .prop_map(|(near, small, wide)| if near { small } else { wide })
+}
+
 fn arb_report() -> impl Strategy<Value = PeerReport> {
     (
         0u32..40,
-        proptest::collection::vec((0u32..40, 0u64..60, 0u64..60), 0..20),
+        proptest::collection::vec((0u32..40, arb_counter(), arb_counter()), 0..20),
         0u64..1_000_000,
     )
         .prop_map(|(addr, partners, time)| PeerReport {
@@ -41,7 +48,7 @@ fn arb_report() -> impl Strategy<Value = PeerReport> {
         })
 }
 
-fn record(addr: PeerAddr, sent: u64, received: u64) -> PartnerRecord {
+fn record(addr: PeerAddr, sent: u32, received: u32) -> PartnerRecord {
     PartnerRecord {
         addr,
         tcp_port: 0,
@@ -138,13 +145,13 @@ fn reference(reports: &[PeerReport], db: &IspDatabase) -> Reference {
                 class,
                 PartnerClass::ActiveSupplier | PartnerClass::ActiveBoth
             ) {
-                add(partner, me, rec.segments_received);
+                add(partner, me, u64::from(rec.segments_received));
             }
             if matches!(
                 class,
                 PartnerClass::ActiveReceiver | PartnerClass::ActiveBoth
             ) {
-                add(me, partner, rec.segments_sent);
+                add(me, partner, u64::from(rec.segments_sent));
             }
         }
     }

@@ -23,8 +23,8 @@ fn synthetic_report(partners: usize) -> PeerReport {
                 addr: PeerAddr::from_u32(0x0C00_0000 + k as u32),
                 tcp_port: 16_800 + k as u16,
                 udp_port: 26_800 + k as u16,
-                segments_sent: (k as u64 * 37) % 500,
-                segments_received: (k as u64 * 17) % 500,
+                segments_sent: (k as u32 * 37) % 500,
+                segments_received: (k as u32 * 17) % 500,
             })
             .collect(),
     }

@@ -175,6 +175,11 @@ impl<'a> Dec<'a> {
         Some(f64::from_bits(self.u64()?))
     }
 
+    /// A link's segment counter: 8 bytes holding a `u32`.
+    fn counter(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
     /// Length prefix for a vector whose elements occupy at least
     /// `min_elem` bytes — bounds the claimed length against the bytes
     /// actually remaining so a corrupt prefix cannot trigger a huge
@@ -213,8 +218,8 @@ fn encode_peer<W: Write + ?Sized>(e: &mut Enc<'_, W>, p: &PeerState) -> io::Resu
         e.f64(l.quality.bandwidth_kbps)?;
         e.u8(l.supplier as u8)?;
         e.f64(l.est_recv_kbps)?;
-        e.u64(l.sent_interval)?;
-        e.u64(l.recv_interval)?;
+        e.u64(u64::from(l.sent_interval))?;
+        e.u64(u64::from(l.recv_interval))?;
         e.u64(l.since.as_millis())?;
         e.u32(l.stale_ticks)?;
     }
@@ -260,8 +265,8 @@ fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
             },
             supplier: d.u8()? != 0,
             est_recv_kbps: d.f64()?,
-            sent_interval: d.u64()?,
-            recv_interval: d.u64()?,
+            sent_interval: d.counter()?,
+            recv_interval: d.counter()?,
             since: SimTime::from_millis(d.u64()?),
             stale_ticks: d.u32()?,
         });
@@ -704,5 +709,34 @@ mod tests {
         let mut duplicated = bytes.clone();
         duplicated.copy_within(first..first + 4, second);
         assert!(SimCheckpoint::decode(&duplicated).is_none());
+    }
+
+    /// A link's segment counters take 8 bytes in the body but hold a
+    /// `u32`: `u32::MAX` round-trips, one past it is a damaged body.
+    #[test]
+    fn link_counters_above_u32_are_rejected() {
+        // id, 2×quality, supplier, estimate: then sent, then received.
+        const SENT: usize = 4 + 8 + 8 + 1 + 8;
+        let mut ckpt = mid_run_checkpoint();
+        let first = first_partner_pair_offset(&ckpt);
+        let link = ckpt
+            .peers
+            .iter_mut()
+            .flatten()
+            .find(|p| p.partners.len() >= 2)
+            .and_then(|p| p.partners.iter_mut().next())
+            .map(|(_, l)| l)
+            .expect("a peer with two partners");
+        link.sent_interval = u32::MAX;
+        link.recv_interval = u32::MAX;
+        let bytes = ckpt.encode();
+        let back = SimCheckpoint::decode(&bytes).expect("u32::MAX decodes");
+        assert_eq!(back.encode(), bytes);
+        for at in [first + SENT, first + SENT + 8] {
+            assert_eq!(bytes[at..at + 8], u64::from(u32::MAX).to_be_bytes());
+            let mut over = bytes.clone();
+            over[at..at + 8].copy_from_slice(&(1u64 << 32).to_be_bytes());
+            assert!(SimCheckpoint::decode(&over).is_none(), "offset {at}");
+        }
     }
 }

@@ -32,9 +32,9 @@ pub struct PartnerLink {
     /// connection".
     pub est_recv_kbps: f64,
     /// Segments sent to this partner since the last report.
-    pub sent_interval: u64,
+    pub sent_interval: u32,
     /// Segments received from this partner since the last report.
-    pub recv_interval: u64,
+    pub recv_interval: u32,
     /// When the connection was established.
     pub since: SimTime,
     /// Consecutive maintenance ticks this partner has been silent
@@ -44,6 +44,10 @@ pub struct PartnerLink {
     /// discovery, since crashed peers send no leave message.
     pub stale_ticks: u32,
 }
+
+// The transfer engine walks every link of every peer each tick: a
+// field that widens the link fails the build here.
+const _: () = assert!(std::mem::size_of::<PartnerLink>() == 48);
 
 impl PartnerLink {
     /// The supplier-selection score: expected goodput discounted by

@@ -474,6 +474,21 @@ impl OverlaySim {
     /// Panics if the configuration is inconsistent (see
     /// [`SimConfig::validate`]).
     pub fn resume(scenario: Scenario, cfg: SimConfig, ckpt: &SimCheckpoint) -> (Self, RunState) {
+        Self::resume_owned(scenario, cfg, ckpt.clone())
+    }
+
+    /// [`OverlaySim::resume`] that takes the checkpoint by value: the
+    /// peer slab, address and ISP tables move into the simulator, so a
+    /// resume never holds two copies of the world.
+    ///
+    /// # Panics
+    ///
+    /// As [`OverlaySim::resume`].
+    pub fn resume_owned(
+        scenario: Scenario,
+        cfg: SimConfig,
+        ckpt: SimCheckpoint,
+    ) -> (Self, RunState) {
         // lint:allow(C1): a bad config is experiment-setup error; abort before any simulation work
         cfg.validate().expect("invalid simulator configuration");
         let db = IspDatabase::synthetic(cfg.isp_shares);
@@ -481,20 +496,21 @@ impl OverlaySim {
         for &addr in &ckpt.addrs {
             allocator.mark_used(addr);
         }
+        let live_slots: Vec<u32> = occupied(&ckpt.peers).collect();
         let sim = OverlaySim {
             cfg,
             scenario,
-            peers: ckpt.peers.clone(),
-            addrs: ckpt.addrs.clone(),
-            isps: ckpt.isps.clone(),
+            peers: ckpt.peers,
+            addrs: ckpt.addrs,
+            isps: ckpt.isps,
             tracker: Tracker::restore(&ckpt.tracker),
             allocator,
             db,
             live: ckpt.live as usize,
-            live_slots: occupied(&ckpt.peers).collect(),
+            live_slots,
             scratch: MaintScratch::default(),
             transfer: TransferScratch::default(),
-            crash_expiry: ckpt.crash_expiry.iter().copied().collect(),
+            crash_expiry: ckpt.crash_expiry.into(),
         };
         let joins = sim.scenario.generate_joins();
         let window_end = sim.scenario.calendar.window_end();
@@ -1415,7 +1431,7 @@ pub(crate) mod tests {
         let bytes = sim.capture(&state).encode();
         drop((sim, state));
         let ckpt = crate::checkpoint::SimCheckpoint::decode(&bytes).expect("decodes");
-        let (mut sim, mut state) = OverlaySim::resume(scenario, quick_cfg(), &ckpt);
+        let (mut sim, mut state) = OverlaySim::resume_owned(scenario, quick_cfg(), ckpt);
         while sim.tick_once(&mut state, &mut sink).expect("tick") {}
 
         assert_eq!(state.summary, clean, "summaries diverged");

@@ -482,7 +482,8 @@ where
                 oi += 1;
             }
             if oi < outgoing.len() && flows[outgoing[oi] as usize].rcv == pid.0 {
-                link.sent_interval += flows[outgoing[oi] as usize].moved.round() as u64;
+                let moved = flows[outgoing[oi] as usize].moved.round() as u32;
+                link.sent_interval = link.sent_interval.saturating_add(moved);
             }
             // Receiver side: segments j received from this partner,
             // or the decay of a selected supplier that sent nothing.
@@ -491,7 +492,7 @@ where
             }
             if ii < incoming.len() && incoming[ii].sup == pid.0 && incoming[ii].moved > 0.0 {
                 let moved = incoming[ii].moved;
-                link.recv_interval += moved.round() as u64;
+                link.recv_interval = link.recv_interval.saturating_add(moved.round() as u32);
                 link.est_recv_kbps = (1.0 - cfg.throughput_ewma) * link.est_recv_kbps
                     + cfg.throughput_ewma * cfg.segments_to_kbps(moved);
             } else if !is_server && link.supplier {

@@ -832,7 +832,7 @@ mod tests {
                 addr: PeerAddr::from_u32(0x0C00_0000 + i),
                 tcp_port: 1,
                 udp_port: 2,
-                segments_sent: u64::from(i),
+                segments_sent: i,
                 segments_received: 0,
             })
             .collect();

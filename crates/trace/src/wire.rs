@@ -178,7 +178,8 @@ const HEADER_LEN: usize = 8 + 4 + 2 + 8 + 2;
 const CAPACITY_LEN: usize = 8 * 4 + 2;
 
 /// Bytes of one partner record: address (`u32`), TCP and UDP ports
-/// (`u16` each), segments sent and received (`u64` each).
+/// (`u16` each), segments sent and received (`u64` each, holding a
+/// `u32` counter).
 const PARTNER_LEN: usize = 4 + 2 + 2 + 8 + 8;
 
 /// Exact length of `report`'s datagram encoding — what [`encode`]
@@ -228,8 +229,8 @@ pub fn encode_into(report: &PeerReport, out: &mut Vec<u8>) {
         rec[0..4].copy_from_slice(&p.addr.as_u32().to_be_bytes());
         rec[4..6].copy_from_slice(&p.tcp_port.to_be_bytes());
         rec[6..8].copy_from_slice(&p.udp_port.to_be_bytes());
-        rec[8..16].copy_from_slice(&p.segments_sent.to_be_bytes());
-        rec[16..24].copy_from_slice(&p.segments_received.to_be_bytes());
+        rec[8..16].copy_from_slice(&u64::from(p.segments_sent).to_be_bytes());
+        rec[16..24].copy_from_slice(&u64::from(p.segments_received).to_be_bytes());
     }
 }
 
@@ -244,7 +245,7 @@ pub fn encode_into(report: &PeerReport, out: &mut Vec<u8>) {
 ///
 /// Returns [`WireError`] when the datagram is truncated or carries an
 /// impossible field (oversized bitmap or partner list, non-finite
-/// capacity).
+/// capacity, a segment counter above `u32::MAX`).
 pub fn decode(buf: &mut impl Buf) -> Result<PeerReport, WireError> {
     if buf.chunk().len() < buf.remaining() {
         return decode_chunked(buf);
@@ -266,6 +267,19 @@ fn be_u64(b: &[u8], at: usize) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&b[at..at + 8]);
     u64::from_be_bytes(raw)
+}
+
+/// The error of a partner record whose sent or received counter (8
+/// bytes each on the wire) does not fit the `u32` it decodes into.
+fn counter_error(rec: &[u8]) -> Option<WireError> {
+    let context = if be_u32(rec, 8) != 0 {
+        "segments sent"
+    } else if be_u32(rec, 16) != 0 {
+        "segments received"
+    } else {
+        return None;
+    };
+    Some(WireError::Invalid { context })
 }
 
 fn take<'a>(src: &mut &'a [u8], n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
@@ -308,7 +322,20 @@ fn decode_slice(src: &[u8]) -> Result<(PeerReport, usize), WireError> {
             context: "partner count",
         });
     }
-    let records = take(&mut rest, n * PARTNER_LEN, "partner record")?;
+    // Records are checked in order, each before the next one's length:
+    // a bad counter ahead of a truncation is the error, as when the
+    // records were read one at a time.
+    let whole = n.min(rest.len() / PARTNER_LEN);
+    let (records, tail) = rest.split_at(whole * PARTNER_LEN);
+    if let Some(e) = records.chunks_exact(PARTNER_LEN).find_map(counter_error) {
+        return Err(e);
+    }
+    if whole < n {
+        return Err(WireError::UnexpectedEof {
+            context: "partner record",
+        });
+    }
+    rest = tail;
     // The report owns its bitmap and partner list: one allocation
     // each, sized exactly.
     let mut partners = Vec::with_capacity(n);
@@ -316,8 +343,9 @@ fn decode_slice(src: &[u8]) -> Result<(PeerReport, usize), WireError> {
         addr: PeerAddr::from_u32(be_u32(rec, 0)),
         tcp_port: be_u16(rec, 4),
         udp_port: be_u16(rec, 6),
-        segments_sent: be_u64(rec, 8),
-        segments_received: be_u64(rec, 16),
+        // Each counter's high half is zero: checked above.
+        segments_sent: be_u32(rec, 12),
+        segments_received: be_u32(rec, 20),
     }));
     let mut bitmap = Vec::with_capacity(bits.len());
     bitmap.extend_from_slice(bits);

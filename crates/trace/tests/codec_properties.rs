@@ -32,8 +32,8 @@ fn arb_partner() -> impl Strategy<Value = PartnerRecord> {
         any::<u32>(),
         any::<u16>(),
         any::<u16>(),
-        0u64..100_000,
-        0u64..100_000,
+        any::<u32>(),
+        any::<u32>(),
     )
         .prop_map(|(addr, tcp, udp, sent, recv)| PartnerRecord {
             addr: PeerAddr::from_u32(addr),
@@ -121,6 +121,38 @@ proptest! {
         let status = shard.ingest_wire(&bytes);
         prop_assert_one_verdict(&shard, status)?;
     }
+
+    /// A segment counter past `u32::MAX` in any partner record is a
+    /// malformed datagram, counted once, never a truncated counter.
+    #[test]
+    fn server_counts_out_of_range_counters_as_malformed(
+        mut report in arb_report(),
+        partner in any::<prop::sample::Index>(),
+        received in any::<bool>(),
+        high in 1u32..=u32::MAX,
+    ) {
+        if report.partners.is_empty() {
+            report.partners.push(PartnerRecord {
+                addr: PeerAddr::from_u32(1),
+                tcp_port: 1,
+                udp_port: 2,
+                segments_sent: 0,
+                segments_received: 0,
+            });
+        }
+        let mut bytes = wire::encode(&report).to_vec();
+        let n = report.partners.len();
+        // The records close the datagram, 24 bytes each; a counter's
+        // high half is the first four of its eight bytes.
+        let record = bytes.len() - 24 * (n - partner.index(n));
+        let at = record + if received { 16 } else { 8 };
+        bytes[at..at + 4].copy_from_slice(&high.to_be_bytes());
+        let mut shard = Shard::new(SimTime::from_millis(14 * 86_400_000), usize::MAX);
+        let status = shard.ingest_wire(&bytes);
+        prop_assert_eq!(status, StatusCode::Malformed);
+        prop_assert_eq!(shard.stats().malformed, 1);
+        prop_assert_one_verdict(&shard, status)?;
+    }
 }
 
 /// One datagram into a fresh shard: exactly one counter moved — an
@@ -185,8 +217,8 @@ fn frame_reader_chunking_is_invisible() {
                     addr: PeerAddr::from_u32(i as u32),
                     tcp_port: 1,
                     udp_port: 2,
-                    segments_sent: i,
-                    segments_received: seq,
+                    segments_sent: i as u32,
+                    segments_received: seq as u32,
                 })
                 .collect(),
         };

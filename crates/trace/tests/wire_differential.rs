@@ -1,9 +1,12 @@
 //! Differential tests of the report codec: the fixed-layout encoder
 //! and in-place decoder in `wire` against the accessor-based codec
-//! they replaced, kept here verbatim as the reference. Every encoding
-//! must be byte-identical, and every decode — of a whole datagram, of
-//! every truncation of it, and with trailing bytes — must give the
-//! same report or the same error with the same context.
+//! they replaced, kept here as the reference. Its one change since is
+//! the segment counters: `u32` in memory, 8 bytes on the wire, and a
+//! value above `u32::MAX` is an invalid field. Every encoding must be
+//! byte-identical, and every decode — of a whole datagram, of every
+//! truncation of it, with trailing bytes, and with a counter out of
+//! range — must give the same report or the same error with the same
+//! context.
 
 use bytes::{Buf, BufMut};
 use magellan_netsim::{PeerAddr, SimTime};
@@ -34,8 +37,8 @@ mod reference {
             out.put_u32(p.addr.as_u32());
             out.put_u16(p.tcp_port);
             out.put_u16(p.udp_port);
-            out.put_u64(p.segments_sent);
-            out.put_u64(p.segments_received);
+            out.put_u64(u64::from(p.segments_sent));
+            out.put_u64(u64::from(p.segments_received));
         }
     }
 
@@ -45,6 +48,10 @@ mod reference {
         } else {
             Ok(())
         }
+    }
+
+    fn counter(v: u64, context: &'static str) -> Result<u32, WireError> {
+        u32::try_from(v).map_err(|_| WireError::Invalid { context })
     }
 
     pub fn decode(buf: &mut impl Buf) -> Result<PeerReport, WireError> {
@@ -87,8 +94,8 @@ mod reference {
                 addr: PeerAddr::from_u32(buf.get_u32()),
                 tcp_port: buf.get_u16(),
                 udp_port: buf.get_u16(),
-                segments_sent: buf.get_u64(),
-                segments_received: buf.get_u64(),
+                segments_sent: counter(buf.get_u64(), "segments sent")?,
+                segments_received: counter(buf.get_u64(), "segments received")?,
             });
         }
         Ok(PeerReport {
@@ -198,6 +205,15 @@ fn gen_rate(rng: &mut TestRng) -> f64 {
     }
 }
 
+/// A segment counter anywhere in `u32`, its ends included.
+fn gen_counter(rng: &mut TestRng) -> u32 {
+    match weighted(rng, &[1, 1, 6]) {
+        0 => 0,
+        1 => u32::MAX,
+        _ => rng.next_u64() as u32,
+    }
+}
+
 fn gen_report(rng: &mut TestRng) -> PeerReport {
     let partners = match weighted(rng, &[6, 3, 1]) {
         0 => between(rng, 0, 8),
@@ -223,18 +239,49 @@ fn gen_report(rng: &mut TestRng) -> PeerReport {
                 addr: PeerAddr::from_u32(rng.next_u64() as u32),
                 tcp_port: rng.next_u64() as u16,
                 udp_port: rng.next_u64() as u16,
-                segments_sent: rng.next_u64(),
-                segments_received: rng.next_u64(),
+                segments_sent: gen_counter(rng),
+                segments_received: gen_counter(rng),
             })
             .collect(),
     }
 }
 
 /// Random reports: 0–512 partners, bitmaps of 0–65 535 bits (odd
-/// lengths and spare bytes included), extreme times and starts, and
-/// negative or non-finite rates.
+/// lengths and spare bytes included), extreme times and starts,
+/// counters over all of `u32`, and negative or non-finite rates.
 fn arb_report() -> FnStrategy<fn(&mut TestRng) -> PeerReport> {
     FnStrategy(gen_report)
+}
+
+/// The encoding of a random report with at least one partner, with
+/// one record's sent or received counter raised past `u32::MAX`
+/// (2³² itself a quarter of the time).
+fn gen_out_of_range(rng: &mut TestRng) -> Vec<u8> {
+    let mut report = gen_report(rng);
+    if report.partners.is_empty() {
+        report.partners.push(PartnerRecord {
+            addr: PeerAddr::from_u32(1),
+            tcp_port: 1,
+            udp_port: 2,
+            segments_sent: 0,
+            segments_received: 0,
+        });
+    }
+    let mut bytes = Vec::new();
+    reference::encode_into(&report, &mut bytes);
+    let n = report.partners.len();
+    let record = bytes.len() - 24 * (n - rng.below(n as u64) as usize);
+    let at = record + [8, 16][rng.below(2) as usize];
+    let value = match weighted(rng, &[1, 3]) {
+        0 => 1 << 32,
+        _ => between(rng, 1 << 32, u64::MAX),
+    };
+    bytes[at..at + 8].copy_from_slice(&value.to_be_bytes());
+    bytes
+}
+
+fn arb_out_of_range() -> FnStrategy<fn(&mut TestRng) -> Vec<u8>> {
+    FnStrategy(gen_out_of_range)
 }
 
 proptest! {
@@ -277,6 +324,95 @@ proptest! {
             assert_decodes_alike(&bytes[..cut]);
         }
     }
+
+    /// A counter past `u32::MAX` fails as the reference fails — an
+    /// invalid counter, or whichever error a record before it or the
+    /// header earns first — whole, with trailing bytes, and cut
+    /// anywhere.
+    #[test]
+    fn out_of_range_counters_decode_like_the_reference(bytes in arb_out_of_range()) {
+        assert!(outcome(&bytes[..], reference::decode).is_err());
+        assert_decodes_alike(&bytes);
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0; 24]);
+        assert_decodes_alike(&padded);
+        for cut in 0..bytes.len() {
+            assert_decodes_alike(&bytes[..cut]);
+        }
+    }
+}
+
+/// A clean report with three partners, all counters small.
+fn three_partner_report() -> PeerReport {
+    PeerReport {
+        time: SimTime::at(0, 9, 0),
+        addr: PeerAddr::from_u32(0x0B00_0001),
+        channel: ChannelId(1),
+        buffer_map: BufferMap::new(500, 150),
+        download_capacity_kbps: 1_000.0,
+        upload_capacity_kbps: 500.0,
+        recv_throughput_kbps: 400.0,
+        send_throughput_kbps: 100.0,
+        partners: (0..3u32)
+            .map(|i| PartnerRecord {
+                addr: PeerAddr::from_u32(0x0C00_0000 + i),
+                tcp_port: 1,
+                udp_port: 2,
+                segments_sent: 40 + i,
+                segments_received: 7_700 - i,
+            })
+            .collect(),
+    }
+}
+
+/// Decodes `bytes` in place and through the chunked copy-out path.
+fn decode_both_ways(bytes: &[u8]) -> [Result<PeerReport, WireError>; 2] {
+    let mid = bytes.len() / 2;
+    [
+        wire::decode(&mut &bytes[..]),
+        wire::decode(&mut TwoChunks {
+            first: &bytes[..mid],
+            second: &bytes[mid..],
+        }),
+    ]
+}
+
+/// 2³² in either counter of any record is `Invalid`, naming the
+/// counter, on both decode paths — never truncated to 0.
+#[test]
+fn counter_of_two_to_the_32_is_invalid_on_both_paths() {
+    let report = three_partner_report();
+    let clean = wire::encode(&report);
+    let records = clean.len() - 24 * report.partners.len();
+    for record in 0..report.partners.len() {
+        for (offset, context) in [(8, "segments sent"), (16, "segments received")] {
+            let mut bytes = clean.to_vec();
+            let at = records + 24 * record + offset;
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 32).to_be_bytes());
+            for outcome in decode_both_ways(&bytes) {
+                assert_eq!(
+                    outcome,
+                    Err(WireError::Invalid { context }),
+                    "record {record}"
+                );
+            }
+        }
+    }
+}
+
+/// `u32::MAX` in both counters survives the wire on both decode
+/// paths.
+#[test]
+fn u32_max_counters_round_trip() {
+    let mut report = three_partner_report();
+    for p in &mut report.partners {
+        p.segments_sent = u32::MAX;
+        p.segments_received = u32::MAX;
+    }
+    let bytes = wire::encode(&report);
+    for outcome in decode_both_ways(&bytes) {
+        assert_eq!(outcome.as_ref(), Ok(&report));
+    }
 }
 
 /// FNV-1a over a byte string.
@@ -309,8 +445,8 @@ fn fixed_report_encoding_is_pinned() {
                 addr: PeerAddr::from_u32(0x0C00_0000 + i),
                 tcp_port: 9000 + i as u16,
                 udp_port: 9100 + i as u16,
-                segments_sent: u64::from(i) * 17,
-                segments_received: u64::from(i) * 31,
+                segments_sent: i * 17,
+                segments_received: i * 31,
             })
             .collect(),
     };

@@ -84,7 +84,7 @@ stage "magellan-lint"
 mkdir -p target
 cargo run -q -p magellan-lint -- --format sarif --output target/magellan-lint.sarif
 
-stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study, streamed vs buffered checkpoint, fixed-layout report codec vs accessor codec, frame reader under any chunking)"
+stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, edge-list vs keyed Csr, label-split sweep vs edge-filtered subgraphs, generator bits, one-pass table vs separate passes, boundary fan-out vs one lane, durable vs in-memory study, streamed vs buffered checkpoint, fixed-layout report codec vs accessor codec, segment counters past u32 rejected by the wire, checkpoint and serve decoders, frame reader under any chunking)"
 # Fast fail-early pass over the equivalence tests that pin the
 # perf-path kernels to their reference implementations: the 64-wide
 # bit-parallel BFS against per-source scalar BFS, the incremental
@@ -105,8 +105,12 @@ stage "kernel equivalence (bit-parallel BFS vs scalar, incremental vs rebuild, e
 # leaving the previous checkpoint newest, the fixed-layout report
 # encoder and in-place decoder
 # against the accessor-based codec they replaced (bytes, every
-# truncation, trailing bytes, one pinned encoding), and the TCP frame
-# reader fed in one piece, byte by byte and in 16 KiB pieces.
+# truncation, trailing bytes, one pinned encoding, a counter past
+# `u32::MAX`), the counter range on every decoder that fills a `u32`
+# counter from 8 bytes (the wire in place and chunked, the checkpoint
+# body with resume walking past it, a `serve` connection counting the
+# report malformed), and the TCP frame reader fed in one piece, byte
+# by byte and in 16 KiB pieces.
 # Byte-determinism rests on guarantees like these, so they get their
 # own stage before the full suite.
 cargo test -q -p magellan-graph --lib multi64
@@ -121,6 +125,10 @@ cargo test -q -p magellan-analysis --lib streamed_checkpoint_equals_the_buffered
 cargo test -q -p magellan-trace --lib streamed_file_equals_the_encoded_envelope
 cargo test -q --test determinism boundary_fan_out_matches_one_lane_and_archive_replay
 cargo test -q -p magellan-trace --test wire_differential
+cargo test -q -p magellan-trace --test codec_properties server_counts_out_of_range_counters_as_malformed
+cargo test -q -p magellan-overlay --lib link_counters_above_u32_are_rejected
+cargo test -q -p magellan-analysis --lib resume_falls_back_past_an_out_of_range_link_counter
+cargo test -q --bin magellan-traced out_of_range_counter_is_malformed_and_costs_only_its_report
 cargo test -q -p magellan-trace --test codec_properties frame_reader_chunking_is_invisible
 
 stage "cargo test"
@@ -139,11 +147,17 @@ stage "full-scale (release)"
 # `tests/full_scale.rs` cases (Fig. 1 flash-crowd scalability, Fig. 4
 # non-power-law spikes, Figs. 6-7 ISP clustering, Fig. 8 reciprocity).
 # They stay #[ignore]d so the debug test run skips them; in release
-# the stage takes about half a minute on a 2-core host. Then the
-# checkpoint memory guard: a `study_flash`-shaped durable study, run in
-# a child process, must peak within 2 MiB of the same in-memory study
-# (a checkpoint holds no second copy of the simulator state).
+# the stage takes about half a minute on a 2-core host.
 cargo test -q --release --test full_scale -- --ignored
+
+stage "memory guards (durable vs in-memory study, killed-and-resumed vs uninterrupted day)"
+# Each driver runs in a child process that reads its own VmHWM. A
+# `study_flash`-shaped durable study must peak within 2 MiB of the
+# same in-memory study (a checkpoint holds no second copy of the
+# simulator state), and a scale-0.02 day stopped at tick 260 and
+# resumed from its tick-256 checkpoint in a fresh process must peak
+# within 2 MiB of the uninterrupted day (a resume moves the decoded
+# tables in instead of cloning them).
 cargo test -q --release --test checkpoint_memory -- --ignored
 
 stage "loom smoke (pool queue/shutdown protocol)"

@@ -1126,7 +1126,37 @@ mod tests {
     /// One report frame carrying sequence number `seq`, sent by peer
     /// `ip` within the first simulated day.
     fn report_frame(seq: u64, ip: u32) -> bytes::Bytes {
-        let report = PeerReport {
+        let payload = magellan::trace::wire::encode(&plain_report(ip));
+        codec::frame(&codec::encode_client_msg(&ClientMsg::Report {
+            seq,
+            payload,
+        }))
+    }
+
+    /// As [`report_frame`], with one partner whose segments-received
+    /// counter reads 2³² on the wire — one past what a `u32` holds.
+    fn out_of_range_counter_frame(seq: u64, ip: u32) -> bytes::Bytes {
+        let mut report = plain_report(ip);
+        report.partners.push(magellan::trace::PartnerRecord {
+            addr: magellan::netsim::PeerAddr::from_u32(ip + 1),
+            tcp_port: 1,
+            udp_port: 2,
+            segments_sent: 0,
+            segments_received: 0,
+        });
+        let mut payload = magellan::trace::wire::encode(&report).to_vec();
+        // The record closes the payload; its last 8 bytes are the
+        // received counter, whose high half gets the low bit.
+        let high = payload.len() - 8 + 3;
+        payload[high] = 1;
+        codec::frame(&codec::encode_client_msg(&ClientMsg::Report {
+            seq,
+            payload: payload.into(),
+        }))
+    }
+
+    fn plain_report(ip: u32) -> PeerReport {
+        PeerReport {
             time: SimTime::ORIGIN + SimDuration::from_mins(20),
             addr: magellan::netsim::PeerAddr::from_u32(ip),
             channel: magellan::workload::ChannelId::CCTV1,
@@ -1136,26 +1166,15 @@ mod tests {
             recv_throughput_kbps: 400.0,
             send_throughput_kbps: 50.0,
             partners: vec![],
-        };
-        let payload = magellan::trace::wire::encode(&report);
-        codec::frame(&codec::encode_client_msg(&ClientMsg::Report {
-            seq,
-            payload,
-        }))
+        }
     }
 
-    /// An undecodable frame desyncs only its own connection: the two
-    /// reports ahead of it are still answered, the report behind it
-    /// is not, and the server hangs up.
-    #[test]
-    fn undecodable_frame_closes_only_its_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let window_end = SimTime::at(1, 0, 0);
+    /// A reader context over one shard worker whose window closes at
+    /// `window_end`, and the receiving end of its control channel.
+    fn one_shard_ctx(window_end: SimTime) -> (ReaderCtx, Receiver<Ctrl>) {
         let (tx, rx) = sync_channel::<ShardCmd>(8);
         thread::spawn(move || shard_worker(Shard::new(window_end, 1024), rx));
-        let (ctrl, _ctrl_rx) = channel();
+        let (ctrl, ctrl_rx) = channel();
         let ctx = ReaderCtx {
             shards: Arc::new(vec![tx]),
             ctrl,
@@ -1167,6 +1186,19 @@ mod tests {
             },
             epoch: Instant::now(),
         };
+        (ctx, ctrl_rx)
+    }
+
+    /// An undecodable frame desyncs only its own connection: the two
+    /// reports ahead of it are still answered, the report behind it
+    /// is not, and the server hangs up.
+    #[test]
+    fn undecodable_frame_closes_only_its_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let window_end = SimTime::at(1, 0, 0);
+        let (ctx, _ctrl_rx) = one_shard_ctx(window_end);
         let shards = Arc::clone(&ctx.shards);
         let reader = thread::spawn(move || tcp_conn(server_side, ctx));
 
@@ -1197,5 +1229,75 @@ mod tests {
         let (_, totals) = drain_shards(&shards, window_end, true).unwrap();
         assert_eq!(totals.received(), 2, "{totals:?}");
         assert_eq!(totals.admitted, 2, "{totals:?}");
+    }
+
+    /// A report whose segment counter does not fit a `u32` is framed
+    /// correctly, so it costs only itself: it is answered `Malformed`
+    /// and counted malformed once, while the reports behind it on its
+    /// connection and another connection's reports are admitted.
+    #[test]
+    fn out_of_range_counter_is_malformed_and_costs_only_its_report() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let window_end = SimTime::at(1, 0, 0);
+        let (ctx, _ctrl_rx) = one_shard_ctx(window_end);
+        let shards = Arc::clone(&ctx.shards);
+        let sends: [&[bytes::Bytes]; 2] = [
+            &[
+                report_frame(0, 1),
+                out_of_range_counter_frame(1, 2),
+                report_frame(2, 3),
+            ],
+            &[report_frame(0, 10)],
+        ];
+        let mut clients = Vec::new();
+        let mut readers = Vec::new();
+        for frames in sends {
+            let mut client = TcpStream::connect(addr).unwrap();
+            let (server_side, _) = listener.accept().unwrap();
+            let ctx = ctx.clone();
+            readers.push(thread::spawn(move || tcp_conn(server_side, ctx)));
+            for frame in frames {
+                client.write_all(frame).unwrap();
+            }
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            clients.push(client);
+        }
+
+        let mut answered = Vec::new();
+        for mut client in clients {
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut raw = Vec::new();
+            client.read_to_end(&mut raw).expect("the replies, then EOF");
+            let replies: Vec<(u64, StatusCode)> = raw
+                .chunks(codec::REPLY_LEN)
+                .map(|mut record| {
+                    let r = codec::decode_reply(&mut record).unwrap();
+                    (r.seq, r.status)
+                })
+                .collect();
+            answered.push(replies);
+        }
+        assert_eq!(
+            answered,
+            [
+                vec![
+                    (0, StatusCode::Ack),
+                    (1, StatusCode::Malformed),
+                    (2, StatusCode::Ack)
+                ],
+                vec![(0, StatusCode::Ack)],
+            ]
+        );
+        for reader in readers {
+            reader.join().unwrap();
+        }
+
+        let (_, totals) = drain_shards(&shards, window_end, true).unwrap();
+        assert_eq!(totals.received(), 4, "{totals:?}");
+        assert_eq!(totals.admitted, 3, "{totals:?}");
+        assert_eq!(totals.malformed, 1, "{totals:?}");
     }
 }
